@@ -8,7 +8,7 @@
 //! threads, host randomness, or order-unstable containers. This crate
 //! turns that convention into a machine-checked gate: a hand-rolled,
 //! comment/string-aware lexer plus `use`-resolution (no syn; the offline
-//! compat build stays intact), six rules scoped by crate class, and an
+//! compat build stays intact), seven rules scoped by crate class, and an
 //! explicit, justification-carrying suppression grammar.
 
 pub mod lexer;

@@ -24,7 +24,7 @@ impl CrateClass {
 /// One diagnostic.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// `R1`..`R6`, or `SUPPRESS` for suppression-grammar violations.
+    /// `R1`..`R7`, or `SUPPRESS` for suppression-grammar violations.
     pub rule: String,
     pub file: String,
     pub line: u32,

@@ -8,6 +8,7 @@
 //! | R4   | yes       | host randomness (`rand::*`, `DefaultHasher`, `RandomState`) |
 //! | R5   | yes       | `unwrap()`/`expect()` on fallible-API error paths |
 //! | R6   | all       | nested `lock()` acquisition cycles (workspace graph) |
+//! | R7   | yes       | a lock guard alive across a blocking `SimCtx` call |
 //!
 //! Detection is import-driven: a banned item reaches code either through a
 //! `use` (flagged at the import, however renamed) or as an inline
@@ -65,6 +66,15 @@ const FALLIBLE_APIS: &[&str] = &[
     "close", "shutdown", "spawn", "run", "run_with_limit", "wait_established",
 ];
 
+/// Blocking `SimCtx` calls that park the calling process whatever their
+/// arguments (R7).
+const PARKING_CALLS: &[&str] = &["park", "sleep", "yield_now"];
+
+/// Blocking calls recognised by name prefix; they park only when handed a
+/// `SimCtx` (by convention a first argument named `ctx`, `cctx`, …), so
+/// `vec.pop()` or `buf.pop_into_vec(n)` is not one (R7).
+const PARKING_PREFIXES: &[&str] = &["wait", "pop", "acquire"];
+
 /// Lint one file's token stream. `rel` is the workspace-relative path used
 /// in diagnostics. Lock acquisitions feed the workspace-wide `graph`.
 pub fn lint_tokens(
@@ -92,7 +102,8 @@ pub fn lint_tokens(
         check_hash_iteration(rel, tokens, &use_ranges, &uses, &mut findings);
         check_unwraps(rel, tokens, &mut findings);
     }
-    collect_locks(rel, tokens, graph);
+    let r7 = (class == CrateClass::Sim).then_some(&mut findings);
+    collect_locks(rel, tokens, graph, r7);
     findings
 }
 
@@ -522,8 +533,14 @@ fn check_unwraps(rel: &str, tokens: &[Token], findings: &mut Vec<Finding>) {
 }
 
 /// R6 data collection: record lock acquisitions and which locks are held
-/// at each acquisition point, per function.
-fn collect_locks(rel: &str, tokens: &[Token], graph: &mut LockGraph) {
+/// at each acquisition point, per function. With `r7` set, also report
+/// guards held across a blocking call.
+fn collect_locks(
+    rel: &str,
+    tokens: &[Token],
+    graph: &mut LockGraph,
+    mut r7: Option<&mut Vec<Finding>>,
+) {
     let mut i = 0;
     while i < tokens.len() {
         if tokens[i].is_ident("fn") {
@@ -531,7 +548,8 @@ fn collect_locks(rel: &str, tokens: &[Token], graph: &mut LockGraph) {
                 let fn_name = name.to_string();
                 if let Some(body_start) = find_body(tokens, i + 2) {
                     let body_end = match_brace(tokens, body_start);
-                    scan_fn_locks(rel, &fn_name, tokens, body_start, body_end, graph);
+                    let scope = (body_start, body_end);
+                    scan_fn_locks(rel, &fn_name, tokens, scope, graph, r7.as_deref_mut());
                     i = body_end;
                     continue;
                 }
@@ -604,9 +622,9 @@ fn scan_fn_locks(
     rel: &str,
     fn_name: &str,
     tokens: &[Token],
-    start: usize,
-    end: usize,
+    (start, end): (usize, usize),
     graph: &mut LockGraph,
+    mut r7: Option<&mut Vec<Finding>>,
 ) {
     let mut held: Vec<Held> = Vec::new();
     let mut depth = 0i32;
@@ -641,7 +659,8 @@ fn scan_fn_locks(
             }
             if tokens.get(j + 1).is_some_and(|t| t.is_punct('{')) {
                 let body_end = match_brace(tokens, j + 1);
-                scan_fn_locks(rel, fn_name, tokens, j + 1, body_end, graph);
+                let scope = (j + 1, body_end);
+                scan_fn_locks(rel, fn_name, tokens, scope, graph, r7.as_deref_mut());
                 i = body_end + 1;
                 stmt_start = i;
                 continue;
@@ -661,6 +680,20 @@ fn scan_fn_locks(
             if let Some(lock) = tokens[i - 2].ident().filter(|s| *s != "self") {
                 record_acquisition(rel, fn_name, tokens, i, stmt_start, depth, lock, &mut held, graph);
             }
+        } else if let (Some(findings), Some(call), Some(h)) =
+            (r7.as_deref_mut(), parking_call(tokens, i), held.first())
+        {
+            findings.push(Finding::new(
+                "R7",
+                rel,
+                t.line,
+                format!(
+                    "`{}` lock guard alive across blocking `.{call}()`: every process runs on one \
+                     thread, so another process locking it deadlocks the simulation; drop the \
+                     guard before blocking",
+                    h.lock
+                ),
+            ));
         } else if let Some(pfx) = t
             .ident()
             .and_then(|s| s.strip_suffix("_lock"))
@@ -674,6 +707,25 @@ fn scan_fn_locks(
         }
         i += 1;
     }
+}
+
+/// If `tokens[i]` names a blocking `SimCtx` method call (`.park()`,
+/// `.sleep(d)`, `.pop(ctx)`, …), return the method name.
+fn parking_call(tokens: &[Token], i: usize) -> Option<&str> {
+    let name = tokens[i].ident()?;
+    if i == 0 || !tokens[i - 1].is_punct('.') || !tokens.get(i + 1)?.is_punct('(') {
+        return None;
+    }
+    // The first argument's name, past any `&`/`*`/`mut`.
+    let first_arg = tokens[i + 2..]
+        .iter()
+        .take_while(|t| !t.is_punct(',') && !t.is_punct(')'))
+        .filter_map(|t| t.ident())
+        .find(|id| *id != "mut");
+    let takes_ctx = first_arg.is_some_and(|a| a.ends_with("ctx"));
+    let parks = PARKING_CALLS.contains(&name)
+        || (takes_ctx && PARKING_PREFIXES.iter().any(|p| name.starts_with(p)));
+    parks.then_some(name)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -706,7 +758,22 @@ fn record_acquisition(
     let deref_copy = (stmt_start..i).any(|k| {
         tokens[k].is_punct('=') && tokens.get(k + 1).is_some_and(|t| t.is_punct('*'))
     });
-    let (guard_depth, bound) = if is_let && chain_ends && !deref_copy {
+    // A temporary in the head of `if let` / `while let` / `match` / `for`
+    // lives until the end of the block that follows.
+    let head = if tokens.get(stmt_start).is_some_and(|t| t.is_ident("else")) {
+        stmt_start + 1
+    } else {
+        stmt_start
+    };
+    let in_block_head = tokens.get(head).is_some_and(|t| {
+        t.is_ident("match")
+            || t.is_ident("for")
+            || ((t.is_ident("if") || t.is_ident("while"))
+                && tokens.get(head + 1).is_some_and(|t| t.is_ident("let")))
+    });
+    let (guard_depth, bound) = if in_block_head {
+        (Some(depth + 1), None)
+    } else if is_let && chain_ends && !deref_copy {
         let mut k = stmt_start + 1;
         let mut bound = None;
         while k < tokens.len() && k < i {

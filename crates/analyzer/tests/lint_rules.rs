@@ -89,6 +89,33 @@ fn r6_reports_opposite_acquisition_orders() {
 }
 
 #[test]
+fn r7_fires_on_guard_alive_across_blocking_call() {
+    let src = include_str!("fixtures/r7_guard_across_park.rs");
+    let (findings, _) = lint(CrateClass::Sim, src);
+    let r7_lines: Vec<u32> = findings
+        .iter()
+        .filter(|f| f.rule == "R7")
+        .map(|f| f.line)
+        .collect();
+    // Exactly the two lines marked `// R7`: the let-bound guard across
+    // `sleep` and the `if let` scrutinee guard across `pop(ctx)`.
+    let marked: Vec<u32> = src
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| l.contains("// R7"))
+        .map(|(i, _)| i as u32 + 1)
+        .collect();
+    assert_eq!(marked.len(), 2);
+    assert_eq!(r7_lines, marked, "R7 findings: {findings:?}");
+    // Host crates may block the OS thread however they like.
+    let (host, _) = lint(CrateClass::Host, src);
+    assert!(
+        host.iter().all(|f| f.rule != "R7"),
+        "host code flagged: {host:?}"
+    );
+}
+
+#[test]
 fn host_class_is_exempt_from_sim_rules() {
     // The same wall-clock fixture produces nothing when classified as
     // host-side code (bench/analyzer are allowed to time the host).

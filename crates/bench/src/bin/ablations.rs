@@ -11,7 +11,7 @@
 
 use bench::micro::Variant;
 use bench::{cli, figures, micro};
-use dsim::{SchedConfig, TraceConfig};
+use dsim::TraceConfig;
 use sovia::SoviaConfig;
 
 fn main() {
@@ -75,7 +75,6 @@ fn main() {
                         v,
                         2048,
                         figures::bandwidth_total(2048),
-                        SchedConfig::default(),
                         Some(TraceConfig::default()),
                     )
                 } else {
@@ -83,7 +82,6 @@ fn main() {
                         v,
                         2048,
                         30,
-                        SchedConfig::default(),
                         Some(TraceConfig::default()),
                     )
                 };

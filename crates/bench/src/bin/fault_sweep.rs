@@ -11,14 +11,14 @@
 //! in which the dropped frames show up as `fault_drop` instants.
 
 use bench::{cli, fault_sweep};
-use dsim::{SchedConfig, TraceConfig};
+use dsim::TraceConfig;
 
 fn main() {
     let args = cli::BenchCli::parse_env();
     args.reject_rest("fault_sweep");
     let base_seed = args.seed.unwrap_or(fault_sweep::SWEEP_SEED);
     let points =
-        fault_sweep::run_fault_sweep_seeded(args.threads(), SchedConfig::default(), base_seed);
+        fault_sweep::run_fault_sweep_seeded(args.threads(), base_seed);
     print!("{}", fault_sweep::render_fault_table(&points));
     if let Some(path) = &args.trace {
         let (_, trace) = fault_sweep::lossy_tcp_stream_traced(
@@ -26,7 +26,6 @@ fn main() {
             base_seed ^ 3,
             fault_sweep::STREAM_MSG,
             fault_sweep::STREAM_TOTAL,
-            SchedConfig::default(),
             Some(TraceConfig::default()),
         );
         let parts = [(

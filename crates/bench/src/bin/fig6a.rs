@@ -9,7 +9,7 @@
 //! count.
 
 use bench::{cli, figures, micro};
-use dsim::{SchedConfig, TraceConfig};
+use dsim::TraceConfig;
 
 fn main() {
     let args = cli::BenchCli::parse_env();
@@ -20,7 +20,6 @@ fn main() {
         &sizes,
         figures::LATENCY_ROUNDS,
         args.threads(),
-        SchedConfig::default(),
     );
     print!(
         "{}",
@@ -39,7 +38,6 @@ fn main() {
                     v,
                     4,
                     figures::LATENCY_ROUNDS,
-                    SchedConfig::default(),
                     Some(TraceConfig::default()),
                 );
                 (

@@ -9,7 +9,7 @@
 //! count.
 
 use bench::{cli, figures, micro};
-use dsim::{SchedConfig, TraceConfig};
+use dsim::TraceConfig;
 
 fn main() {
     let args = cli::BenchCli::parse_env();
@@ -20,7 +20,6 @@ fn main() {
         &sizes,
         figures::bandwidth_total,
         args.threads(),
-        SchedConfig::default(),
     );
     print!(
         "{}",
@@ -40,7 +39,6 @@ fn main() {
                     v,
                     size,
                     figures::bandwidth_total(size),
-                    SchedConfig::default(),
                     Some(TraceConfig::default()),
                 );
                 (

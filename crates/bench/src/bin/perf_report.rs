@@ -2,10 +2,10 @@
 //!
 //! Report sections, all written to `BENCH_substrate.json`:
 //!
-//! * **Fast-path A/B** — two fixed workloads run with direct token
-//!   handoff off vs on, recording wall-clock time, event throughput, and
-//!   the dispatch-path breakdown ([`dsim::SchedStats`]). Virtual-time
-//!   results are asserted identical between the two configurations.
+//! * **`handoff_pingpong`, `sovia_stream_fig6b`** — two fixed workloads
+//!   (a two-process queue ping-pong, where every event switches process,
+//!   and a Figure 6(b) SOVIA stream), recording wall-clock time, event
+//!   throughput, and the wake breakdown ([`dsim::SchedStats`]).
 //! * **`fault_sweep`** — the goodput-vs-loss-rate sweep of
 //!   [`bench::fault_sweep`]: kernel TCP streaming over a lossy Fast
 //!   Ethernet link, with per-point goodput, recovery latency, and fault
@@ -34,9 +34,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bench::figures::{self, SweepOutcome};
-use bench::{breakdown, cli, runner};
+use bench::micro::{self, Variant};
+use bench::{breakdown, cli};
 use dsim::sync::SimQueue;
-use dsim::{SchedConfig, SchedStats, Simulation};
+use dsim::{SchedStats, Simulation};
 use sovia::SoviaConfig;
 
 /// Ping-pong rounds for the handoff microbenchmark.
@@ -44,18 +45,16 @@ const PINGPONG_ROUNDS: u32 = 20_000;
 /// Message size / total bytes for the Figure 6(b)-style stream workload.
 const STREAM_MSG: usize = 32 * 1024;
 const STREAM_TOTAL: usize = 32 * 1024 * 1024;
-/// Timed repetitions per A/B measurement (minimum taken). The suite
+/// Timed repetitions per workload measurement (minimum taken). The suite
 /// sweep runs once per thread count: at a couple of minutes per pass it
 /// is long enough to be stable.
 const REPS: usize = 3;
 
-/// One measured side of an A/B pair.
-#[derive(Clone, Copy)]
+/// One timed workload.
 struct Measured {
     wall_ms: f64,
     stats: SchedStats,
-    /// Scenario-specific virtual-time result, used to assert that the
-    /// fast path changes nothing simulated.
+    /// Scenario-specific virtual-time result.
     result: f64,
 }
 
@@ -64,54 +63,55 @@ impl Measured {
         self.stats.events_processed as f64 / (self.wall_ms / 1e3)
     }
 
-    fn json(&self, indent: &str, extra: &[(&str, f64)]) -> String {
+    /// The scenario's JSON block; `gate_wall_ms` is the handle
+    /// `scripts/bench.sh` gates on.
+    fn json(&self, name: &str, extra: &[(&str, f64)]) -> String {
         let s = &self.stats;
-        let mut out = String::from("{\n");
+        let mut out = format!("    {{\n      \"name\": \"{name}\",\n");
         let mut push = |k: &str, v: String| {
-            out.push_str(&format!("{indent}  \"{k}\": {v},\n"));
+            out.push_str(&format!("      \"{k}\": {v},\n"));
         };
-        push("wall_ms", format!("{:.3}", self.wall_ms));
+        push("gate_wall_ms", format!("{:.3}", self.wall_ms));
         push("events_processed", s.events_processed.to_string());
         push("events_per_sec", format!("{:.0}", self.events_per_sec()));
-        push("direct_handoffs", s.direct_handoffs.to_string());
         push("self_wakes", s.self_wakes.to_string());
-        push("coordinator_roundtrips", s.coordinator_wakes.to_string());
+        push("dispatched_wakes", s.coordinator_wakes.to_string());
         for (k, v) in extra {
             push(k, format!("{v:.3}"));
         }
         // Trim the trailing comma.
         out.truncate(out.len() - 2);
-        out.push('\n');
-        out.push_str(indent);
-        out.push('}');
+        out.push_str("\n    }");
+        eprintln!(
+            "{name}: wall {:.1} ms, {:.0} events/s",
+            self.wall_ms,
+            self.events_per_sec()
+        );
         out
     }
 }
 
-/// Run `workload` under `sched`, `REPS` times, keeping the fastest run.
-fn measure(sched: SchedConfig, workload: impl Fn(SchedConfig) -> (f64, SchedStats)) -> Measured {
-    let mut best: Option<Measured> = None;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        let (result, stats) = workload(sched);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let m = Measured {
-            wall_ms,
-            stats,
-            result,
-        };
-        if best.map_or(true, |b| m.wall_ms < b.wall_ms) {
-            best = Some(m);
-        }
-    }
-    best.unwrap()
+/// Run `workload` `REPS` times, keeping the fastest run.
+fn measure(workload: impl Fn() -> (f64, SchedStats)) -> Measured {
+    (0..REPS)
+        .map(|_| {
+            let t0 = Instant::now();
+            let (result, stats) = workload();
+            Measured {
+                wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+                stats,
+                result,
+            }
+        })
+        .min_by(|a, b| a.wall_ms.total_cmp(&b.wall_ms))
+        .expect("REPS > 0")
 }
 
 /// Two processes ping-ponging a token through a pair of [`SimQueue`]s:
-/// the worst case for coordinator round-trips, the best case for direct
-/// handoff. Returns (final virtual time in µs, stats).
-fn pingpong(sched: SchedConfig) -> (f64, SchedStats) {
-    let mut sim = Simulation::with_config(sched);
+/// every event switches process. Returns (final virtual time in µs,
+/// stats).
+fn pingpong() -> (f64, SchedStats) {
+    let mut sim = Simulation::new();
     let h = sim.handle();
     let q1 = SimQueue::<u32>::new(&h);
     let q2 = SimQueue::<u32>::new(&h);
@@ -138,56 +138,14 @@ fn pingpong(sched: SchedConfig) -> (f64, SchedStats) {
 }
 
 /// The Figure 6(b) SOVIA stream (COMBINE config): a realistic workload
-/// with NIC service threads, doorbells, and packet payloads in flight.
+/// with NIC service processes, doorbells, and packet payloads in flight.
 /// Returns (bandwidth in Mb/s, stats).
-fn sovia_stream(sched: SchedConfig) -> (f64, SchedStats) {
-    bench::micro::socket_bandwidth_with_sched(
-        Some(SoviaConfig::combine()),
+fn sovia_stream() -> (f64, SchedStats) {
+    micro::bandwidth_with_stats(
+        &Variant::Sovia(SoviaConfig::combine()),
         STREAM_MSG,
         STREAM_TOTAL,
-        sched,
     )
-}
-
-/// Check an A/B pair's virtual-time identity and render its JSON block.
-fn render_scenario(
-    name: &str,
-    off: &Measured,
-    on: &Measured,
-    extra_fn: impl Fn(&Measured) -> Vec<(&'static str, f64)>,
-) -> String {
-    assert_eq!(
-        off.result, on.result,
-        "{name}: fast path changed a virtual-time result"
-    );
-    assert_eq!(
-        off.stats.events_processed, on.stats.events_processed,
-        "{name}: fast path changed the event count"
-    );
-    let roundtrip_ratio =
-        off.stats.coordinator_wakes as f64 / (on.stats.coordinator_wakes.max(1)) as f64;
-    let wall_delta_pct = (off.wall_ms - on.wall_ms) / off.wall_ms * 100.0;
-    let mut json = format!("    {{\n      \"name\": \"{name}\",\n");
-    json.push_str(&format!(
-        "      \"fast_path_off\": {},\n",
-        off.json("      ", &extra_fn(off))
-    ));
-    json.push_str(&format!(
-        "      \"fast_path_on\": {},\n",
-        on.json("      ", &extra_fn(on))
-    ));
-    json.push_str(&format!(
-        "      \"coordinator_roundtrip_reduction_x\": {roundtrip_ratio:.2},\n"
-    ));
-    json.push_str(&format!(
-        "      \"wall_clock_reduction_pct\": {wall_delta_pct:.1}\n    }}"
-    ));
-    eprintln!(
-        "{name}: wall {:.1} ms -> {:.1} ms ({wall_delta_pct:+.1}%), \
-         coordinator round-trips {} -> {} ({roundtrip_ratio:.1}x fewer)",
-        off.wall_ms, on.wall_ms, off.stats.coordinator_wakes, on.stats.coordinator_wakes,
-    );
-    json
 }
 
 /// One timed pass of the full Figure 6(a)+6(b) point set.
@@ -205,30 +163,19 @@ struct SuitePass {
 /// Run the whole Figure 6 suite on at most `threads` concurrent
 /// simulations and render both tables.
 fn run_suite(threads: usize) -> SuitePass {
-    let sched = SchedConfig::default();
     let t0 = Instant::now();
-    let a = figures::run_fig6a_sweep(
-        &figures::FIG6A_SIZES,
-        figures::LATENCY_ROUNDS,
-        threads,
-        sched,
-    );
-    let b = figures::run_fig6b_sweep(
-        &figures::FIG6B_SIZES,
-        figures::bandwidth_total,
-        threads,
-        sched,
-    );
+    let a = figures::run_fig6a_sweep(&figures::FIG6A_SIZES, figures::LATENCY_ROUNDS, threads);
+    let b = figures::run_fig6b_sweep(&figures::FIG6B_SIZES, figures::bandwidth_total, threads);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let rendered = format!(
         "{}{}",
-        bench::micro::render_table(
+        micro::render_table(
             "Figure 6(a): Latency (Giganet cLAN1000, simulated)",
             "usec, one-way",
             &figures::FIG6A_SIZES,
             &a.series
         ),
-        bench::micro::render_table(
+        micro::render_table(
             "Figure 6(b): Bandwidth (Giganet cLAN1000, simulated)",
             "Mbps",
             &figures::FIG6B_SIZES,
@@ -252,13 +199,11 @@ fn suite_pass_json(p: &SuitePass, indent: &str) -> String {
     format!(
         "{{\n{indent}  \"threads\": {},\n{indent}  \"wall_ms\": {:.3},\n\
          {indent}  \"events_processed\": {},\n{indent}  \"aggregate_events_per_sec\": {:.0},\n\
-         {indent}  \"direct_handoffs\": {},\n{indent}  \"self_wakes\": {},\n\
-         {indent}  \"coordinator_roundtrips\": {}\n{indent}}}",
+         {indent}  \"self_wakes\": {},\n{indent}  \"dispatched_wakes\": {}\n{indent}}}",
         p.threads,
         p.wall_ms,
         p.stats.events_processed,
         p.stats.events_processed as f64 / (p.wall_ms / 1e3),
-        p.stats.direct_handoffs,
         p.stats.self_wakes,
         p.stats.coordinator_wakes,
     )
@@ -304,7 +249,7 @@ fn render_suite_scenario(par_threads: usize) -> String {
 fn render_fault_scenario(threads: usize) -> String {
     use bench::fault_sweep;
     let t0 = Instant::now();
-    let points = fault_sweep::run_fault_sweep(threads, SchedConfig::default());
+    let points = fault_sweep::run_fault_sweep(threads);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let pts: Vec<String> = points
         .iter()
@@ -441,61 +386,33 @@ fn main() {
         }
     }
 
-    // The A/B grid — scenario × {off, on} — flattened into one job list
-    // and run through the same runner as the sweeps. Timed A/B jobs are
-    // pinned to the sequential path (cap 1): running them concurrently
-    // would measure host contention, not the scheduler. The scenario
-    // that measures parallelism is `suite_fig6_sweep`, below.
-    let ab_jobs: [(&str, bool); 4] = [
-        ("handoff_pingpong", false),
-        ("handoff_pingpong", true),
-        ("sovia_stream_fig6b", false),
-        ("sovia_stream_fig6b", true),
-    ];
-    let measured = runner::par_map(&ab_jobs, 1, |_, &(name, handoff_on)| {
-        let sched = SchedConfig {
-            direct_handoff: handoff_on,
-        };
-        match name {
-            "handoff_pingpong" => measure(sched, pingpong),
-            _ => measure(sched, sovia_stream),
-        }
-    });
-    let (pp_off, pp_on, st_off, st_on) = (measured[0], measured[1], measured[2], measured[3]);
-
+    // Timed on this thread, one after the other: running them
+    // concurrently would measure host contention, not the simulator. The
+    // scenario that measures parallelism is `suite_fig6_sweep`, below.
+    let pp = measure(pingpong);
     let handoffs = f64::from(PINGPONG_ROUNDS) * 2.0;
-    let pp_json = render_scenario("handoff_pingpong", &pp_off, &pp_on, |m| {
-        vec![("ns_per_handoff", m.wall_ms * 1e6 / handoffs)]
-    });
-    let st_json = render_scenario("sovia_stream_fig6b", &st_off, &st_on, |m| {
-        vec![
-            ("sim_bandwidth_mbps", m.result),
+    let pp_json = pp.json(
+        "handoff_pingpong",
+        &[("ns_per_handoff", pp.wall_ms * 1e6 / handoffs)],
+    );
+    let st = measure(sovia_stream);
+    let st_json = st.json(
+        "sovia_stream_fig6b",
+        &[
+            ("sim_bandwidth_mbps", st.result),
             (
                 "sim_bytes_per_wall_sec",
-                STREAM_TOTAL as f64 / (m.wall_ms / 1e3),
+                STREAM_TOTAL as f64 / (st.wall_ms / 1e3),
             ),
-        ]
-    });
+        ],
+    );
     let fault_json = render_fault_scenario(threads);
     let suite_json = render_suite_scenario(threads);
     let breakdown_json = render_breakdown_scenario(args.trace.as_deref());
 
-    // Acceptance summary: best coordinator round-trip reduction and best
-    // wall-clock reduction across the A/B scenarios.
-    let best_rt = [(&pp_off, &pp_on), (&st_off, &st_on)]
-        .iter()
-        .map(|(o, n)| o.stats.coordinator_wakes as f64 / n.stats.coordinator_wakes.max(1) as f64)
-        .fold(0.0f64, f64::max);
-    let best_wall = [(&pp_off, &pp_on), (&st_off, &st_on)]
-        .iter()
-        .map(|(o, n)| (o.wall_ms - n.wall_ms) / o.wall_ms * 100.0)
-        .fold(f64::NEG_INFINITY, f64::max);
-
     let json = format!(
         "{{\n  \"pingpong_rounds\": {PINGPONG_ROUNDS},\n  \"stream_msg_bytes\": {STREAM_MSG},\n  \
-         \"stream_total_bytes\": {STREAM_TOTAL},\n  \"reps\": {REPS},\n  \"scenarios\": [\n{pp_json},\n{st_json},\n{fault_json},\n{suite_json},\n{breakdown_json}\n  ],\n  \
-         \"best_coordinator_roundtrip_reduction_x\": {best_rt:.2},\n  \
-         \"best_wall_clock_reduction_pct\": {best_wall:.1}\n}}\n"
+         \"stream_total_bytes\": {STREAM_TOTAL},\n  \"reps\": {REPS},\n  \"scenarios\": [\n{pp_json},\n{st_json},\n{fault_json},\n{suite_json},\n{breakdown_json}\n  ]\n}}\n"
     );
     std::fs::write(&out_path, &json).expect("write report");
     println!("{json}");

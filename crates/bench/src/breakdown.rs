@@ -17,7 +17,7 @@
 //! that the syscall + copy share of TCP time disappears at user level.
 
 use dsim::{
-    ProcStats, SchedConfig, TraceClass, TraceConfig, TraceData, TraceEvent, TraceKind, TraceLayer,
+    ProcStats, TraceClass, TraceConfig, TraceData, TraceEvent, TraceKind, TraceLayer,
 };
 use sovia::SoviaConfig;
 
@@ -277,7 +277,6 @@ pub fn latency_breakdown(size: usize, rounds: u32) -> Vec<VariantBreakdown> {
                     v,
                     size,
                     rounds,
-                    SchedConfig::default(),
                     Some(TraceConfig::default()),
                 )
             })
@@ -295,7 +294,6 @@ pub fn bandwidth_breakdown(size: usize, total_bytes: usize) -> Vec<VariantBreakd
                     v,
                     size,
                     total_bytes,
-                    SchedConfig::default(),
                     Some(TraceConfig::default()),
                 )
             })

@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use dsim::{SchedConfig, SchedStats, SimDuration, SimTime, Simulation};
+use dsim::{SchedStats, SimDuration, SimTime, Simulation};
 use parking_lot::Mutex;
 use simnic::{FaultPlan, FaultStats};
 use simos::HostId;
@@ -61,14 +61,8 @@ pub struct FaultPoint {
 /// Stream `total` bytes over TCP/Fast-Ethernet with per-frame drop
 /// probability `loss_p` (seeded `seed`) on the data direction, measuring
 /// sink goodput and the longest receive stall.
-pub fn lossy_tcp_stream(
-    loss_p: f64,
-    seed: u64,
-    msg: usize,
-    total: usize,
-    sched: SchedConfig,
-) -> FaultPoint {
-    lossy_tcp_stream_traced(loss_p, seed, msg, total, sched, None).0
+pub fn lossy_tcp_stream(loss_p: f64, seed: u64, msg: usize, total: usize) -> FaultPoint {
+    lossy_tcp_stream_traced(loss_p, seed, msg, total, None).0
 }
 
 /// [`lossy_tcp_stream`] with optional tracing; the sink brackets the
@@ -80,10 +74,9 @@ pub fn lossy_tcp_stream_traced(
     seed: u64,
     msg: usize,
     total: usize,
-    sched: SchedConfig,
     trace: Option<dsim::TraceConfig>,
 ) -> (FaultPoint, Option<dsim::TraceData>) {
-    let mut sim = Simulation::with_config_and_trace(sched, trace);
+    let mut sim = Simulation::with_trace(trace);
     let h = sim.handle();
     let plan = if loss_p > 0.0 {
         FaultPlan::drops(seed, loss_p)
@@ -177,22 +170,18 @@ pub fn lossy_tcp_stream_traced(
 
 /// Run the whole sweep on at most `threads` concurrent simulations,
 /// seeded with [`SWEEP_SEED`].
-pub fn run_fault_sweep(threads: usize, sched: SchedConfig) -> Vec<FaultPoint> {
-    run_fault_sweep_seeded(threads, sched, SWEEP_SEED)
+pub fn run_fault_sweep(threads: usize) -> Vec<FaultPoint> {
+    run_fault_sweep_seeded(threads, SWEEP_SEED)
 }
 
 /// Run the whole sweep with an explicit base seed: point `i` seeds its
 /// fault lane with `base_seed ^ i`, so the default seed reproduces the
 /// checked-in `results/fault_sweep.txt` while `--seed` explores other
 /// fault schedules.
-pub fn run_fault_sweep_seeded(
-    threads: usize,
-    sched: SchedConfig,
-    base_seed: u64,
-) -> Vec<FaultPoint> {
+pub fn run_fault_sweep_seeded(threads: usize, base_seed: u64) -> Vec<FaultPoint> {
     let jobs: Vec<(usize, f64)> = LOSS_RATES.iter().copied().enumerate().collect();
     runner::par_map(&jobs, threads, |_, &(i, p)| {
-        lossy_tcp_stream(p, base_seed ^ i as u64, STREAM_MSG, STREAM_TOTAL, sched)
+        lossy_tcp_stream(p, base_seed ^ i as u64, STREAM_MSG, STREAM_TOTAL)
     })
 }
 

@@ -57,7 +57,7 @@ pub fn rpc_elapsed_traced(
     arg_len: usize,
     trace: Option<dsim::TraceConfig>,
 ) -> crate::micro::RunOutput {
-    let mut sim = Simulation::with_config_and_trace(dsim::SchedConfig::default(), trace);
+    let mut sim = Simulation::with_trace(trace);
     let out = Arc::new(Mutex::new(0f64));
     let transport = match platform {
         RpcPlatform::SoviaClan => Transport::Via,

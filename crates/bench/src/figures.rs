@@ -5,7 +5,7 @@
 //! through [`crate::runner`]. Output is byte-identical at any thread
 //! count (the runner collects by input index).
 
-use dsim::{SchedConfig, SchedStats};
+use dsim::SchedStats;
 use sovia::SoviaConfig;
 
 use crate::micro::{self, Series, Variant};
@@ -105,19 +105,14 @@ fn assemble(
 }
 
 /// Run the Figure 6(a) grid on at most `threads` concurrent simulations.
-pub fn run_fig6a_sweep(
-    sizes: &[usize],
-    rounds: u32,
-    threads: usize,
-    sched: SchedConfig,
-) -> SweepOutcome {
+pub fn run_fig6a_sweep(sizes: &[usize], rounds: u32, threads: usize) -> SweepOutcome {
     let variants = fig6a_variants();
     let jobs: Vec<(&Variant, usize)> = variants
         .iter()
         .flat_map(|v| sizes.iter().map(move |&s| (v, s)))
         .collect();
     let results = runner::par_map(&jobs, threads, |_, &(v, s)| {
-        micro::latency_with_sched(v, s, rounds, sched)
+        micro::latency_with_stats(v, s, rounds)
     });
     assemble(&variants, sizes, results)
 }
@@ -129,7 +124,6 @@ pub fn run_fig6b_sweep(
     sizes: &[usize],
     total: impl Fn(usize) -> usize + Sync,
     threads: usize,
-    sched: SchedConfig,
 ) -> SweepOutcome {
     let variants = fig6b_variants();
     let jobs: Vec<(&Variant, usize)> = variants
@@ -137,29 +131,17 @@ pub fn run_fig6b_sweep(
         .flat_map(|v| sizes.iter().map(move |&s| (v, s)))
         .collect();
     let results = runner::par_map(&jobs, threads, |_, &(v, s)| {
-        micro::bandwidth_with_sched(v, s, total(s), sched)
+        micro::bandwidth_with_stats(v, s, total(s))
     });
     assemble(&variants, sizes, results)
 }
 
 /// Run Figure 6(a): latency vs message size.
 pub fn run_fig6a(sizes: &[usize]) -> Vec<Series> {
-    run_fig6a_sweep(
-        sizes,
-        LATENCY_ROUNDS,
-        runner::default_threads(),
-        SchedConfig::default(),
-    )
-    .series
+    run_fig6a_sweep(sizes, LATENCY_ROUNDS, runner::default_threads()).series
 }
 
 /// Run Figure 6(b): bandwidth vs message size.
 pub fn run_fig6b(sizes: &[usize]) -> Vec<Series> {
-    run_fig6b_sweep(
-        sizes,
-        bandwidth_total,
-        runner::default_threads(),
-        SchedConfig::default(),
-    )
-    .series
+    run_fig6b_sweep(sizes, bandwidth_total, runner::default_threads()).series
 }

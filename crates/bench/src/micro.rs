@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use dsim::{
-    ProcStats, SchedConfig, SchedStats, SimDuration, Simulation, TraceConfig, TraceData,
-    TraceKind, TraceLayer, TraceTag,
+    ProcStats, SchedStats, SimDuration, Simulation, TraceConfig, TraceData, TraceKind, TraceLayer,
+    TraceTag,
 };
 use parking_lot::Mutex;
 use simos::HostId;
@@ -91,41 +91,30 @@ fn mark(ctx: &dsim::SimCtx, kind: TraceKind) {
 
 /// Half mean round-trip time for `size`-byte messages, in µs.
 pub fn latency_us(variant: &Variant, size: usize, rounds: u32) -> f64 {
-    latency_with_sched(variant, size, rounds, SchedConfig::default()).0
+    latency_with_stats(variant, size, rounds).0
 }
 
 /// Unidirectional bandwidth in Mb/s streaming `total` bytes in
 /// `size`-byte sends.
 pub fn bandwidth_mbps(variant: &Variant, size: usize, total: usize) -> f64 {
-    bandwidth_with_sched(variant, size, total, SchedConfig::default()).0
+    bandwidth_with_stats(variant, size, total).0
 }
 
-/// [`latency_us`] under an explicit scheduler configuration, also
-/// returning the per-simulation scheduler counters (the parallel-suite
-/// determinism tests and `perf_report` aggregate these across sims).
-pub fn latency_with_sched(
-    variant: &Variant,
-    size: usize,
-    rounds: u32,
-    sched: SchedConfig,
-) -> (f64, SchedStats) {
-    let out = latency_traced(variant, size, rounds, sched, None);
+/// [`latency_us`], also returning the per-simulation scheduler counters
+/// (the parallel-suite determinism tests and `perf_report` aggregate these
+/// across sims).
+pub fn latency_with_stats(variant: &Variant, size: usize, rounds: u32) -> (f64, SchedStats) {
+    let out = latency_traced(variant, size, rounds, None);
     (out.value, out.stats)
 }
 
-/// [`bandwidth_mbps`] under an explicit scheduler configuration, with
-/// the per-simulation scheduler counters.
-pub fn bandwidth_with_sched(
-    variant: &Variant,
-    size: usize,
-    total: usize,
-    sched: SchedConfig,
-) -> (f64, SchedStats) {
-    let out = bandwidth_traced(variant, size, total, sched, None);
+/// [`bandwidth_mbps`], with the per-simulation scheduler counters.
+pub fn bandwidth_with_stats(variant: &Variant, size: usize, total: usize) -> (f64, SchedStats) {
+    let out = bandwidth_traced(variant, size, total, None);
     (out.value, out.stats)
 }
 
-/// [`latency_with_sched`] with optional tracing. The measured rounds are
+/// [`latency_with_stats`] with optional tracing. The measured rounds are
 /// bracketed by [`TraceKind::MarkStart`] / [`TraceKind::MarkEnd`] App
 /// instants, so the trace's measurement window is exactly the timed
 /// interval the latency number comes from.
@@ -133,62 +122,42 @@ pub fn latency_traced(
     variant: &Variant,
     size: usize,
     rounds: u32,
-    sched: SchedConfig,
     trace: Option<TraceConfig>,
 ) -> RunOutput {
     match variant {
-        Variant::NativeVia => native_via_latency_traced(size, rounds, sched, trace),
-        Variant::TcpLane => socket_latency_traced(None, size, rounds, sched, trace),
-        Variant::Sovia(config) => {
-            socket_latency_traced(Some(config.clone()), size, rounds, sched, trace)
-        }
+        Variant::NativeVia => native_via_latency_traced(size, rounds, trace),
+        Variant::TcpLane => socket_latency_traced(None, size, rounds, trace),
+        Variant::Sovia(config) => socket_latency_traced(Some(config.clone()), size, rounds, trace),
     }
 }
 
-/// [`bandwidth_with_sched`] with optional tracing; the steady-state
+/// [`bandwidth_with_stats`] with optional tracing; the steady-state
 /// measurement window is marked as in [`latency_traced`].
 pub fn bandwidth_traced(
     variant: &Variant,
     size: usize,
     total: usize,
-    sched: SchedConfig,
     trace: Option<TraceConfig>,
 ) -> RunOutput {
     match variant {
-        Variant::NativeVia => native_via_bandwidth_traced(size, total, sched, trace),
-        Variant::TcpLane => socket_bandwidth_traced(None, size, total, sched, trace),
-        Variant::Sovia(config) => {
-            socket_bandwidth_traced(Some(config.clone()), size, total, sched, trace)
-        }
+        Variant::NativeVia => native_via_bandwidth_traced(size, total, trace),
+        Variant::TcpLane => socket_bandwidth_traced(None, size, total, trace),
+        Variant::Sovia(config) => socket_bandwidth_traced(Some(config.clone()), size, total, trace),
     }
 }
 
 // ----- sockets-based (TCP / SOVIA) ------------------------------------------
 
-/// The Figure 6(a) ping-pong workload under an explicit scheduler
-/// configuration. Returns `(µs, scheduler stats)`; the determinism tests
-/// use the stats to assert identical event counts run to run.
-pub fn socket_latency_with_sched(
-    config: Option<SoviaConfig>,
-    size: usize,
-    rounds: u32,
-    sched: SchedConfig,
-) -> (f64, SchedStats) {
-    let out = socket_latency_traced(config, size, rounds, sched, None);
-    (out.value, out.stats)
-}
-
-/// [`socket_latency_with_sched`] with optional tracing (see
-/// [`latency_traced`]).
+/// The Figure 6(a) ping-pong workload over TCP (`config: None`) or
+/// SOVIA, with optional tracing (see [`latency_traced`]).
 pub fn socket_latency_traced(
     config: Option<SoviaConfig>,
     size: usize,
     rounds: u32,
-    sched: SchedConfig,
     trace: Option<TraceConfig>,
 ) -> RunOutput {
     let out = Arc::new(Mutex::new(0f64));
-    let mut sim = Simulation::with_config_and_trace(sched, trace);
+    let mut sim = Simulation::with_trace(trace);
     let stype = if config.is_some() {
         SockType::Via
     } else {
@@ -265,30 +234,16 @@ pub fn socket_latency_traced(
     }
 }
 
-/// The Figure 6(b) stream workload under an explicit scheduler
-/// configuration. Returns `(Mb/s, scheduler stats)`; the perf_report
-/// binary uses this for fast-path A/B measurement.
-pub fn socket_bandwidth_with_sched(
-    config: Option<SoviaConfig>,
-    size: usize,
-    total: usize,
-    sched: SchedConfig,
-) -> (f64, SchedStats) {
-    let out = socket_bandwidth_traced(config, size, total, sched, None);
-    (out.value, out.stats)
-}
-
-/// [`socket_bandwidth_with_sched`] with optional tracing (see
-/// [`bandwidth_traced`]).
+/// The Figure 6(b) stream workload over TCP (`config: None`) or SOVIA,
+/// with optional tracing (see [`bandwidth_traced`]).
 pub fn socket_bandwidth_traced(
     config: Option<SoviaConfig>,
     size: usize,
     total: usize,
-    sched: SchedConfig,
     trace: Option<TraceConfig>,
 ) -> RunOutput {
     let out = Arc::new(Mutex::new(0f64));
-    let mut sim = Simulation::with_config_and_trace(sched, trace);
+    let mut sim = Simulation::with_trace(trace);
     let stype = if config.is_some() {
         SockType::Via
     } else {
@@ -381,13 +336,8 @@ pub fn socket_bandwidth_traced(
 
 // ----- native VIA (raw VIPL) --------------------------------------------------
 
-fn native_via_latency_traced(
-    size: usize,
-    rounds: u32,
-    sched: SchedConfig,
-    trace: Option<TraceConfig>,
-) -> RunOutput {
-    let mut sim = Simulation::with_config_and_trace(sched, trace);
+fn native_via_latency_traced(size: usize, rounds: u32, trace: Option<TraceConfig>) -> RunOutput {
+    let mut sim = Simulation::with_trace(trace);
     let (m0, m1) = testbed::clan_pair(&sim.handle());
     let n0 = ViaNic::of(&m0);
     let n1 = ViaNic::of(&m1);
@@ -460,13 +410,8 @@ fn native_via_latency_traced(
     }
 }
 
-fn native_via_bandwidth_traced(
-    size: usize,
-    total: usize,
-    sched: SchedConfig,
-    trace: Option<TraceConfig>,
-) -> RunOutput {
-    let mut sim = Simulation::with_config_and_trace(sched, trace);
+fn native_via_bandwidth_traced(size: usize, total: usize, trace: Option<TraceConfig>) -> RunOutput {
+    let mut sim = Simulation::with_trace(trace);
     let (m0, m1) = testbed::clan_pair(&sim.handle());
     let n0 = ViaNic::of(&m0);
     let n1 = ViaNic::of(&m1);

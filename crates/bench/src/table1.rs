@@ -85,7 +85,7 @@ pub fn ftp_transfer_traced(
     trace: Option<dsim::TraceConfig>,
 ) -> (Cell, Option<dsim::TraceData>) {
     assert_ne!(platform, Platform::LocalCopy);
-    let mut sim = Simulation::with_config_and_trace(dsim::SchedConfig::default(), trace);
+    let mut sim = Simulation::with_trace(trace);
     let out = Arc::new(Mutex::new(Cell {
         mbps: 0.0,
         secs: 0.0,

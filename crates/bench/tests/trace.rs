@@ -5,12 +5,8 @@
 
 use bench::micro::{self, Variant};
 use bench::{breakdown, runner};
-use dsim::{chrome_trace_json, SchedConfig, TraceConfig};
+use dsim::{chrome_trace_json, TraceConfig};
 use sovia::SoviaConfig;
-
-const SCHED: SchedConfig = SchedConfig {
-    direct_handoff: true,
-};
 
 fn variants() -> Vec<Variant> {
     vec![
@@ -25,7 +21,7 @@ fn variants() -> Vec<Variant> {
 fn traced_suite_json(threads: usize) -> String {
     let vs = variants();
     let parts: Vec<(String, dsim::TraceData)> = runner::par_map(&vs, threads, |_, v| {
-        let out = micro::latency_traced(v, 4, 8, SCHED, Some(TraceConfig::default()));
+        let out = micro::latency_traced(v, 4, 8, Some(TraceConfig::default()));
         (
             format!("{} 4B latency", v.label()),
             out.trace.expect("tracing was enabled"),
@@ -55,8 +51,8 @@ fn trace_json_identical_across_thread_counts() {
 #[test]
 fn tracing_enabled_is_a_virtual_time_noop_for_latency() {
     for v in &variants() {
-        let (plain, plain_stats) = micro::latency_with_sched(v, 64, 10, SCHED);
-        let traced = micro::latency_traced(v, 64, 10, SCHED, Some(TraceConfig::default()));
+        let (plain, plain_stats) = micro::latency_with_stats(v, 64, 10);
+        let traced = micro::latency_traced(v, 64, 10, Some(TraceConfig::default()));
         assert_eq!(
             plain.to_bits(),
             traced.value.to_bits(),
@@ -81,9 +77,8 @@ fn tracing_enabled_is_a_virtual_time_noop_for_latency() {
 #[test]
 fn tracing_enabled_is_a_virtual_time_noop_for_bandwidth() {
     for v in &variants() {
-        let (plain, plain_stats) = micro::bandwidth_with_sched(v, 4096, 128 * 1024, SCHED);
-        let traced =
-            micro::bandwidth_traced(v, 4096, 128 * 1024, SCHED, Some(TraceConfig::default()));
+        let (plain, plain_stats) = micro::bandwidth_with_stats(v, 4096, 128 * 1024);
+        let traced = micro::bandwidth_traced(v, 4096, 128 * 1024, Some(TraceConfig::default()));
         assert_eq!(
             plain.to_bits(),
             traced.value.to_bits(),
@@ -103,7 +98,6 @@ fn trace_json_identical_across_repeated_runs() {
             &Variant::Sovia(SoviaConfig::single()),
             64,
             8,
-            SCHED,
             Some(TraceConfig::default()),
         );
         chrome_trace_json(&[(
@@ -172,7 +166,7 @@ fn breakdown_sums_to_window_and_shows_sovia_contrast() {
 fn traced_window_reproduces_reported_latency() {
     for v in &variants() {
         let rounds = 8u32;
-        let out = micro::latency_traced(v, 4, rounds, SCHED, Some(TraceConfig::default()));
+        let out = micro::latency_traced(v, 4, rounds, Some(TraceConfig::default()));
         let (w0, w1) = out
             .trace
             .as_ref()

@@ -1,10 +1,11 @@
 //! # dsim — deterministic discrete-event simulation kernel
 //!
 //! The foundation of the SOVIA reproduction: a virtual-time executor whose
-//! *processes* are real OS threads handed an execution token one at a time.
-//! Protocol code (VIPL, TCP, the SOVIA layer) is written in ordinary
-//! blocking style, while every microsecond reported by the benchmarks comes
-//! from the explicit cost model, not from host wall-clock.
+//! *processes* are stackful coroutines, run one at a time on the thread that
+//! calls [`Simulation::run`]. Protocol code (VIPL, TCP, the SOVIA layer) is
+//! written in ordinary blocking style, while every microsecond reported by
+//! the benchmarks comes from the explicit cost model, not from host
+//! wall-clock.
 //!
 //! Key pieces:
 //!
@@ -44,6 +45,7 @@
 
 #![warn(missing_docs)]
 
+mod coro;
 mod sched;
 mod time;
 

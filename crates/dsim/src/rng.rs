@@ -45,12 +45,6 @@ impl SimRng {
         self.inner.random::<f64>()
     }
 
-    /// Bernoulli draw.
-    pub fn chance(&mut self, p: f64) -> bool {
-        debug_assert!((0.0..=1.0).contains(&p));
-        self.inner.random::<f64>() < p
-    }
-
     /// Fill a buffer with deterministic pseudo-random bytes.
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
         self.inner.fill_bytes(buf);

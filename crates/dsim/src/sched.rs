@@ -2,16 +2,21 @@
 //!
 //! # Execution model
 //!
-//! Simulation *processes* are real OS threads, but exactly one of them (or
-//! the coordinator) runs at any instant: control is handed around with a
-//! token-passing handshake. This gives sequential discrete-event semantics —
-//! the simulation is fully deterministic for a given program — while letting
-//! protocol code be written in a natural blocking style (`ctx.sleep(..)`,
+//! Simulation *processes* are stackful coroutines ([`crate::coro`]) that all
+//! run on the OS thread that calls [`Simulation::run`]. That call is the
+//! single dispatch loop: it pops events in `(time, sequence)` order, runs
+//! `Call` events inline, and switches into the coroutine a `Wake` event
+//! targets. The process runs until it parks, which switches back to the
+//! loop. Exactly one process (or the loop) runs at any instant, so the
+//! simulation is fully deterministic for a given program, while protocol
+//! code is still written in a natural blocking style (`ctx.sleep(..)`,
 //! `cv.wait(&ctx)`), exactly how the SOVIA paper's threads are written.
 //!
-//! Events live in a binary heap ordered by `(time, sequence)`; the sequence
-//! number breaks ties in schedule order, so same-instant events fire in a
-//! deterministic FIFO order.
+//! The sequence number breaks ties in schedule order, so same-instant
+//! events fire in a deterministic FIFO order.
+//!
+//! A process gets its stack at its first dispatch, and a finished process's
+//! stack is reused by the next one to start; teardown unmaps them all.
 //!
 //! # Wake-up protocol
 //!
@@ -22,35 +27,20 @@
 //! Blocking primitives therefore follow the usual condition-variable rule:
 //! *mutate shared state first, then wake; waiters re-check predicates in a
 //! loop*.
-//!
-//! # Direct token handoff (fast path)
-//!
-//! Dispatching every event through the coordinator costs two OS thread
-//! switches per wake (yielder → coordinator → wakee). When a process parks
-//! and the next heap event is a `Wake`, the parking process dispatches it
-//! *itself* under the state lock — advancing the clock, dropping stale
-//! wakes, and charging the shared event budget exactly as the coordinator
-//! would — then raises the target's resume signal directly (one switch), or
-//! returns immediately if it woke itself (zero switches, the common case
-//! for an uncontended `sleep`). The coordinator is only re-entered for
-//! `Call` events, an empty heap (completion/deadlock detection), a spent
-//! event budget, a recorded panic, or teardown, so all of those behave
-//! identically with the fast path on or off. Dispatch order is the exact
-//! `(time, seq)` heap order either way; virtual-time results are
-//! bit-identical. Toggle via [`SchedConfig`] for A/B measurement.
 
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-// sovia-lint: allow(R2) -- dsim IS the boundary: simulated processes are carried by real OS threads that only run when the scheduler hands them the token
-use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
+use crate::coro::{self, Coroutine, Resumed, Stack};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceConfig, TraceData, TraceEvent, TraceKind, TraceLayer, TraceShared, TraceTag, Tracer};
+use crate::trace::{
+    TraceConfig, TraceData, TraceEvent, TraceKind, TraceLayer, TraceShared, TraceTag, Tracer,
+};
 
 /// Identifier of a simulation process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -75,6 +65,18 @@ pub enum WakeReason {
     Start,
     /// The simulation is being torn down; the process must unwind.
     Shutdown,
+}
+
+impl WakeReason {
+    /// Every reason, indexed by discriminant (how the dispatch loop passes
+    /// a reason through a coroutine switch).
+    const ALL: [WakeReason; 5] = [
+        WakeReason::Sleep,
+        WakeReason::Notify,
+        WakeReason::Timeout,
+        WakeReason::Start,
+        WakeReason::Shutdown,
+    ];
 }
 
 /// Error raised by [`Simulation::run`].
@@ -163,20 +165,23 @@ impl Ord for EventEntry {
 enum ProcState {
     /// Spawned but not yet started, or parked awaiting a wake event.
     Parked,
-    /// Currently holding the execution token.
+    /// Currently running (the only one).
     Running,
     /// Finished (returned or panicked).
     Done,
 }
+
+/// A process body that has not started yet.
+type Body = Box<dyn FnOnce(&SimCtx) + Send>;
 
 /// One process's scheduling slot.
 struct ProcSlot {
     name: String,
     state: ProcState,
     epoch: u64,
-    wake_reason: Option<WakeReason>,
-    resume: Arc<Signal>,
-    thread: Option<JoinHandle<()>>,
+    /// The body, until the process's first dispatch moves it onto a
+    /// coroutine (teardown drops it unstarted).
+    body: Option<Body>,
     /// Daemons (NIC engines, protocol handler loops) do not keep the
     /// simulation alive: it completes when all non-daemon processes finish.
     daemon: bool,
@@ -190,114 +195,48 @@ struct ProcSlot {
     parked_at_ns: u64,
 }
 
-/// A simple binary handshake signal (real condvar, used only for the token
-/// handoff — never for simulated time).
-struct Signal {
-    flag: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Signal {
-    fn new() -> Arc<Signal> {
-        Arc::new(Signal {
-            flag: Mutex::new(false),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn raise(&self) {
-        let mut g = self.flag.lock();
-        *g = true;
-        self.cv.notify_one();
-    }
-
-    fn await_and_clear(&self) {
-        let mut g = self.flag.lock();
-        while !*g {
-            self.cv.wait(&mut g);
-        }
-        *g = false;
-    }
-}
-
-/// Scheduler tuning knobs (see the module docs on the fast path).
+/// Former scheduler knob, kept so existing callers still compile.
+///
+/// There is a single dispatch path now (see the module docs), so the
+/// configuration has no effect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedConfig {
-    /// Hand the execution token directly between processes when the next
-    /// event permits, bypassing the coordinator thread. Never changes
-    /// virtual-time results; kept toggleable for A/B benchmarking.
+    /// Ignored. It used to select direct token handoff between OS threads
+    /// instead of coordinator dispatch.
     pub direct_handoff: bool,
-}
-
-impl SchedConfig {
-    /// Default configuration, honouring the `DSIM_DIRECT_HANDOFF`
-    /// environment variable (`0`/`off`/`false` disables the fast path) so
-    /// A/B runs need no code changes.
-    fn from_env() -> SchedConfig {
-        let disabled = std::env::var("DSIM_DIRECT_HANDOFF")
-            .map(|v| matches!(v.as_str(), "0" | "off" | "false" | "no"))
-            .unwrap_or(false);
-        SchedConfig {
-            direct_handoff: !disabled,
-        }
-    }
-}
-
-impl Default for SchedConfig {
-    fn default() -> SchedConfig {
-        SchedConfig::from_env()
-    }
 }
 
 /// Counters describing how a simulation was executed (host-side only;
 /// nothing here feeds back into virtual time).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Heap entries popped (wakes, calls, stale wakes) — identical for a
-    /// given program whichever dispatch path ran them.
+    /// Heap entries popped (wakes, calls, stale wakes).
     pub events_processed: u64,
-    /// Wakes a parking process delivered directly to another process
-    /// (one OS switch instead of two).
+    /// Always 0: there is no handoff between processes any more; every
+    /// wake is dispatched by the loop. Kept for report compatibility.
     pub direct_handoffs: u64,
-    /// Wakes a parking process delivered to *itself* (zero OS switches).
+    /// Wakes of the process that parked last, with no `Call` event run in
+    /// between (the process resumes where it just left off).
     pub self_wakes: u64,
-    /// Wakes dispatched by the coordinator (two OS switches: the slow path).
+    /// All other wakes the dispatch loop delivered.
     pub coordinator_wakes: u64,
     /// Total wake deliveries across all processes (every reason except
     /// teardown); per-process detail is in [`Simulation::proc_stats`].
     pub wakeups: u64,
 }
 
-impl SchedStats {
-    /// Accumulate another simulation's counters into this one (suite-level
-    /// aggregation across many independent simulations).
-    pub fn merge(&mut self, other: &SchedStats) {
-        self.events_processed += other.events_processed;
-        self.direct_handoffs += other.direct_handoffs;
-        self.self_wakes += other.self_wakes;
-        self.coordinator_wakes += other.coordinator_wakes;
-        self.wakeups += other.wakeups;
-    }
-}
-
+/// Suite-level aggregation across many independent simulations.
 impl std::ops::Add for SchedStats {
     type Output = SchedStats;
 
-    fn add(mut self, rhs: SchedStats) -> SchedStats {
-        self.merge(&rhs);
-        self
-    }
-}
-
-impl std::ops::AddAssign for SchedStats {
-    fn add_assign(&mut self, rhs: SchedStats) {
-        self.merge(&rhs);
-    }
-}
-
-impl std::iter::Sum for SchedStats {
-    fn sum<I: Iterator<Item = SchedStats>>(iter: I) -> SchedStats {
-        iter.fold(SchedStats::default(), |acc, s| acc + s)
+    fn add(self, rhs: SchedStats) -> SchedStats {
+        SchedStats {
+            events_processed: self.events_processed + rhs.events_processed,
+            direct_handoffs: self.direct_handoffs + rhs.direct_handoffs,
+            self_wakes: self.self_wakes + rhs.self_wakes,
+            coordinator_wakes: self.coordinator_wakes + rhs.coordinator_wakes,
+            wakeups: self.wakeups + rhs.wakeups,
+        }
     }
 }
 
@@ -320,54 +259,47 @@ pub struct ProcStats {
     pub wakeups: u64,
 }
 
+#[derive(Default)]
 struct SchedState {
     now: u64,
     seq: u64,
     heap: BinaryHeap<EventEntry>,
-    procs: BTreeMap<u64, ProcSlot>,
-    next_pid: u64,
+    /// Indexed by pid (pids are allocated densely in spawn order).
+    procs: Vec<ProcSlot>,
     /// Number of processes not yet Done.
     live: usize,
-    /// Set when the coordinator decides to tear everything down.
+    /// Set when `run` starts tearing everything down.
     shutting_down: bool,
     /// Panic captured from a process, reported by `run`.
     panic: Option<(String, String)>,
-    /// Heap entries popped so far — shared between the coordinator and the
-    /// fast path so `run_with_limit` stops at the same event either way.
+    /// Heap entries popped so far.
     events: u64,
-    /// Event budget (`u64::MAX` when unlimited).
+    /// Event budget, set by `run` (`u64::MAX` when unlimited).
     max_events: u64,
     /// Execution counters (see [`SchedStats`]).
     stats: SchedStats,
 }
 
-/// Process-global counter distinguishing simulation instances in OS
-/// thread names (`sim<N>-p<pid>-<name>`). Host-side debugging aid only —
-/// it never feeds virtual time, so concurrent suites stay deterministic.
-static SIM_COUNTER: AtomicU64 = AtomicU64::new(0);
-
 pub(crate) struct SimCore {
     state: Mutex<SchedState>,
-    /// Raised by a process when it yields the token back to the coordinator.
-    coord: Signal,
-    /// Immutable scheduler configuration.
-    config: SchedConfig,
-    /// Which simulation instance this is (thread-naming only).
-    sim_id: u64,
+    /// Pid of the process the dispatch loop resumed last (the running one,
+    /// while any process runs).
+    running: AtomicU64,
     /// Event recorder; `None` (the default) makes every emission site a
     /// single predictable branch.
     pub(crate) trace: Option<Arc<TraceShared>>,
 }
 
-impl SimCore {
-    fn schedule_locked(
-        state: &mut SchedState,
-        at: u64,
-        kind: EventKind,
-    ) {
-        let seq = state.seq;
-        state.seq += 1;
-        state.heap.push(EventEntry { time: at, seq, kind });
+impl SchedState {
+    /// Queue an event at virtual time `at`, after every event already
+    /// queued for that instant.
+    fn schedule(&mut self, at: u64, kind: EventKind) {
+        self.heap.push(EventEntry {
+            time: at,
+            seq: self.seq,
+            kind,
+        });
+        self.seq += 1;
     }
 }
 
@@ -389,7 +321,7 @@ impl SimHandle {
 
     /// A cheap emission handle onto this simulation's trace recorder
     /// (disabled — every emit a no-op — unless the simulation was built
-    /// with [`Simulation::with_config_and_trace`]).
+    /// with [`Simulation::with_trace`]).
     pub fn tracer(&self) -> Tracer {
         Tracer {
             shared: self.core.trace.clone(),
@@ -407,8 +339,7 @@ impl SimHandle {
         let cancelled = Arc::new(AtomicBool::new(false));
         let mut st = self.core.state.lock();
         let at = st.now + delay.as_nanos();
-        SimCore::schedule_locked(
-            &mut st,
+        st.schedule(
             at,
             EventKind::Call {
                 cancelled: Arc::clone(&cancelled),
@@ -457,78 +388,27 @@ impl SimHandle {
         F: FnOnce(&SimCtx) + Send + 'static,
     {
         let name = name.into();
-        let resume = Signal::new();
         let mut st = self.core.state.lock();
-        let pid = ProcId(st.next_pid);
-        st.next_pid += 1;
-
-        let ctx = SimCtx {
-            handle: self.clone(),
-            pid,
-        };
-        let thread_resume = Arc::clone(&resume);
-        let core = Arc::clone(&self.core);
-        let tname = name.clone();
-        // `sim<N>-p<pid>-<name>` keeps debugger/`perf` output legible when
-        // dozens of simulations run concurrently (the OS-level name is
-        // truncated to 15 bytes on Linux; the sim/pid prefix survives).
-        // sovia-lint: allow(R2) -- the one place the runner creates carrier threads; everything above this layer uses sim.spawn()
-        let thread = std::thread::Builder::new()
-            .name(format!("sim{}-p{}-{tname}", self.core.sim_id, pid.0))
-            .spawn(move || {
-                // Wait for the first wake (Start) before touching anything.
-                thread_resume.await_and_clear();
-                {
-                    // Consume the Start reason.
-                    let mut st = core.state.lock();
-                    let slot = st.procs.get_mut(&pid.0).expect("slot exists");
-                    let r = slot.wake_reason.take();
-                    debug_assert_eq!(r, Some(WakeReason::Start));
-                }
-                let result = panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)));
-                let mut st = core.state.lock();
-                let slot = st.procs.get_mut(&pid.0).expect("slot exists");
-                slot.state = ProcState::Done;
-                if !daemon {
-                    st.live -= 1;
-                }
-                if let Err(payload) = result {
-                    let is_shutdown = payload.downcast_ref::<ShutdownToken>().is_some();
-                    if !is_shutdown && !st.shutting_down {
-                        let msg = panic_message(&*payload);
-                        if st.panic.is_none() {
-                            st.panic = Some((tname.clone(), msg));
-                        }
-                    }
-                }
-                drop(st);
-                core.coord.raise();
-            })
-            // sovia-lint: allow(R5) -- OS thread exhaustion has no in-simulation recovery; dying loudly here beats a wedged scheduler
-            .expect("failed to spawn simulation thread");
-
+        let pid = ProcId(st.procs.len() as u64);
         if let Some(tr) = &self.core.trace {
             tr.names.lock().push((pid.0, name.clone()));
         }
-        let slot = ProcSlot {
+        let now = st.now;
+        st.procs.push(ProcSlot {
             name,
             state: ProcState::Parked,
             epoch: 0,
-            wake_reason: None,
-            resume,
-            thread: Some(thread),
+            body: Some(Box::new(f)),
             daemon,
             wakeups: 0,
             runtime_ns: 0,
-            parked_at_ns: st.now,
-        };
-        st.procs.insert(pid.0, slot);
+            parked_at_ns: now,
+        });
         if !daemon {
             st.live += 1;
         }
         let at = st.now + delay.as_nanos();
-        SimCore::schedule_locked(
-            &mut st,
+        st.schedule(
             at,
             EventKind::Wake {
                 pid,
@@ -543,16 +423,11 @@ impl SimHandle {
     /// `thread_wake` span covering `[now, now + delay]` on the *woken*
     /// process. Called by the sync primitives' delayed notifies.
     pub(crate) fn trace_thread_wake(&self, pid: ProcId, delay: SimDuration) {
-        if let Some(tr) = &self.core.trace {
-            let now = self.core.state.lock().now;
-            tr.push(TraceEvent {
-                start_ns: now,
-                dur_ns: delay.as_nanos(),
-                pid: pid.0,
-                layer: TraceLayer::Sched,
-                kind: TraceKind::ThreadWake,
-                tag: TraceTag::default(),
-            });
+        if self.core.trace.is_some() {
+            let (layer, kind) = (TraceLayer::Sched, TraceKind::ThreadWake);
+            let tag = TraceTag::default();
+            self.tracer()
+                .span_start(self.now(), pid.0, layer, kind, delay, tag);
         }
     }
 
@@ -567,24 +442,21 @@ impl SimHandle {
     ) {
         let mut st = self.core.state.lock();
         let at = st.now + delay.as_nanos();
-        SimCore::schedule_locked(&mut st, at, EventKind::Wake { pid, epoch, reason });
+        st.schedule(at, EventKind::Wake { pid, epoch, reason });
     }
 
     /// The (pid, epoch) pair a primitive must record to wake `ctx` later.
     pub(crate) fn park_token(&self, ctx: &SimCtx) -> (ProcId, u64) {
         let st = self.core.state.lock();
-        let slot = st.procs.get(&ctx.pid.0).expect("park_token: unknown pid");
-        (ctx.pid, slot.epoch)
+        (ctx.pid, st.procs[ctx.pid.0 as usize].epoch)
     }
 
     /// Whether a recorded park token still refers to a parked process whose
     /// epoch has not advanced (i.e. waking it would not be stale).
     pub(crate) fn token_is_current(&self, token: (ProcId, u64)) -> bool {
         let st = self.core.state.lock();
-        match st.procs.get(&token.0 .0) {
-            Some(slot) => slot.state == ProcState::Parked && slot.epoch == token.1,
-            None => false,
-        }
+        let slot = &st.procs[token.0 .0 as usize];
+        slot.state == ProcState::Parked && slot.epoch == token.1
     }
 }
 
@@ -610,7 +482,7 @@ impl TimerGuard {
 
 /// Per-process context: the capability to block in virtual time.
 ///
-/// A `SimCtx` must only be used from the process thread it was created for.
+/// A `SimCtx` must only be used from within the process it was created for.
 #[derive(Clone)]
 pub struct SimCtx {
     pub(crate) handle: SimHandle,
@@ -638,9 +510,7 @@ impl SimCtx {
         if d.is_zero() {
             return;
         }
-        let (pid, epoch) = self.handle.park_token(self);
-        self.handle.schedule_wake(pid, epoch, d, WakeReason::Sleep);
-        let r = self.park();
+        let r = self.park_for(d);
         debug_assert_eq!(r, WakeReason::Sleep);
     }
 
@@ -657,47 +527,42 @@ impl SimCtx {
     /// No-op (one branch) when tracing is off.
     #[inline]
     pub fn trace_span(&self, layer: TraceLayer, kind: TraceKind, dur: SimDuration, tag: TraceTag) {
-        if let Some(tr) = &self.handle.core.trace {
-            let now = self.handle.core.state.lock().now;
-            tr.push(TraceEvent {
-                start_ns: now - dur.as_nanos(),
-                dur_ns: dur.as_nanos(),
-                pid: self.pid.0,
-                layer,
-                kind,
-                tag,
-            });
-        }
+        self.trace_push(dur, layer, kind, tag);
     }
 
     /// Record an instant event at the current virtual time.
     #[inline]
     pub fn trace_instant(&self, layer: TraceLayer, kind: TraceKind, tag: TraceTag) {
-        if let Some(tr) = &self.handle.core.trace {
-            let now = self.handle.core.state.lock().now;
-            tr.push(TraceEvent {
-                start_ns: now,
-                dur_ns: 0,
-                pid: self.pid.0,
-                layer,
-                kind,
-                tag,
-            });
-        }
+        self.trace_push(SimDuration::ZERO, layer, kind, tag);
     }
 
     /// Record a counter increment of `delta` at the current virtual time.
     #[inline]
     pub fn trace_count(&self, layer: TraceLayer, kind: TraceKind, delta: u64, tag: TraceTag) {
+        self.trace_push(
+            SimDuration::ZERO,
+            layer,
+            kind,
+            TraceTag {
+                value: delta,
+                ..tag
+            },
+        );
+    }
+
+    /// Record an event of this process lasting `dur` and ending now.
+    #[inline]
+    fn trace_push(&self, dur: SimDuration, layer: TraceLayer, kind: TraceKind, tag: TraceTag) {
         if let Some(tr) = &self.handle.core.trace {
             let now = self.handle.core.state.lock().now;
+            let (pid, dur_ns) = (self.pid.0, dur.as_nanos());
             tr.push(TraceEvent {
-                start_ns: now,
-                dur_ns: 0,
-                pid: self.pid.0,
+                start_ns: now - dur_ns,
+                dur_ns,
+                pid,
                 layer,
                 kind,
-                tag: TraceTag { value: delta, ..tag },
+                tag,
             });
         }
     }
@@ -705,10 +570,26 @@ impl SimCtx {
     /// Yield to any other same-instant events/processes without advancing
     /// time (a deterministic `sched_yield`).
     pub fn yield_now(&self) {
-        let (pid, epoch) = self.handle.park_token(self);
-        self.handle
-            .schedule_wake(pid, epoch, SimDuration::ZERO, WakeReason::Sleep);
-        let _ = self.park();
+        let _ = self.park_for(SimDuration::ZERO);
+    }
+
+    /// Park with a `Sleep` wake scheduled `d` from now.
+    fn park_for(&self, d: SimDuration) -> WakeReason {
+        {
+            let mut st = self.handle.core.state.lock();
+            let epoch = st.procs[self.pid.0 as usize].epoch;
+            let at = st.now + d.as_nanos();
+            let reason = WakeReason::Sleep;
+            st.schedule(
+                at,
+                EventKind::Wake {
+                    pid: self.pid,
+                    epoch,
+                    reason,
+                },
+            );
+        }
+        self.park()
     }
 
     /// Park until some event wakes us. Returns the delivered reason.
@@ -717,116 +598,23 @@ impl SimCtx {
     /// code should prefer [`crate::sync`] primitives.
     pub(crate) fn park(&self) -> WakeReason {
         let core = &self.handle.core;
-        let resume;
-        // When the fast path dispatched a wake to another process, its
-        // resume signal to raise after dropping the state lock.
-        let mut handoff: Option<Arc<Signal>> = None;
-        {
-            let mut st = core.state.lock();
-            let now = st.now;
-            let slot = st
-                .procs
-                .get_mut(&self.pid.0)
-                .expect("park: unknown pid");
-            assert_eq!(
-                slot.state,
-                ProcState::Running,
-                "park() called from a thread that does not hold the token"
-            );
-            slot.state = ProcState::Parked;
-            slot.parked_at_ns = now;
-            resume = Arc::clone(&slot.resume);
-            if core.config.direct_handoff {
-                if let Some(target) = Self::dispatch_next_wake(&mut st) {
-                    if target == self.pid {
-                        // We consumed our own wake: skip the handshake
-                        // entirely (zero OS switches).
-                        st.stats.self_wakes += 1;
-                        let slot = st.procs.get_mut(&self.pid.0).expect("park: self slot");
-                        let reason = slot
-                            .wake_reason
-                            .take()
-                            .expect("self-wake without a reason");
-                        debug_assert_ne!(reason, WakeReason::Shutdown);
-                        return reason;
-                    }
-                    st.stats.direct_handoffs += 1;
-                    let slot = st.procs.get(&target.0).expect("handoff target slot");
-                    handoff = Some(Arc::clone(&slot.resume));
-                }
-            }
-        }
-        match handoff {
-            // Fast path: wake the next process directly (one OS switch).
-            Some(next) => next.raise(),
-            // Slow path: return the token to the coordinator.
-            None => core.coord.raise(),
-        }
-        resume.await_and_clear();
-        let mut st = core.state.lock();
-        let slot = st
-            .procs
-            .get_mut(&self.pid.0)
-            .expect("park: unknown pid after wake");
-        let reason = slot
-            .wake_reason
-            .take()
-            .expect("woken without a wake reason");
+        assert_eq!(
+            core.running.load(Ordering::Relaxed),
+            self.pid.0,
+            "park() called from outside the running process"
+        );
+        // The dispatch loop marks us Parked when the switch returns to it,
+        // and passes the wake reason in when it switches back.
+        let reason = WakeReason::ALL[coro::suspend()];
         if reason == WakeReason::Shutdown {
-            drop(st);
             // resume_unwind skips the panic hook: teardown is silent.
             panic::resume_unwind(Box::new(ShutdownToken));
         }
         reason
     }
-
-    /// Fast-path dispatcher: if the heap's next event is a deliverable
-    /// `Wake` within the event budget, pop it (advancing the clock and
-    /// charging the shared budget exactly like the coordinator), mark the
-    /// target Running, and return its pid. Stale wakes are popped, counted
-    /// and dropped along the way — the same sequence the coordinator would
-    /// execute. Returns `None` whenever the coordinator must take over:
-    /// `Call` events, empty heap, spent budget, recorded panic, teardown.
-    fn dispatch_next_wake(st: &mut SchedState) -> Option<ProcId> {
-        loop {
-            if st.panic.is_some() || st.shutting_down {
-                return None;
-            }
-            match st.heap.peek() {
-                Some(e) if matches!(e.kind, EventKind::Wake { .. }) => {}
-                _ => return None,
-            }
-            if st.events + 1 > st.max_events {
-                // Let the coordinator charge the over-budget event and
-                // report `EventLimit` — identical boundary either way.
-                return None;
-            }
-            let e = st.heap.pop().expect("peeked entry vanished");
-            st.events += 1;
-            st.now = e.time;
-            let EventKind::Wake { pid, epoch, reason } = e.kind else {
-                unreachable!("peek said Wake");
-            };
-            let Some(slot) = st.procs.get_mut(&pid.0) else {
-                continue;
-            };
-            if slot.state != ProcState::Parked || slot.epoch != epoch {
-                continue; // stale wake, dropped exactly like the slow path
-            }
-            slot.epoch += 1;
-            slot.state = ProcState::Running;
-            slot.wake_reason = Some(reason);
-            slot.wakeups += 1;
-            if reason == WakeReason::Sleep {
-                slot.runtime_ns += e.time - slot.parked_at_ns;
-            }
-            st.stats.wakeups += 1;
-            return Some(pid);
-        }
-    }
 }
 
-/// A whole simulation: owns the event queue, clock, and process threads.
+/// A whole simulation: owns the event queue, clock, and processes.
 pub struct Simulation {
     handle: SimHandle,
     ran: bool,
@@ -839,43 +627,18 @@ impl Default for Simulation {
 }
 
 impl Simulation {
-    /// Create an empty simulation at t = 0 with the default scheduler
-    /// configuration (fast path on unless `DSIM_DIRECT_HANDOFF=0`).
+    /// Create an empty simulation at t = 0.
     pub fn new() -> Simulation {
-        Simulation::with_config(SchedConfig::default())
-    }
-
-    /// Create an empty simulation with an explicit scheduler configuration
-    /// (used for A/B benchmarking of the dispatch fast path).
-    pub fn with_config(config: SchedConfig) -> Simulation {
-        Simulation::with_config_and_trace(config, None)
+        Simulation::with_trace(None)
     }
 
     /// Create an empty simulation, optionally recording trace events.
-    /// With `trace: None` this is exactly [`Simulation::with_config`]:
-    /// virtual-time results are identical either way — tracing observes,
+    /// Virtual-time results are identical either way — tracing observes,
     /// never perturbs.
-    pub fn with_config_and_trace(
-        config: SchedConfig,
-        trace: Option<TraceConfig>,
-    ) -> Simulation {
+    pub fn with_trace(trace: Option<TraceConfig>) -> Simulation {
         let core = Arc::new(SimCore {
-            state: Mutex::new(SchedState {
-                now: 0,
-                seq: 0,
-                heap: BinaryHeap::new(),
-                procs: BTreeMap::new(),
-                next_pid: 0,
-                live: 0,
-                shutting_down: false,
-                panic: None,
-                events: 0,
-                max_events: u64::MAX,
-                stats: SchedStats::default(),
-            }),
-            coord: Signal::new_inline(),
-            config,
-            sim_id: SIM_COUNTER.fetch_add(1, Ordering::Relaxed),
+            state: Mutex::new(SchedState::default()),
+            running: AtomicU64::new(u64::MAX),
             trace: trace.map(|cfg| Arc::new(TraceShared::new(cfg))),
         });
         Simulation {
@@ -884,13 +647,18 @@ impl Simulation {
         }
     }
 
+    /// [`Simulation::with_trace`]; the [`SchedConfig`] is ignored.
+    pub fn with_config_and_trace(_config: SchedConfig, trace: Option<TraceConfig>) -> Simulation {
+        Simulation::with_trace(trace)
+    }
+
     /// Heap events processed so far (meaningful during and after `run`).
     pub fn events_processed(&self) -> u64 {
         self.handle.core.state.lock().events
     }
 
-    /// Execution counters (dispatch-path breakdown). Virtual-time results
-    /// never depend on these; they exist for host-performance tracking.
+    /// Execution counters. Virtual-time results never depend on these; they
+    /// exist for host-performance tracking.
     pub fn sched_stats(&self) -> SchedStats {
         let st = self.handle.core.state.lock();
         SchedStats {
@@ -899,38 +667,27 @@ impl Simulation {
         }
     }
 
-    /// The scheduler configuration this simulation runs with.
-    pub fn config(&self) -> SchedConfig {
-        self.handle.core.config
-    }
-
     /// Per-process run-time and wakeup accounting, ordered by pid
     /// (spawn order). Meaningful during and after `run`.
     pub fn proc_stats(&self) -> Vec<ProcStats> {
         let st = self.handle.core.state.lock();
-        let mut out: Vec<ProcStats> = st
-            .procs
+        st.procs
             .iter()
+            .enumerate()
             .map(|(pid, s)| ProcStats {
-                pid: *pid,
+                pid: pid as u64,
                 name: s.name.clone(),
                 daemon: s.daemon,
                 runtime: SimDuration(s.runtime_ns),
                 wakeups: s.wakeups,
             })
-            .collect();
-        out.sort_by_key(|p| p.pid);
-        out
+            .collect()
     }
 
     /// Drain and return the recorded trace, or `None` if this simulation
     /// was built without tracing. Call after `run`.
     pub fn take_trace(&self) -> Option<TraceData> {
-        self.handle
-            .core
-            .trace
-            .as_deref()
-            .map(TraceData::drain_from)
+        self.handle.core.trace.as_deref().map(TraceData::drain_from)
     }
 
     /// A cloneable handle for scheduling and primitive construction.
@@ -973,137 +730,228 @@ impl Simulation {
         self.ran = true;
         let core = Arc::clone(&self.handle.core);
         core.state.lock().max_events = max_events;
-        let result = loop {
-            let entry = {
+        let mut procs = Coroutines::default();
+        // A panicking `Call` callback still gets the processes torn down
+        // (and their stacks unmapped) before the panic propagates.
+        let result = panic::catch_unwind(AssertUnwindSafe(|| procs.dispatch(&core)));
+        procs.teardown(&core);
+        result.unwrap_or_else(|payload| panic::resume_unwind(payload))
+    }
+}
+
+/// What the dispatch loop does next, outside its lock.
+enum Step {
+    /// Run a `Call` event's callback at its time.
+    Call(Box<dyn FnOnce(SimTime) + Send>, SimTime),
+    /// Resume (or, with its body, start) a woken process.
+    Run(ProcId, WakeReason, Option<Body>),
+}
+
+/// The dispatch loop's side of the processes: the coroutines of parked
+/// processes, by pid, and the stacks of finished ones, ready for reuse.
+#[derive(Default)]
+struct Coroutines {
+    parked: Vec<Option<Coroutine>>,
+    free: Vec<Stack>,
+}
+
+impl Coroutines {
+    /// The dispatch loop: pop events in `(time, seq)` order until the
+    /// simulation completes, wedges, panics or exhausts its budget.
+    fn dispatch(&mut self, core: &Arc<SimCore>) -> Result<SimTime, SimError> {
+        // The process that parked last, if no `Call` was popped since then
+        // (its next wake counts as a self-wake).
+        let mut last_parked: Option<ProcId> = None;
+        // The process that parked during the previous step, still to be
+        // marked Parked (done under the loop's lock, not in `park`).
+        let mut suspended: Option<ProcId> = None;
+        loop {
+            // One lock per step: record the park, then pop until an event
+            // needs running (stale wakes and cancelled calls are dropped).
+            let step = {
                 let mut st = core.state.lock();
-                if let Some((name, msg)) = st.panic.take() {
-                    break Err(SimError::ProcessPanicked { name, message: msg });
+                let st = &mut *st;
+                if let Some(pid) = suspended.take() {
+                    let slot = &mut st.procs[pid.0 as usize];
+                    slot.state = ProcState::Parked;
+                    slot.parked_at_ns = st.now;
                 }
-                match st.heap.pop() {
-                    Some(e) => {
-                        st.now = e.time;
-                        // The budget counter is shared with the fast path;
-                        // both charge every popped entry, so the limit trips
-                        // at the same event whichever path is dispatching.
-                        st.events += 1;
-                        if st.events > st.max_events {
-                            break Err(SimError::EventLimit {
-                                at: SimTime(st.now),
-                                processed: st.events - 1,
-                            });
-                        }
-                        e
+                loop {
+                    if let Some((name, message)) = st.panic.take() {
+                        return Err(SimError::ProcessPanicked { name, message });
                     }
-                    None => {
+                    let Some(e) = st.heap.pop() else {
                         if st.live == 0 {
-                            break Ok(SimTime(st.now));
+                            return Ok(SimTime(st.now));
                         }
                         let parked = st
                             .procs
-                            .values()
+                            .iter()
                             .filter(|p| p.state == ProcState::Parked && !p.daemon)
                             .map(|p| p.name.clone())
                             .collect();
-                        break Err(SimError::Deadlock {
+                        return Err(SimError::Deadlock {
                             at: SimTime(st.now),
                             parked,
                         });
-                    }
-                }
-            };
-            match entry.kind {
-                EventKind::Call { cancelled, f } => {
-                    if !cancelled.load(Ordering::Relaxed) {
-                        let now = SimTime(core.state.lock().now);
-                        f(now);
-                        // A callback may have been the last thing keeping the
-                        // simulation alive; loop around and re-check.
-                        let st = core.state.lock();
-                        if let Some((name, msg)) = st.panic.clone() {
-                            drop(st);
-                            break Err(SimError::ProcessPanicked { name, message: msg });
-                        }
-                    }
-                }
-                EventKind::Wake { pid, epoch, reason } => {
-                    let resume = {
-                        let mut st = core.state.lock();
-                        let now = st.now;
-                        let slot = match st.procs.get_mut(&pid.0) {
-                            Some(s) => s,
-                            None => continue,
-                        };
-                        if slot.state != ProcState::Parked || slot.epoch != epoch {
-                            continue; // stale wake
-                        }
-                        slot.epoch += 1;
-                        slot.state = ProcState::Running;
-                        slot.wake_reason = Some(reason);
-                        slot.wakeups += 1;
-                        if reason == WakeReason::Sleep {
-                            slot.runtime_ns += now - slot.parked_at_ns;
-                        }
-                        let resume = Arc::clone(&slot.resume);
-                        st.stats.coordinator_wakes += 1;
-                        st.stats.wakeups += 1;
-                        resume
                     };
-                    resume.raise();
-                    core.coord.await_and_clear();
+                    st.now = e.time;
+                    st.events += 1;
+                    if st.events > st.max_events {
+                        return Err(SimError::EventLimit {
+                            at: SimTime(st.now),
+                            processed: st.events - 1,
+                        });
+                    }
+                    match e.kind {
+                        EventKind::Call { cancelled, f } => {
+                            last_parked = None;
+                            if !cancelled.load(Ordering::Relaxed) {
+                                break Step::Call(f, SimTime(e.time));
+                            }
+                        }
+                        EventKind::Wake { pid, epoch, reason } => {
+                            let slot = &mut st.procs[pid.0 as usize];
+                            if slot.state != ProcState::Parked || slot.epoch != epoch {
+                                continue; // stale wake
+                            }
+                            slot.epoch += 1;
+                            slot.state = ProcState::Running;
+                            slot.wakeups += 1;
+                            if reason == WakeReason::Sleep {
+                                slot.runtime_ns += e.time - slot.parked_at_ns;
+                            }
+                            let body = slot.body.take();
+                            if last_parked == Some(pid) {
+                                st.stats.self_wakes += 1;
+                            } else {
+                                st.stats.coordinator_wakes += 1;
+                            }
+                            st.stats.wakeups += 1;
+                            break Step::Run(pid, reason, body);
+                        }
+                    }
                 }
-            }
-        };
-        self.teardown();
-        result
-    }
-
-    /// Wake every parked process with `Shutdown` (making it unwind) and join
-    /// all threads.
-    fn teardown(&mut self) {
-        let core = &self.handle.core;
-        loop {
-            // Find one parked process, shut it down, repeat.
-            let target = {
-                let mut st = core.state.lock();
-                st.shutting_down = true;
-                st.procs
-                    .iter_mut()
-                    .find(|(_, s)| s.state == ProcState::Parked)
-                    .map(|(_, slot)| {
-                        slot.state = ProcState::Running;
-                        slot.epoch += 1;
-                        slot.wake_reason = Some(WakeReason::Shutdown);
-                        Arc::clone(&slot.resume)
-                    })
             };
-            match target {
-                Some(resume) => {
-                    resume.raise();
-                    core.coord.await_and_clear();
+            match step {
+                Step::Call(f, now) => f(now),
+                Step::Run(pid, reason, body) => {
+                    let parked = self.run(core, pid, reason, body);
+                    last_parked = parked.then_some(pid);
+                    suspended = last_parked;
                 }
-                None => break,
             }
         }
-        // All processes are Done; join the threads.
-        let handles: Vec<JoinHandle<()>> = {
-            let mut st = core.state.lock();
-            st.procs
-                .values_mut()
-                .filter_map(|s| s.thread.take())
-                .collect()
+    }
+
+    /// Run process `pid`, woken for `reason`, until it parks (returns
+    /// `true`) or finishes. `body` is `Some` at the process's first dispatch.
+    fn run(
+        &mut self,
+        core: &Arc<SimCore>,
+        pid: ProcId,
+        reason: WakeReason,
+        body: Option<Body>,
+    ) -> bool {
+        let i = pid.0 as usize;
+        core.running.store(pid.0, Ordering::Relaxed);
+        let co = match body {
+            Some(body) => {
+                let stack = match self.free.pop().map_or_else(Stack::new, Ok) {
+                    Ok(stack) => stack,
+                    Err(e) => {
+                        let msg = format!("cannot map a process stack: {e}");
+                        finish(core, pid, Err(Box::new(msg)));
+                        return false;
+                    }
+                };
+                let ctx = SimCtx {
+                    handle: SimHandle {
+                        core: Arc::clone(core),
+                    },
+                    pid,
+                };
+                Coroutine::new(stack, Box::new(move || body(&ctx)))
+            }
+            None => self.parked[i]
+                .take()
+                .expect("a started, parked process has a coroutine"),
         };
-        for h in handles {
-            let _ = h.join();
+        match co.resume(reason as usize) {
+            Resumed::Suspended(co) => {
+                if self.parked.len() <= i {
+                    self.parked.resize_with(i + 1, || None);
+                }
+                self.parked[i] = Some(co);
+                true
+            }
+            Resumed::Finished(outcome, stack) => {
+                self.free.push(stack);
+                finish(core, pid, outcome);
+                false
+            }
+            Resumed::Overflowed => {
+                let msg = format!(
+                    "stack overflow: the process overran its {} KiB stack (canary overwritten)",
+                    coro::STACK_SIZE >> 10
+                );
+                finish(core, pid, Err(Box::new(msg)));
+                false
+            }
+        }
+    }
+
+    /// Unwind every parked process with `Shutdown`, drop the bodies of
+    /// processes that never started (they are never entered), and unmap
+    /// every stack.
+    fn teardown(&mut self, core: &Arc<SimCore>) {
+        core.state.lock().shutting_down = true;
+        // Processes below `next` are Done: tear down in pid order.
+        let mut next = 0;
+        loop {
+            let (pid, body) = {
+                let mut st = core.state.lock();
+                let Some(off) = st.procs[next..]
+                    .iter()
+                    .position(|s| s.state == ProcState::Parked)
+                else {
+                    break;
+                };
+                next += off;
+                let slot = &mut st.procs[next];
+                slot.state = ProcState::Running;
+                slot.epoch += 1;
+                (ProcId(next as u64), slot.body.take())
+            };
+            match body {
+                Some(body) => {
+                    drop(body);
+                    finish(core, pid, Ok(()));
+                }
+                None => {
+                    self.run(core, pid, WakeReason::Shutdown, None);
+                }
+            }
+        }
+        for stack in self.free.drain(..) {
+            stack.unmap();
         }
     }
 }
 
-impl Signal {
-    /// Non-Arc constructor for embedding in `SimCore`.
-    fn new_inline() -> Signal {
-        Signal {
-            flag: Mutex::new(false),
-            cv: Condvar::new(),
+/// Mark `pid` Done. A panic other than teardown's becomes the run's
+/// error (the first one wins).
+fn finish(core: &SimCore, pid: ProcId, outcome: coro::Outcome) {
+    let mut st = core.state.lock();
+    let st = &mut *st;
+    let slot = &mut st.procs[pid.0 as usize];
+    slot.state = ProcState::Done;
+    if !slot.daemon {
+        st.live -= 1;
+    }
+    if let Err(payload) = outcome {
+        if !payload.is::<ShutdownToken>() && !st.shutting_down && st.panic.is_none() {
+            st.panic = Some((slot.name.clone(), panic_message(&*payload)));
         }
     }
 }
@@ -1127,127 +975,28 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
-    fn empty_simulation_finishes_at_zero() {
+    fn clobbered_stack_canary_is_a_typed_error() {
         let mut sim = Simulation::new();
-        assert_eq!(sim.run().unwrap(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn single_process_sleeps() {
-        let mut sim = Simulation::new();
-        let t_end = Arc::new(AtomicU64::new(0));
-        let t2 = Arc::clone(&t_end);
-        sim.spawn("sleeper", move |ctx| {
+        let sibling_done = Arc::new(AtomicU64::new(0));
+        let done = Arc::clone(&sibling_done);
+        sim.spawn("sibling", move |ctx| {
             ctx.sleep(SimDuration::from_micros(10));
-            ctx.sleep(SimDuration::from_micros(5));
-            t2.store(ctx.now().as_nanos(), Ordering::Relaxed);
+            done.store(1, Ordering::Relaxed);
         });
-        let end = sim.run().unwrap();
-        assert_eq!(t_end.load(Ordering::Relaxed), 15_000);
-        assert_eq!(end.as_nanos(), 15_000);
-    }
-
-    #[test]
-    fn processes_interleave_deterministically() {
-        let mut sim = Simulation::new();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        for (name, start, step) in [("a", 1u64, 3u64), ("b", 2, 3)] {
-            let log = Arc::clone(&log);
-            sim.spawn(name, move |ctx| {
-                ctx.sleep(SimDuration::from_micros(start));
-                for _ in 0..3 {
-                    log.lock().push((name, ctx.now().as_nanos()));
-                    ctx.sleep(SimDuration::from_micros(step));
-                }
-            });
-        }
-        sim.run().unwrap();
-        let got = log.lock().clone();
-        assert_eq!(
-            got,
-            vec![
-                ("a", 1_000),
-                ("b", 2_000),
-                ("a", 4_000),
-                ("b", 5_000),
-                ("a", 7_000),
-                ("b", 8_000),
-            ]
-        );
-    }
-
-    #[test]
-    fn same_instant_events_fire_in_schedule_order() {
-        let mut sim = Simulation::new();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let h = sim.handle();
-        for i in 0..5 {
-            let log = Arc::clone(&log);
-            h.schedule_in(SimDuration::from_micros(1), move |_| {
-                log.lock().push(i);
-            });
-        }
-        sim.run().unwrap();
-        assert_eq!(log.lock().clone(), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn timer_cancellation() {
-        let mut sim = Simulation::new();
-        let fired = Arc::new(AtomicU64::new(0));
-        let f2 = Arc::clone(&fired);
-        let h = sim.handle();
-        let guard = h.schedule_in(SimDuration::from_micros(5), move |_| {
-            f2.fetch_add(1, Ordering::Relaxed);
-        });
-        guard.cancel();
-        assert!(guard.is_cancelled());
-        sim.run().unwrap();
-        assert_eq!(fired.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn nested_spawn() {
-        let mut sim = Simulation::new();
-        let sum = Arc::new(AtomicU64::new(0));
-        let s2 = Arc::clone(&sum);
-        sim.spawn("parent", move |ctx| {
+        sim.spawn("overflow", |ctx| {
+            crate::coro::clobber_canary();
             ctx.sleep(SimDuration::from_micros(1));
-            let s3 = Arc::clone(&s2);
-            ctx.handle().spawn("child", move |cctx| {
-                cctx.sleep(SimDuration::from_micros(2));
-                s3.fetch_add(cctx.now().as_nanos(), Ordering::Relaxed);
-            });
-            ctx.sleep(SimDuration::from_micros(10));
+            unreachable!("a process with a clobbered canary must never resume");
         });
-        let end = sim.run().unwrap();
-        assert_eq!(sum.load(Ordering::Relaxed), 3_000);
-        assert_eq!(end.as_nanos(), 11_000);
-    }
-
-    #[test]
-    fn process_panic_is_reported() {
-        let mut sim = Simulation::new();
-        sim.spawn("bad", |_| panic!("boom"));
         match sim.run() {
             Err(SimError::ProcessPanicked { name, message }) => {
-                assert_eq!(name, "bad");
-                assert!(message.contains("boom"));
+                assert_eq!(name, "overflow");
+                assert!(message.contains("stack overflow"), "{message}");
             }
-            other => panic!("expected panic error, got {other:?}"),
+            other => panic!("expected a stack-overflow error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn event_limit_guard() {
-        let mut sim = Simulation::new();
-        sim.spawn("spin", |ctx| loop {
-            ctx.sleep(SimDuration::from_nanos(1));
-        });
-        match sim.run_with_limit(100) {
-            Err(SimError::EventLimit { .. }) => {}
-            other => panic!("expected event-limit error, got {other:?}"),
-        }
+        // The parked sibling was unwound, not run to completion.
+        assert_eq!(sibling_done.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -1288,88 +1037,5 @@ mod tests {
             }
             other => panic!("expected deadlock, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn proc_stats_account_runtime_and_wakeups() {
-        let mut sim = Simulation::new();
-        sim.spawn("worker", |ctx| {
-            ctx.sleep(SimDuration::from_micros(10));
-            ctx.sleep(SimDuration::from_micros(5));
-        });
-        sim.run().unwrap();
-        let procs = sim.proc_stats();
-        assert_eq!(procs.len(), 1);
-        assert_eq!(procs[0].name, "worker");
-        // Runtime = the two charged sleeps; wakeups = Start + 2 sleeps.
-        assert_eq!(procs[0].runtime, SimDuration::from_micros(15));
-        assert_eq!(procs[0].wakeups, 3);
-        assert_eq!(sim.sched_stats().wakeups, 3);
-    }
-
-    #[test]
-    fn proc_stats_identical_across_dispatch_paths() {
-        let run = |direct_handoff| {
-            let mut sim = Simulation::with_config(SchedConfig { direct_handoff });
-            for name in ["a", "b"] {
-                sim.spawn(name, |ctx| {
-                    for _ in 0..4 {
-                        ctx.sleep(SimDuration::from_micros(3));
-                        ctx.yield_now();
-                    }
-                });
-            }
-            sim.run().unwrap();
-            sim.proc_stats()
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn trace_records_spans_and_names() {
-        use crate::trace::{TraceConfig, TraceKind, TraceLayer, TraceTag};
-        let mut sim =
-            Simulation::with_config_and_trace(SchedConfig::default(), Some(TraceConfig::default()));
-        sim.spawn("worker", |ctx| {
-            ctx.sleep(SimDuration::from_micros(2));
-            ctx.trace_span(
-                TraceLayer::Kernel,
-                TraceKind::Syscall,
-                SimDuration::from_micros(2),
-                TraceTag::bytes(4),
-            );
-        });
-        sim.run().unwrap();
-        let data = sim.take_trace().expect("tracing was enabled");
-        assert_eq!(data.names, vec![(0, "worker".to_string())]);
-        assert_eq!(data.events.len(), 1);
-        let e = data.events[0];
-        assert_eq!(e.start_ns, 0);
-        assert_eq!(e.dur_ns, 2_000);
-        assert_eq!(e.pid, 0);
-        assert_eq!(e.kind, TraceKind::Syscall);
-        assert_eq!(e.tag.value, 4);
-        // Untraced simulations report no data.
-        let mut plain = Simulation::new();
-        plain.spawn("idle", |_| {});
-        plain.run().unwrap();
-        assert!(plain.take_trace().is_none());
-    }
-
-    #[test]
-    fn yield_now_interleaves() {
-        let mut sim = Simulation::new();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        for name in ["x", "y"] {
-            let log = Arc::clone(&log);
-            sim.spawn(name, move |ctx| {
-                for _ in 0..2 {
-                    log.lock().push(name);
-                    ctx.yield_now();
-                }
-            });
-        }
-        sim.run().unwrap();
-        assert_eq!(log.lock().clone(), vec!["x", "y", "x", "y"]);
     }
 }

@@ -161,11 +161,6 @@ impl ThroughputMeter {
     }
 }
 
-/// Pretty-print a f64 Mb/s value the way the paper's tables do.
-pub fn fmt_mbps(v: f64) -> String {
-    format!("{v:.0} Mbps")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,6 +1,6 @@
 //! Virtual-time synchronization primitives.
 //!
-//! Because exactly one simulation thread runs at a time, shared state needs
+//! Because exactly one simulation process runs at a time, shared state needs
 //! no real locking for correctness (the `Mutex`es below are always
 //! uncontended); these primitives exist to *block and wake processes on the
 //! virtual clock*, optionally charging a wake-up latency — which is how the

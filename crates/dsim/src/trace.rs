@@ -205,14 +205,6 @@ impl TraceTag {
         }
     }
 
-    /// Tag carrying only a raw value.
-    pub fn val(v: u64) -> TraceTag {
-        TraceTag {
-            value: v,
-            ..TraceTag::default()
-        }
-    }
-
     /// Tag carrying a connection id.
     pub fn on_conn(conn: u32) -> TraceTag {
         TraceTag {
@@ -360,30 +352,6 @@ impl Tracer {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.shared.is_some()
-    }
-
-    /// Record a span that **ends** at `end` and lasted `dur` (the natural
-    /// shape at a charge site: charge the cost, then record it).
-    #[inline]
-    pub fn span_end(
-        &self,
-        end: SimTime,
-        pid: u64,
-        layer: TraceLayer,
-        kind: TraceKind,
-        dur: SimDuration,
-        tag: TraceTag,
-    ) {
-        if let Some(s) = &self.shared {
-            s.push(TraceEvent {
-                start_ns: end.as_nanos() - dur.as_nanos(),
-                dur_ns: dur.as_nanos(),
-                pid,
-                layer,
-                kind,
-                tag,
-            });
-        }
     }
 
     /// Record a span starting at `start`.

@@ -1,44 +1,28 @@
-//! Scheduler edge cases, each run under *both* dispatch configurations.
-//! The direct-handoff fast path must be behavior-identical to coordinator
-//! dispatch: same virtual times, same event counts, same errors.
+//! Scheduler edge cases. Expected end times and event counts were recorded
+//! from the OS-thread scheduler the coroutine dispatch loop replaced (and
+//! matched by both of its dispatch paths): changing how processes are
+//! carried must never change what they compute.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dsim::sync::{SimCondvar, SimQueue, TimedWait};
-use dsim::{SchedConfig, SimDuration, SimError, Simulation};
+use dsim::{ProcStats, SimDuration, SimError, SimTime, Simulation};
 use parking_lot::Mutex;
 
-const CONFIGS: [SchedConfig; 2] = [
-    SchedConfig {
-        direct_handoff: false,
-    },
-    SchedConfig {
-        direct_handoff: true,
-    },
-];
-
-/// Run `scenario` under both configs and assert identical observable
-/// outcomes (whatever the scenario chooses to return) and identical
-/// event counts.
-fn identical_under_both<T: PartialEq + std::fmt::Debug>(
-    scenario: impl Fn(&mut Simulation) -> T,
-) -> T {
-    let mut results = Vec::new();
-    for config in CONFIGS {
-        let mut sim = Simulation::with_config(config);
-        let out = scenario(&mut sim);
-        results.push((out, sim.events_processed()));
-    }
-    let (slow, fast) = (results.remove(0), results.remove(0));
-    assert_eq!(slow, fast, "fast path diverged from coordinator dispatch");
-    slow.0
+/// Run `scenario` on a fresh simulation and check its event count.
+fn run_expecting<T>(events: u64, scenario: impl FnOnce(&mut Simulation) -> T) -> T {
+    let mut sim = Simulation::new();
+    let out = scenario(&mut sim);
+    assert_eq!(sim.events_processed(), events, "event count moved");
+    out
 }
 
 #[test]
 fn run_with_limit_exact_boundary() {
     // 1 spawn (a Call event) + 10 sleeps (wake events) = 11 events. A
     // budget of exactly 11 completes; a budget of 10 fails with
-    // `processed: 10` — on both dispatch paths.
+    // `processed: 10`.
     let spawn_sleeper = |sim: &mut Simulation| {
         sim.spawn("sleeper", |ctx| {
             for _ in 0..10 {
@@ -46,13 +30,13 @@ fn run_with_limit_exact_boundary() {
             }
         });
     };
-    let end = identical_under_both(|sim| {
+    let end = run_expecting(11, |sim| {
         spawn_sleeper(sim);
         sim.run_with_limit(11).expect("exact budget must suffice")
     });
     assert_eq!(end.as_nanos(), 10_000);
 
-    let (at, processed) = identical_under_both(|sim| {
+    let (at, processed) = run_expecting(11, |sim| {
         spawn_sleeper(sim);
         match sim.run_with_limit(10) {
             Err(SimError::EventLimit { at, processed }) => (at.as_nanos(), processed),
@@ -68,9 +52,8 @@ fn run_with_limit_exact_boundary() {
 fn stale_timeout_wake_is_dropped() {
     // A waiter parks with a 100 µs timeout; a notifier signals at 50 µs.
     // The Notify wins, and the now-stale Timeout wake (still in the heap)
-    // must be dropped without re-waking the process — identically on both
-    // dispatch paths.
-    let outcome = identical_under_both(|sim| {
+    // must be dropped without re-waking the process.
+    let outcome = run_expecting(6, |sim| {
         let h = sim.handle();
         let cv = Arc::new(SimCondvar::new(&h));
         let woke_at = Arc::new(Mutex::new(Vec::new()));
@@ -79,7 +62,9 @@ fn stale_timeout_wake_is_dropped() {
             let woke_at = Arc::clone(&woke_at);
             sim.spawn("waiter", move |ctx| {
                 let r = cv.wait_timeout(ctx, SimDuration::from_micros(100));
-                woke_at.lock().push((ctx.now().as_nanos(), r == TimedWait::Notified));
+                woke_at
+                    .lock()
+                    .push((ctx.now().as_nanos(), r == TimedWait::Notified));
                 // Stay alive past the stale deadline; a dropped stale wake
                 // must not interrupt this sleep.
                 ctx.sleep(SimDuration::from_micros(200));
@@ -103,8 +88,8 @@ fn stale_timeout_wake_is_dropped() {
 #[test]
 fn daemon_only_deadlock_is_reported() {
     // One non-daemon starves on a queue while a daemon idles on another:
-    // the deadlock report must name only the non-daemon, on both paths.
-    let parked = identical_under_both(|sim| {
+    // the deadlock report must name only the non-daemon.
+    let parked = run_expecting(2, |sim| {
         let h = sim.handle();
         let q = SimQueue::<u8>::new(&h);
         let dq = SimQueue::<u8>::new(&h);
@@ -126,11 +111,10 @@ fn daemon_only_deadlock_is_reported() {
 }
 
 #[test]
-fn handoff_chain_matches_coordinator_dispatch() {
+fn token_ring_matches_recorded_values() {
     // A three-process token ring: every wake targets a *different*
-    // process (pure direct-handoff territory). Completion time and event
-    // count must match coordinator dispatch exactly.
-    let end = identical_under_both(|sim| {
+    // process, so every dispatch is a switch between coroutines.
+    let end = run_expecting(605, |sim| {
         let h = sim.handle();
         let qs: Vec<_> = (0..3).map(|_| SimQueue::<u32>::new(&h)).collect();
         for i in 0..3 {
@@ -156,4 +140,319 @@ fn handoff_chain_matches_coordinator_dispatch() {
         sim.run().unwrap().as_nanos()
     });
     assert_eq!(end, 300 / 3 * 3 * 10);
+}
+
+/// Spawn a process whose body records that it ran, delayed so its `Start`
+/// wake is still queued when `run` stops.
+fn spawn_late(sim: &Simulation) -> Arc<AtomicBool> {
+    let ran = Arc::new(AtomicBool::new(false));
+    let r = Arc::clone(&ran);
+    sim.handle()
+        .spawn_delayed("late", SimDuration::from_micros(100), move |_| {
+            r.store(true, Ordering::Relaxed);
+        });
+    ran
+}
+
+#[test]
+fn never_started_process_is_not_run_after_a_panic() {
+    // Teardown used to hand the unstarted process `Shutdown`: a debug
+    // build hung in `run()`, a release build ran the body.
+    let mut sim = Simulation::new();
+    let late_ran = spawn_late(&sim);
+    sim.spawn("bad", |ctx| {
+        ctx.sleep(SimDuration::from_micros(1));
+        panic!("boom");
+    });
+    match sim.run() {
+        Err(SimError::ProcessPanicked { name, .. }) => assert_eq!(name, "bad"),
+        other => panic!("expected ProcessPanicked, got {other:?}"),
+    }
+    assert!(
+        !late_ran.load(Ordering::Relaxed),
+        "unstarted body ran during teardown"
+    );
+}
+
+#[test]
+fn never_started_process_is_not_run_after_the_event_limit() {
+    let mut sim = Simulation::new();
+    let late_ran = spawn_late(&sim);
+    sim.spawn("spin", |ctx| loop {
+        ctx.sleep(SimDuration::from_nanos(1));
+    });
+    match sim.run_with_limit(50) {
+        Err(SimError::EventLimit { processed, .. }) => assert_eq!(processed, 50),
+        other => panic!("expected EventLimit, got {other:?}"),
+    }
+    assert!(
+        !late_ran.load(Ordering::Relaxed),
+        "unstarted body ran during teardown"
+    );
+}
+
+#[test]
+fn panic_unwinds_every_parked_sibling_and_daemon() {
+    // Each process holds a guard whose drop counts it as unwound.
+    struct Unwound(Arc<Mutex<Vec<String>>>, &'static str);
+    impl Drop for Unwound {
+        fn drop(&mut self) {
+            self.0.lock().push(self.1.to_string());
+        }
+    }
+    let mut sim = Simulation::new();
+    let h = sim.handle();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let idle = SimQueue::<u8>::new(&h);
+    for name in ["sibling-a", "sibling-b"] {
+        let (log, idle) = (Arc::clone(&log), Arc::clone(&idle));
+        sim.spawn(name, move |ctx| {
+            let _guard = Unwound(log, name);
+            let _ = idle.pop(ctx);
+        });
+    }
+    {
+        let log = Arc::clone(&log);
+        sim.spawn_daemon("engine", move |ctx| {
+            let _guard = Unwound(log, "engine");
+            loop {
+                ctx.sleep(SimDuration::from_micros(1));
+            }
+        });
+    }
+    {
+        let log = Arc::clone(&log);
+        sim.spawn("bad", move |ctx| {
+            let _guard = Unwound(log, "bad");
+            ctx.sleep(SimDuration::from_micros(5));
+            panic!("boom");
+        });
+    }
+    match sim.run() {
+        Err(SimError::ProcessPanicked { name, message }) => {
+            assert_eq!(name, "bad");
+            assert!(message.contains("boom"));
+        }
+        other => panic!("expected ProcessPanicked, got {other:?}"),
+    }
+    let mut unwound = log.lock().clone();
+    unwound.sort();
+    assert_eq!(unwound, ["bad", "engine", "sibling-a", "sibling-b"]);
+}
+
+#[test]
+fn empty_simulation_finishes_at_zero() {
+    let mut sim = Simulation::new();
+    assert_eq!(sim.run().unwrap(), SimTime::ZERO);
+}
+
+#[test]
+fn single_process_sleeps() {
+    let mut sim = Simulation::new();
+    let t_end = Arc::new(AtomicU64::new(0));
+    let t2 = Arc::clone(&t_end);
+    sim.spawn("sleeper", move |ctx| {
+        ctx.sleep(SimDuration::from_micros(10));
+        ctx.sleep(SimDuration::from_micros(5));
+        t2.store(ctx.now().as_nanos(), Ordering::Relaxed);
+    });
+    let end = sim.run().unwrap();
+    assert_eq!(t_end.load(Ordering::Relaxed), 15_000);
+    assert_eq!(end.as_nanos(), 15_000);
+}
+
+#[test]
+fn processes_interleave_deterministically() {
+    let mut sim = Simulation::new();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    for (name, start, step) in [("a", 1u64, 3u64), ("b", 2, 3)] {
+        let log = Arc::clone(&log);
+        sim.spawn(name, move |ctx| {
+            ctx.sleep(SimDuration::from_micros(start));
+            for _ in 0..3 {
+                log.lock().push((name, ctx.now().as_nanos()));
+                ctx.sleep(SimDuration::from_micros(step));
+            }
+        });
+    }
+    sim.run().unwrap();
+    let got = log.lock().clone();
+    assert_eq!(
+        got,
+        vec![
+            ("a", 1_000),
+            ("b", 2_000),
+            ("a", 4_000),
+            ("b", 5_000),
+            ("a", 7_000),
+            ("b", 8_000),
+        ]
+    );
+}
+
+#[test]
+fn same_instant_events_fire_in_schedule_order() {
+    let mut sim = Simulation::new();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let h = sim.handle();
+    for i in 0..5 {
+        let log = Arc::clone(&log);
+        h.schedule_in(SimDuration::from_micros(1), move |_| {
+            log.lock().push(i);
+        });
+    }
+    sim.run().unwrap();
+    assert_eq!(log.lock().clone(), vec![0, 1, 2, 3, 4]);
+}
+
+#[test]
+fn timer_cancellation() {
+    let mut sim = Simulation::new();
+    let fired = Arc::new(AtomicU64::new(0));
+    let f2 = Arc::clone(&fired);
+    let h = sim.handle();
+    let guard = h.schedule_in(SimDuration::from_micros(5), move |_| {
+        f2.fetch_add(1, Ordering::Relaxed);
+    });
+    guard.cancel();
+    assert!(guard.is_cancelled());
+    sim.run().unwrap();
+    assert_eq!(fired.load(Ordering::Relaxed), 0);
+}
+
+#[test]
+fn nested_spawn() {
+    let mut sim = Simulation::new();
+    let sum = Arc::new(AtomicU64::new(0));
+    let s2 = Arc::clone(&sum);
+    sim.spawn("parent", move |ctx| {
+        ctx.sleep(SimDuration::from_micros(1));
+        let s3 = Arc::clone(&s2);
+        ctx.handle().spawn("child", move |cctx| {
+            cctx.sleep(SimDuration::from_micros(2));
+            s3.fetch_add(cctx.now().as_nanos(), Ordering::Relaxed);
+        });
+        ctx.sleep(SimDuration::from_micros(10));
+    });
+    let end = sim.run().unwrap();
+    assert_eq!(sum.load(Ordering::Relaxed), 3_000);
+    assert_eq!(end.as_nanos(), 11_000);
+}
+
+#[test]
+fn process_panic_is_reported() {
+    let mut sim = Simulation::new();
+    sim.spawn("bad", |_| panic!("boom"));
+    match sim.run() {
+        Err(SimError::ProcessPanicked { name, message }) => {
+            assert_eq!(name, "bad");
+            assert!(message.contains("boom"));
+        }
+        other => panic!("expected panic error, got {other:?}"),
+    }
+}
+
+#[test]
+fn event_limit_guard() {
+    let mut sim = Simulation::new();
+    sim.spawn("spin", |ctx| loop {
+        ctx.sleep(SimDuration::from_nanos(1));
+    });
+    match sim.run_with_limit(100) {
+        Err(SimError::EventLimit { .. }) => {}
+        other => panic!("expected event-limit error, got {other:?}"),
+    }
+}
+
+#[test]
+fn yield_now_interleaves() {
+    let mut sim = Simulation::new();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    for name in ["x", "y"] {
+        let log = Arc::clone(&log);
+        sim.spawn(name, move |ctx| {
+            for _ in 0..2 {
+                log.lock().push(name);
+                ctx.yield_now();
+            }
+        });
+    }
+    sim.run().unwrap();
+    assert_eq!(log.lock().clone(), vec!["x", "y", "x", "y"]);
+}
+
+#[test]
+fn proc_stats_account_runtime_and_wakeups() {
+    let mut sim = Simulation::new();
+    sim.spawn("worker", |ctx| {
+        ctx.sleep(SimDuration::from_micros(10));
+        ctx.sleep(SimDuration::from_micros(5));
+    });
+    sim.run().unwrap();
+    let procs = sim.proc_stats();
+    assert_eq!(procs.len(), 1);
+    assert_eq!(procs[0].name, "worker");
+    // Runtime = the two charged sleeps; wakeups = Start + 2 sleeps.
+    assert_eq!(procs[0].runtime, SimDuration::from_micros(15));
+    assert_eq!(procs[0].wakeups, 3);
+    assert_eq!(sim.sched_stats().wakeups, 3);
+}
+
+#[test]
+fn proc_stats_match_recorded_values() {
+    // Expected values recorded from the OS-thread scheduler this one
+    // replaced: dispatch must not move a single virtual nanosecond.
+    let mut sim = Simulation::new();
+    for name in ["a", "b"] {
+        sim.spawn(name, |ctx| {
+            for _ in 0..4 {
+                ctx.sleep(SimDuration::from_micros(3));
+                ctx.yield_now();
+            }
+        });
+    }
+    assert_eq!(sim.run().unwrap().as_nanos(), 12_000);
+    assert_eq!(sim.events_processed(), 18);
+    let expected = |pid: u64, name: &str| ProcStats {
+        pid,
+        name: name.to_string(),
+        daemon: false,
+        runtime: SimDuration::from_micros(12),
+        wakeups: 9,
+    };
+    assert_eq!(sim.proc_stats(), vec![expected(0, "a"), expected(1, "b")]);
+    let stats = sim.sched_stats();
+    assert_eq!(stats.wakeups, 18);
+    assert_eq!(stats.direct_handoffs, 0);
+    assert_eq!(stats.self_wakes + stats.coordinator_wakes, stats.wakeups);
+}
+
+#[test]
+fn trace_records_spans_and_names() {
+    use dsim::{TraceConfig, TraceKind, TraceLayer, TraceTag};
+    let mut sim = Simulation::with_trace(Some(TraceConfig::default()));
+    sim.spawn("worker", |ctx| {
+        ctx.sleep(SimDuration::from_micros(2));
+        ctx.trace_span(
+            TraceLayer::Kernel,
+            TraceKind::Syscall,
+            SimDuration::from_micros(2),
+            TraceTag::bytes(4),
+        );
+    });
+    sim.run().unwrap();
+    let data = sim.take_trace().expect("tracing was enabled");
+    assert_eq!(data.names, vec![(0, "worker".to_string())]);
+    assert_eq!(data.events.len(), 1);
+    let e = data.events[0];
+    assert_eq!(e.start_ns, 0);
+    assert_eq!(e.dur_ns, 2_000);
+    assert_eq!(e.pid, 0);
+    assert_eq!(e.kind, TraceKind::Syscall);
+    assert_eq!(e.tag.value, 4);
+    // Untraced simulations report no data.
+    let mut plain = Simulation::new();
+    plain.spawn("idle", |_| {});
+    plain.run().unwrap();
+    assert!(plain.take_trace().is_none());
 }

@@ -42,9 +42,11 @@ impl MemRegion {
 
     /// `VipDeregisterMem`: unpin, releasing the frames for reuse.
     pub fn deregister(&self, ctx: &SimCtx) {
-        let mut dereg = self.deregistered.lock();
-        assert!(!*dereg, "double deregister");
-        *dereg = true;
+        {
+            let mut dereg = self.deregistered.lock();
+            assert!(!*dereg, "double deregister");
+            *dereg = true;
+        }
         ctx.sleep(self.machine.costs().mem_deregister);
         let mut phys = self.machine.phys();
         simos::mem::unpin(&mut phys, &self.pinned);

@@ -1,18 +1,17 @@
 #!/usr/bin/env bash
 # Substrate performance gate: regenerates the perf report and refuses to
-# update the committed baseline when the fast-path-on wall time of any
-# scenario regresses by more than 10%. `--force` accepts the regression
-# (e.g. after a deliberate trade-off) and updates the baseline anyway.
+# update the committed baseline when the wall time of any gated scenario
+# regresses by more than 10%. `--force` accepts the regression (e.g.
+# after a deliberate trade-off) and updates the baseline anyway.
 #
 # Scenarios are matched by their `name` field, never by file order, so
 # adding, removing, or reordering scenarios cannot silently compare the
-# wrong pairs. Gated scenarios expose a wall time either as the first
-# `wall_ms` of a `fast_path_on` block (the A/B scenarios) or as an
-# explicit top-level `gate_wall_ms` (the fault_sweep and
-# latency_breakdown scenarios — the latter also gates the tracing
-# layer: a slowdown in the traced re-runs trips it).
-# Scenarios with neither (e.g. the suite_fig6_sweep scaling scenario)
-# are tracked in the baseline but not gated.
+# wrong pairs. A gated scenario publishes its wall time as a top-level
+# `gate_wall_ms` (handoff_pingpong, sovia_stream_fig6b, fault_sweep, and
+# latency_breakdown — the latter also gates the tracing layer: a
+# slowdown in the traced re-runs trips it). Scenarios without one (e.g.
+# the suite_fig6_sweep scaling scenario) are tracked in the baseline but
+# not gated.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,15 +25,11 @@ cargo build --release -p bench --bin perf_report
 ./target/release/perf_report --out "$NEW" >/dev/null
 
 # Emit "name wall_ms" pairs: each scenario's gated wall time. A
-# scenario's name precedes its measurement blocks; the `fast_path_on`
-# line opens the block whose first wall_ms we want, and scenarios
-# without an A/B pair publish `gate_wall_ms` directly.
-wall_on() {
+# scenario's name precedes its `gate_wall_ms`.
+gate_ms() {
     awk '
         /"name":/          { gsub(/[",]/, "", $2); name = $2 }
         /"gate_wall_ms"/   { gsub(/[",]/, "", $2); print name, $2 }
-        /"fast_path_on"/   { on = 1 }
-        on && /"wall_ms"/  { gsub(/[",]/, "", $2); print name, $2; on = 0 }
     ' "$1"
 }
 
@@ -46,8 +41,8 @@ regressed() {
 
 if [ -f "$BASELINE" ]; then
     declare -A old_by_name new_by_name
-    while read -r name ms; do old_by_name["$name"]=$ms; done < <(wall_on "$BASELINE")
-    while read -r name ms; do new_by_name["$name"]=$ms; done < <(wall_on "$NEW")
+    while read -r name ms; do old_by_name["$name"]=$ms; done < <(gate_ms "$BASELINE")
+    while read -r name ms; do new_by_name["$name"]=$ms; done < <(gate_ms "$NEW")
     fail=0
     for name in "${!old_by_name[@]}"; do
         if [ -z "${new_by_name[$name]:-}" ]; then
@@ -55,7 +50,7 @@ if [ -f "$BASELINE" ]; then
             continue
         fi
         if regressed "${new_by_name[$name]}" "${old_by_name[$name]}"; then
-            echo "REGRESSION: scenario '$name' fast-path wall ${old_by_name[$name]} ms -> ${new_by_name[$name]} ms (>10%)" >&2
+            echo "REGRESSION: scenario '$name' wall ${old_by_name[$name]} ms -> ${new_by_name[$name]} ms (>10%)" >&2
             fail=1
         fi
     done

@@ -29,5 +29,8 @@ cargo test -q --test proptest_faults --test half_close
 cargo test -q -p via --test error_paths
 cargo test -q -p bench --test determinism
 cargo test -q -p bench --test trace
+# The benchmark is a workspace of its own (perfbench/); its self-test
+# fails here if the API surface it compiles against breaks.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
 scripts/regen_results.sh
 echo "tier-1 OK"
