@@ -2,8 +2,6 @@
 
 use std::ops::Range;
 
-use rand::RngExt;
-
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
@@ -28,7 +26,7 @@ pub fn vec<S: Strategy>(element: S, size: Range<usize>) -> VecStrategy<S> {
 impl<S: Strategy> Strategy for VecStrategy<S> {
     type Value = Vec<S::Value>;
     fn sample(&self, rng: &mut TestRng) -> Vec<S::Value> {
-        let len = rng.inner.random_range(self.min..self.max_exclusive);
+        let len = (self.min..self.max_exclusive).sample(rng);
         (0..len).map(|_| self.element.sample(rng)).collect()
     }
 }

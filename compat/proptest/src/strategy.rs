@@ -7,7 +7,7 @@
 use std::marker::PhantomData;
 use std::ops::{Range, RangeInclusive};
 
-use rand::{Random, RngExt};
+use dsim::rng::SimRng;
 
 use crate::test_runner::TestRng;
 
@@ -149,8 +149,37 @@ impl<V> Union<V> {
 impl<V> Strategy for Union<V> {
     type Value = V;
     fn sample(&self, rng: &mut TestRng) -> V {
-        let i = rng.inner.random_range(0..self.choices.len());
+        let i = rng.inner.below(self.choices.len() as u64) as usize;
         (self.choices[i])(rng)
+    }
+}
+
+/// Types [`any`] can generate, each from one 64-bit draw.
+pub trait Random {
+    /// Draw one value.
+    fn random(rng: &mut SimRng) -> Self;
+}
+
+macro_rules! impl_random_int {
+    ($($t:ty),*) => {$(
+        impl Random for $t {
+            fn random(rng: &mut SimRng) -> $t {
+                rng.next_u64() as $t
+            }
+        }
+    )*};
+}
+impl_random_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+
+impl Random for bool {
+    fn random(rng: &mut SimRng) -> bool {
+        rng.next_u64() & 1 == 1
+    }
+}
+
+impl Random for f64 {
+    fn random(rng: &mut SimRng) -> f64 {
+        rng.unit_f64()
     }
 }
 
@@ -160,7 +189,7 @@ pub struct Any<T>(PhantomData<fn() -> T>);
 impl<T: Random> Strategy for Any<T> {
     type Value = T;
     fn sample(&self, rng: &mut TestRng) -> T {
-        rng.inner.random()
+        T::random(&mut rng.inner)
     }
 }
 
@@ -189,13 +218,18 @@ macro_rules! impl_range_strategy {
         impl Strategy for Range<$t> {
             type Value = $t;
             fn sample(&self, rng: &mut TestRng) -> $t {
-                rng.inner.random_range(self.clone())
+                assert!(self.start < self.end, "empty range");
+                let span = (self.end as i128 - self.start as i128) as u128;
+                (self.start as i128 + rng.inner.uniform_below(span) as i128) as $t
             }
         }
         impl Strategy for RangeInclusive<$t> {
             type Value = $t;
             fn sample(&self, rng: &mut TestRng) -> $t {
-                rng.inner.random_range(self.clone())
+                let (lo, hi) = (*self.start(), *self.end());
+                assert!(lo <= hi, "empty range");
+                let span = (hi as i128 - lo as i128) as u128 + 1;
+                (lo as i128 + rng.inner.uniform_below(span) as i128) as $t
             }
         }
     )*};
@@ -229,16 +263,16 @@ impl Strategy for &'static str {
     type Value = String;
     fn sample(&self, rng: &mut TestRng) -> String {
         let (min, max) = parse_len_suffix(self).unwrap_or((0, 16));
-        let len = rng.inner.random_range(min..=max);
+        let len = rng.inner.range_inclusive(min as u64, max as u64) as usize;
         // Printable alphabet with a couple of multi-byte code points so
         // UTF-8 handling is exercised.
         const EXTRA: [char; 4] = ['é', 'Ω', '→', '☃'];
         (0..len)
             .map(|_| {
-                if rng.inner.random_range(0u32..16) == 0 {
-                    EXTRA[rng.inner.random_range(0..EXTRA.len())]
+                if rng.inner.below(16) == 0 {
+                    EXTRA[rng.inner.below(EXTRA.len() as u64) as usize]
                 } else {
-                    rng.inner.random_range(0x20u8..0x7F) as char
+                    (0x20u8..0x7F).sample(rng) as char
                 }
             })
             .collect()
@@ -266,9 +300,10 @@ mod tests {
     fn ranges_and_tuples() {
         let mut rng = TestRng::from_seed(1);
         for _ in 0..200 {
-            let v = (1usize..10, 5u32..=6).sample(&mut rng);
+            let v = (1usize..10, 5u32..=6, -10i32..10).sample(&mut rng);
             assert!((1..10).contains(&v.0));
             assert!((5..=6).contains(&v.1));
+            assert!((-10..10).contains(&v.2));
         }
     }
 

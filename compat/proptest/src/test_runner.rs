@@ -1,7 +1,6 @@
 //! Configuration, RNG, and case outcomes for the mini proptest engine.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dsim::rng::SimRng;
 
 /// Per-suite configuration (`#![proptest_config(...)]`).
 #[derive(Debug, Clone)]
@@ -31,9 +30,10 @@ pub enum TestCaseError {
 }
 
 /// Deterministic RNG used for case generation, seeded from the test path
-/// so every run (and every machine) generates the same cases.
+/// so every run (and every machine) generates the same cases. It is the
+/// simulator's own [`SimRng`].
 pub struct TestRng {
-    pub(crate) inner: StdRng,
+    pub(crate) inner: SimRng,
 }
 
 impl TestRng {
@@ -44,15 +44,28 @@ impl TestRng {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
-        TestRng {
-            inner: StdRng::seed_from_u64(h),
-        }
+        TestRng::from_seed(h)
     }
 
     /// RNG from an explicit seed (for driving strategies outside `proptest!`).
     pub fn from_seed(seed: u64) -> TestRng {
         TestRng {
-            inner: StdRng::seed_from_u64(seed),
+            inner: SimRng::seed_from(seed),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::strategy::Strategy;
+
+    /// Generated cases are unchanged by the move onto `dsim`'s generator:
+    /// these values were recorded before it.
+    #[test]
+    fn cases_are_pinned() {
+        let mut rng = TestRng::from_seed(9);
+        let cases: Vec<u64> = (0..8).map(|_| (0u64..1000).sample(&mut rng)).collect();
+        assert_eq!(cases, [248, 291, 266, 217, 415, 876, 917, 250]);
     }
 }

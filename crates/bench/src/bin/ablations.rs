@@ -16,7 +16,6 @@ use sovia::SoviaConfig;
 
 fn main() {
     let args = cli::BenchCli::parse_env();
-    args.reject_rest("ablations");
     args.reject_seed("ablations");
     let threads = args.threads();
     let w = bench::ablate::window_sweep(2048, &[1, 2, 4, 8, 16, 32, 64], threads);

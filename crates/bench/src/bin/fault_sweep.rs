@@ -15,7 +15,6 @@ use dsim::TraceConfig;
 
 fn main() {
     let args = cli::BenchCli::parse_env();
-    args.reject_rest("fault_sweep");
     let base_seed = args.seed.unwrap_or(fault_sweep::SWEEP_SEED);
     let points =
         fault_sweep::run_fault_sweep_seeded(args.threads(), base_seed);

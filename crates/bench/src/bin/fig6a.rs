@@ -13,7 +13,6 @@ use dsim::TraceConfig;
 
 fn main() {
     let args = cli::BenchCli::parse_env();
-    args.reject_rest("fig6a");
     args.reject_seed("fig6a");
     let sizes = figures::FIG6A_SIZES;
     let outcome = figures::run_fig6a_sweep(

@@ -13,7 +13,6 @@ use dsim::TraceConfig;
 
 fn main() {
     let args = cli::BenchCli::parse_env();
-    args.reject_rest("fig6b");
     args.reject_seed("fig6b");
     let sizes = figures::FIG6B_SIZES;
     let outcome = figures::run_fig6b_sweep(

@@ -12,7 +12,6 @@ use dsim::TraceConfig;
 
 fn main() {
     let args = cli::BenchCli::parse_env();
-    args.reject_rest("fig7");
     args.reject_seed("fig7");
     let sizes = fig7::FIG7_SIZES;
     let series = fig7::run_fig7_with(&sizes, args.threads());

@@ -19,7 +19,6 @@ const BW_SIZE: usize = 32 * 1024;
 
 fn main() {
     let args = cli::BenchCli::parse_env();
-    args.reject_rest("latency_breakdown");
     args.reject_seed("latency_breakdown");
 
     let lat = breakdown::latency_breakdown(4, figures::LATENCY_ROUNDS);

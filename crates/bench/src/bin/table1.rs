@@ -12,7 +12,6 @@ use dsim::TraceConfig;
 
 fn main() {
     let args = cli::BenchCli::parse_env();
-    args.reject_rest("table1");
     args.reject_seed("table1");
     let sizes = table1::FILE_SIZES;
     let rows = table1::run_table1_with(&sizes, args.threads());

@@ -1,6 +1,6 @@
 //! Per-layer decomposition of the headline numbers, computed from
-//! `dsim::trace` spans (the `latency_breakdown` binary and the
-//! `latency_breakdown` scenario of `perf_report`).
+//! `dsim::trace` spans (the `latency_breakdown` binary, whose output is
+//! the `results/latency_breakdown.txt` golden).
 //!
 //! Each variant (TCP over LANE, native VIA, SOVIA) is re-run once with
 //! tracing enabled; the spans that fall inside the measurement window

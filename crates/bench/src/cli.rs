@@ -1,7 +1,7 @@
 //! Shared command-line parsing for the bench binaries.
 //!
 //! Every binary accepts the same substrate flags, parsed here so the
-//! seven `src/bin/` mains cannot drift apart:
+//! `src/bin/` mains cannot drift apart:
 //!
 //! * `--threads N` (or `--threads=N`) — cap on concurrent simulations
 //!   (falls back to `SOVIA_BENCH_THREADS`, then host parallelism).
@@ -16,8 +16,7 @@
 //!   written bytes are identical at any `--threads` value, and the
 //!   binary's normal output is unchanged.
 //!
-//! Binary-specific flags (e.g. `perf_report --out`) stay in
-//! [`BenchCli::rest`] for the binary to consume.
+//! Any other argument is a usage error (exit status 2).
 
 use crate::runner;
 
@@ -30,49 +29,50 @@ pub struct BenchCli {
     pub seed: Option<u64>,
     /// `--trace PATH`, if given.
     pub trace: Option<String>,
-    /// Arguments the shared parser did not recognize.
-    pub rest: Vec<String>,
 }
 
 impl BenchCli {
-    /// Parse the process arguments (shared flags consumed, the remainder
-    /// left in [`BenchCli::rest`]).
+    /// Parse the process arguments; on a malformed or unrecognized
+    /// argument, print it with the usage line and exit with status 2.
     pub fn parse_env() -> BenchCli {
-        BenchCli::parse_from(std::env::args().skip(1).collect())
+        let mut args = std::env::args();
+        let path = args.next().unwrap_or_default();
+        let bin = path.rsplit('/').next().unwrap_or_default();
+        BenchCli::parse_from(args.collect()).unwrap_or_else(|e| {
+            die(&format!("{e} (usage: {bin} [--threads N] [--seed N] [--trace PATH])"))
+        })
     }
 
-    /// Parse an explicit argument list.
-    pub fn parse_from(mut args: Vec<String>) -> BenchCli {
-        let threads = take_value(&mut args, "--threads").map(|v| match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => die(&format!("--threads requires a positive integer, got {v:?}")),
-        });
-        let seed = take_value(&mut args, "--seed").map(|v| match v.parse::<u64>() {
-            Ok(n) => n,
-            Err(_) => die(&format!("--seed requires an unsigned integer, got {v:?}")),
-        });
-        let trace = take_value(&mut args, "--trace");
-        BenchCli {
+    /// Parse an explicit argument list. Every argument must be one of the
+    /// shared flags; anything else is an `Err` naming it.
+    pub fn parse_from(mut args: Vec<String>) -> Result<BenchCli, String> {
+        let threads = take_value(&mut args, "--threads")?
+            .map(|v| match v.parse::<usize>() {
+                Ok(n) if n >= 1 => Ok(n),
+                _ => Err(format!("--threads requires a positive integer, got {v:?}")),
+            })
+            .transpose()?;
+        let seed = take_value(&mut args, "--seed")?
+            .map(|v| {
+                v.parse::<u64>()
+                    .map_err(|_| format!("--seed requires an unsigned integer, got {v:?}"))
+            })
+            .transpose()?;
+        let trace = take_value(&mut args, "--trace")?;
+        if let Some(extra) = args.first() {
+            return Err(format!("unknown argument {extra:?}"));
+        }
+        Ok(BenchCli {
             threads,
             seed,
             trace,
-            rest: args,
-        }
+        })
     }
 
     /// The resolved jobs-in-flight cap (`--threads`, else
     /// `SOVIA_BENCH_THREADS`, else available parallelism).
     pub fn threads(&self) -> usize {
         runner::resolve_threads(self.threads)
-    }
-
-    /// Exit with a usage error unless every argument was recognized.
-    pub fn reject_rest(&self, bin: &str) {
-        if let Some(extra) = self.rest.first() {
-            die(&format!(
-                "unknown argument {extra:?} (usage: {bin} [--threads N] [--trace PATH])"
-            ));
-        }
     }
 
     /// Exit with a usage error if `--seed` was passed to a binary whose
@@ -85,22 +85,22 @@ impl BenchCli {
 }
 
 /// Extract `--flag V` (or `--flag=V`) from `args`, removing the consumed
-/// tokens. Exits with status 2 when the value is missing.
-pub(crate) fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
+/// tokens. A flag without its value is an `Err`.
+fn take_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
     if let Some(pos) = args.iter().position(|a| a == flag) {
         if pos + 1 >= args.len() {
-            die(&format!("{flag} requires a value"));
+            return Err(format!("{flag} requires a value"));
         }
         let v = args.remove(pos + 1);
         args.remove(pos);
-        return Some(v);
+        return Ok(Some(v));
     }
     let prefix = format!("{flag}=");
     if let Some(pos) = args.iter().position(|a| a.starts_with(&prefix)) {
         let a = args.remove(pos);
-        return Some(a[prefix.len()..].to_string());
+        return Ok(Some(a[prefix.len()..].to_string()));
     }
-    None
+    Ok(None)
 }
 
 fn die(msg: &str) -> ! {
@@ -130,21 +130,23 @@ mod tests {
     }
 
     #[test]
-    fn parses_shared_flags_and_keeps_rest() {
-        let cli = BenchCli::parse_from(argv(&[
-            "--out", "x.json", "--threads", "4", "--trace=t.json", "--seed", "7",
-        ]));
+    fn parses_shared_flags_and_rejects_the_rest() {
+        let cli = BenchCli::parse_from(argv(&["--threads", "4", "--trace=t.json", "--seed", "7"]))
+            .unwrap();
         assert_eq!(cli.threads, Some(4));
         assert_eq!(cli.seed, Some(7));
         assert_eq!(cli.trace.as_deref(), Some("t.json"));
-        assert_eq!(cli.rest, argv(&["--out", "x.json"]));
+        assert_eq!(BenchCli::parse_from(argv(&["--threads=2"])).unwrap().threads, Some(2));
+        let err = BenchCli::parse_from(argv(&["--out", "x.json", "--threads", "4"])).unwrap_err();
+        assert_eq!(err, "unknown argument \"--out\"");
+        assert!(BenchCli::parse_from(argv(&["--threads"])).is_err());
     }
 
     #[test]
     fn absent_flags_are_none() {
-        let cli = BenchCli::parse_from(vec![]);
+        let cli = BenchCli::parse_from(vec![]).unwrap();
         assert_eq!(cli.threads, None);
         assert_eq!(cli.seed, None);
-        assert!(cli.trace.is_none() && cli.rest.is_empty());
+        assert!(cli.trace.is_none());
     }
 }

@@ -70,15 +70,6 @@ pub struct SweepOutcome {
     pub sim_stats: Vec<SchedStats>,
 }
 
-impl SweepOutcome {
-    /// Sum of the per-simulation scheduler counters.
-    pub fn total_stats(&self) -> SchedStats {
-        self.sim_stats
-            .iter()
-            .fold(SchedStats::default(), |acc, s| acc + *s)
-    }
-}
-
 /// Assemble `(variant, size)` grid results (job order, variant-major)
 /// back into per-variant series.
 fn assemble(
@@ -134,14 +125,4 @@ pub fn run_fig6b_sweep(
         micro::bandwidth_with_stats(v, s, total(s))
     });
     assemble(&variants, sizes, results)
-}
-
-/// Run Figure 6(a): latency vs message size.
-pub fn run_fig6a(sizes: &[usize]) -> Vec<Series> {
-    run_fig6a_sweep(sizes, LATENCY_ROUNDS, runner::default_threads()).series
-}
-
-/// Run Figure 6(b): bandwidth vs message size.
-pub fn run_fig6b(sizes: &[usize]) -> Vec<Series> {
-    run_fig6b_sweep(sizes, bandwidth_total, runner::default_threads()).series
 }

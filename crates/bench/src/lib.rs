@@ -19,9 +19,11 @@
 //!   every bench binary.
 //!
 //! Binaries `fig6a`, `fig6b`, `table1`, `fig7` and `ablations` print the
-//! paper-style tables; `latency_breakdown` decomposes the headline
-//! numbers per layer; Criterion benches wrap representative points. All
-//! of them take `--trace PATH` to emit a Perfetto-loadable trace.
+//! paper-style tables; `fault_sweep` prints goodput vs frame loss;
+//! `latency_breakdown` decomposes the headline numbers per layer. Each
+//! one's output is committed as `results/<binary>.txt`. All of them take
+//! `--trace PATH` to emit a Perfetto-loadable trace. Host performance is
+//! measured separately, by `perfbench/`.
 
 #![warn(missing_docs)]
 

@@ -101,8 +101,8 @@ pub fn bandwidth_mbps(variant: &Variant, size: usize, total: usize) -> f64 {
 }
 
 /// [`latency_us`], also returning the per-simulation scheduler counters
-/// (the parallel-suite determinism tests and `perf_report` aggregate these
-/// across sims).
+/// (the parallel-suite determinism tests compare these across thread
+/// counts).
 pub fn latency_with_stats(variant: &Variant, size: usize, rounds: u32) -> (f64, SchedStats) {
     let out = latency_traced(variant, size, rounds, None);
     (out.value, out.stats)

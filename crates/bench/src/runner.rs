@@ -10,10 +10,9 @@
 //! byte-identical to the sequential loop regardless of thread count or
 //! completion order.
 //!
-//! The concurrency cap counts **jobs in flight** (simulations), not OS
-//! threads: each `Simulation` spawns one host thread per simulated
-//! process, but the token-passing scheduler keeps exactly one of them
-//! runnable at any instant, so one job ≈ one runnable host thread.
+//! The concurrency cap counts **jobs in flight** (simulations): each
+//! `Simulation` runs all of its processes as coroutines on the worker
+//! thread that runs it, so one job is one host thread.
 //!
 //! Cap resolution order: explicit `--threads N` on a bench binary >
 //! the `SOVIA_BENCH_THREADS` environment variable >
@@ -60,20 +59,6 @@ pub fn resolve_threads(cli: Option<usize>) -> usize {
         Some(n) if n >= 1 => n,
         _ => default_threads(),
     }
-}
-
-/// Extract `--threads N` (or `--threads=N`) from a binary's argument
-/// list, removing the consumed tokens. Exits with status 2 on a
-/// malformed value, like the other bench CLI errors. (Thin wrapper over
-/// the shared parser in [`crate::cli`].)
-pub fn take_threads_arg(args: &mut Vec<String>) -> Option<usize> {
-    crate::cli::take_value(args, "--threads").map(|v| match v.parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => {
-            eprintln!("error: --threads requires a positive integer, got {v:?}");
-            std::process::exit(2);
-        }
-    })
 }
 
 /// Run `f` over every job on at most `threads` concurrent workers,

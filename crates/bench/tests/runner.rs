@@ -119,24 +119,3 @@ fn resolve_threads_precedence() {
     assert!(runner::resolve_threads(None) >= 1);
     assert!(runner::available_threads() >= 1);
 }
-
-/// `--threads` extraction consumes its tokens in both accepted forms.
-#[test]
-fn take_threads_arg_forms() {
-    let mut args = vec!["--out".to_string(), "x.json".to_string()];
-    assert_eq!(runner::take_threads_arg(&mut args), None);
-    assert_eq!(args.len(), 2);
-
-    let mut args = vec![
-        "--threads".to_string(),
-        "6".to_string(),
-        "--out".to_string(),
-        "x.json".to_string(),
-    ];
-    assert_eq!(runner::take_threads_arg(&mut args), Some(6));
-    assert_eq!(args, vec!["--out".to_string(), "x.json".to_string()]);
-
-    let mut args = vec!["--threads=2".to_string()];
-    assert_eq!(runner::take_threads_arg(&mut args), Some(2));
-    assert!(args.is_empty());
-}

@@ -1,65 +1,77 @@
 //! Deterministic random numbers for simulations.
 //!
 //! Everything in a simulation must be reproducible from a single seed, so
-//! we never touch OS entropy. `SimRng` wraps a counter-seeded `StdRng` and
-//! adds the small helpers the workload generators need.
-
-// sovia-lint: allow(R4) -- this IS the sanctioned wrapper: StdRng is always counter-seeded from the run seed (seed_from below), never from OS entropy
-use rand::rngs::StdRng;
-// sovia-lint: allow(R4) -- trait imports for the seeded StdRng above; no entropy source is reachable through them
-use rand::{Rng, RngExt, SeedableRng};
+//! we never touch OS entropy. `SimRng` is xoshiro256++ (Blackman & Vigna)
+//! with its state expanded from a 64-bit seed by SplitMix64, plus the
+//! small helpers the workload generators need. The property-test shim
+//! (`compat/proptest`) draws its cases from the same generator.
 
 /// A seeded deterministic RNG.
 pub struct SimRng {
-    inner: StdRng,
+    s: [u64; 4],
+}
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 impl SimRng {
     /// Create from a 64-bit seed.
     pub fn seed_from(seed: u64) -> SimRng {
+        let mut sm = seed;
         SimRng {
-            inner: StdRng::seed_from_u64(seed),
+            s: std::array::from_fn(|_| splitmix64(&mut sm)),
         }
     }
 
-    /// Derive an independent child stream (for giving each simulated entity
-    /// its own RNG without correlating their draws).
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::seed_from(self.inner.next_u64())
+    /// Raw 64-bit draw.
+    pub fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// Uniform in `[0, span)`, by unbiased rejection on 128-bit draws
+    /// (so any integer range of any width can be sampled from it).
+    pub fn uniform_below(&mut self, span: u128) -> u128 {
+        assert!(span > 0, "uniform_below(0)");
+        if span == 1 {
+            return 0;
+        }
+        let zone = u128::MAX - (u128::MAX - span + 1) % span;
+        loop {
+            let v = ((self.next_u64() as u128) << 64) | self.next_u64() as u128;
+            if v <= zone {
+                return v % span;
+            }
+        }
     }
 
     /// Uniform in `[0, n)`.
     pub fn below(&mut self, n: u64) -> u64 {
-        assert!(n > 0, "below(0)");
-        self.inner.random_range(0..n)
+        self.uniform_below(n as u128) as u64
     }
 
     /// Uniform in `[lo, hi]` (inclusive).
     pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo <= hi);
-        self.inner.random_range(lo..=hi)
+        lo + self.uniform_below((hi - lo) as u128 + 1) as u64
     }
 
-    /// Uniform float in `[0, 1)`.
+    /// Uniform float in `[0, 1)`: the 53 high bits of one draw.
     pub fn unit_f64(&mut self) -> f64 {
-        self.inner.random::<f64>()
-    }
-
-    /// Fill a buffer with deterministic pseudo-random bytes.
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        self.inner.fill_bytes(buf);
-    }
-
-    /// A deterministic pseudo-random payload of `len` bytes.
-    pub fn payload(&mut self, len: usize) -> Vec<u8> {
-        let mut v = vec![0u8; len];
-        self.fill_bytes(&mut v);
-        v
-    }
-
-    /// Raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
 
@@ -106,16 +118,31 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+        assert_ne!(SimRng::seed_from(0).next_u64(), SimRng::seed_from(1).next_u64());
     }
 
+    /// The stream is the one every committed golden, fault schedule and
+    /// generated property case was produced with: these values were
+    /// recorded before the generator moved into `dsim`.
     #[test]
-    fn fork_streams_differ() {
-        let mut a = SimRng::seed_from(7);
-        let mut c1 = a.fork();
-        let mut c2 = a.fork();
-        let v1: Vec<u64> = (0..8).map(|_| c1.next_u64()).collect();
-        let v2: Vec<u64> = (0..8).map(|_| c2.next_u64()).collect();
-        assert_ne!(v1, v2);
+    fn stream_is_pinned() {
+        let mut r = SimRng::seed_from(42);
+        let first: Vec<u64> = (0..8).map(|_| r.next_u64()).collect();
+        assert_eq!(
+            first,
+            [
+                0xd076_4d4f_4476_689f,
+                0x519e_4174_576f_3791,
+                0xfbe0_7cfb_0c24_ed8c,
+                0xb37d_9f60_0cd8_35b8,
+                0xcb23_1c38_7484_6a73,
+                0x968d_9f00_4e50_de7d,
+                0x2017_18ff_221a_3556,
+                0x9ae9_4e07_0ed8_cb46,
+            ]
+        );
+        assert_eq!(r.unit_f64().to_bits(), 0x3fca_9679_ed78_4ae4);
+        assert_eq!(r.range_inclusive(1, 5000), 4123);
     }
 
     #[test]
@@ -125,6 +152,7 @@ mod tests {
             assert!(r.below(17) < 17);
             let x = r.range_inclusive(5, 9);
             assert!((5..=9).contains(&x));
+            assert!((0.0..1.0).contains(&r.unit_f64()));
         }
     }
 

@@ -225,21 +225,6 @@ pub struct SchedStats {
     pub wakeups: u64,
 }
 
-/// Suite-level aggregation across many independent simulations.
-impl std::ops::Add for SchedStats {
-    type Output = SchedStats;
-
-    fn add(self, rhs: SchedStats) -> SchedStats {
-        SchedStats {
-            events_processed: self.events_processed + rhs.events_processed,
-            direct_handoffs: self.direct_handoffs + rhs.direct_handoffs,
-            self_wakes: self.self_wakes + rhs.self_wakes,
-            coordinator_wakes: self.coordinator_wakes + rhs.coordinator_wakes,
-            wakeups: self.wakeups + rhs.wakeups,
-        }
-    }
-}
-
 /// Per-process scheduling accounting (see [`Simulation::proc_stats`]).
 ///
 /// "Run time" is virtual CPU time: the sum of this process's charged

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Golden-results gate: regenerate all five results/*.txt via the figure
+# Golden-results gate: regenerate all seven results/*.txt via the bench
 # binaries and diff against the committed files, at every thread count in
 # REGEN_THREADS (default "1 8"). Catches any accidental virtual-time
 # drift — parallel or otherwise: the DESIGN.md §7 invariant says every
@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 UPDATE=0
 [ "${1:-}" = "--update" ] && UPDATE=1
 
-BINS=(fig6a fig6b fig7 table1 ablations)
+BINS=(fig6a fig6b fig7 table1 ablations fault_sweep latency_breakdown)
 THREADS=(${REGEN_THREADS:-1 8})
 
 cargo build --release -p bench --bins

@@ -2,7 +2,7 @@
 # Tier-1 gate (see ROADMAP.md): release build, then the static-analysis
 # gate (scripts/lint.sh: sovia-lint + clippy, DESIGN.md §10), the test
 # suite, the full workspace test run (the root `cargo test` only covers
-# the root package), and the golden-results check (all five
+# the root package), and the golden-results check (all seven
 # results/*.txt must regenerate byte-identically, sequentially and in
 # parallel).
 #

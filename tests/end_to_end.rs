@@ -95,7 +95,10 @@ fn simulation_is_deterministic() {
             let mut rng = dsim::rng::SimRng::seed_from(1234);
             for _ in 0..40 {
                 let n = rng.range_inclusive(1, 5000) as usize;
-                let buf = rng.payload(n);
+                let buf: Vec<u8> = (0..n.div_ceil(8))
+                    .flat_map(|_| rng.next_u64().to_le_bytes())
+                    .take(n)
+                    .collect();
                 api::send_all(ctx, &cp, s, &buf).unwrap();
                 let echo = api::recv_exact(ctx, &cp, s, n).unwrap();
                 assert_eq!(echo, buf);
