@@ -124,12 +124,6 @@ fn do_call(ctx: &dsim::SimCtx, clnt: &apps::rpc::client::Clnt, arg: &str, arg_le
     }
 }
 
-/// Run the whole figure (thread count from `SOVIA_BENCH_THREADS` /
-/// available parallelism).
-pub fn run_fig7(sizes: &[usize]) -> Vec<Series> {
-    run_fig7_with(sizes, crate::runner::default_threads())
-}
-
 /// Run the whole figure on at most `threads` concurrent simulations:
 /// each platform × argument-size point is an independent simulation.
 pub fn run_fig7_with(sizes: &[usize], threads: usize) -> Vec<Series> {

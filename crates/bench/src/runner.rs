@@ -123,12 +123,3 @@ where
         .map(|s| s.into_inner().expect("runner: job produced no result"))
         .collect()
 }
-
-/// [`par_map`] for jobs run only for their side effects.
-pub fn par_run<T, F>(jobs: &[T], threads: usize, f: F)
-where
-    T: Sync,
-    F: Fn(usize, &T) + Sync,
-{
-    let _ = par_map(jobs, threads, |i, t| f(i, t));
-}

@@ -179,12 +179,6 @@ pub fn local_copy(file_len: u64) -> Cell {
     v
 }
 
-/// Run the whole table (thread count from `SOVIA_BENCH_THREADS` /
-/// available parallelism).
-pub fn run_table1(file_sizes: &[u64]) -> Vec<Row> {
-    run_table1_with(file_sizes, crate::runner::default_threads())
-}
-
 /// Run the whole table on at most `threads` concurrent simulations:
 /// each platform × file cell is an independent simulation.
 pub fn run_table1_with(file_sizes: &[u64], threads: usize) -> Vec<Row> {

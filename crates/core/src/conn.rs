@@ -1043,16 +1043,4 @@ impl SovConn {
         self.process.free(self.staging, self.config.chunk_size);
         lib.conn_finalized();
     }
-
-    /// True once the FIN handshake has completed in both directions.
-    pub fn is_finalized(&self) -> bool {
-        self.finalized.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for SovConn {
-    fn drop(&mut self) {
-        // Nothing: simulation teardown reclaims everything. Explicit
-        // resource release happens in maybe_finalize.
-    }
 }

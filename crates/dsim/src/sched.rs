@@ -273,6 +273,8 @@ pub(crate) struct SimCore {
     /// Event recorder; `None` (the default) makes every emission site a
     /// single predictable branch.
     pub(crate) trace: Option<Arc<TraceShared>>,
+    /// Run by `Simulation`'s `Drop`, in registration order.
+    teardown: Mutex<Vec<Box<dyn FnOnce() + Send>>>,
 }
 
 impl SchedState {
@@ -332,6 +334,14 @@ impl SimHandle {
             },
         );
         TimerGuard { cancelled }
+    }
+
+    /// Register `f` to run when the [`Simulation`] is dropped, after its
+    /// queued events and unstarted processes are gone. A hook must hold
+    /// only weak references to what it clears, or it keeps that alive
+    /// until the simulation is dropped.
+    pub fn on_teardown(&self, f: impl FnOnce() + Send + 'static) {
+        self.core.teardown.lock().push(Box::new(f));
     }
 
     /// Spawn a new simulation process; it first runs at `now` (after all
@@ -600,6 +610,15 @@ impl SimCtx {
 }
 
 /// A whole simulation: owns the event queue, clock, and processes.
+///
+/// Teardown frees the simulated world in a fixed order. The end of `run`,
+/// whatever its result, unwinds every parked process with `Shutdown`,
+/// drops the bodies of processes that never started and unmaps every
+/// stack. Dropping the `Simulation` then drops the events still queued
+/// and any unstarted bodies (a simulation that never ran), outside the
+/// scheduler lock, and last runs the hooks registered with
+/// [`SimHandle::on_teardown`], in registration order. Upper layers use
+/// the hooks to cut the reference cycles that tie a host model to itself.
 pub struct Simulation {
     handle: SimHandle,
     ran: bool,
@@ -625,6 +644,7 @@ impl Simulation {
             state: Mutex::new(SchedState::default()),
             running: AtomicU64::new(u64::MAX),
             trace: trace.map(|cfg| Arc::new(TraceShared::new(cfg))),
+            teardown: Mutex::new(Vec::new()),
         });
         Simulation {
             handle: SimHandle { core },
@@ -721,6 +741,24 @@ impl Simulation {
         let result = panic::catch_unwind(AssertUnwindSafe(|| procs.dispatch(&core)));
         procs.teardown(&core);
         result.unwrap_or_else(|payload| panic::resume_unwind(payload))
+    }
+}
+
+impl Drop for Simulation {
+    fn drop(&mut self) {
+        let core = &self.handle.core;
+        // Outside the lock: an event or body may own the last reference to
+        // something whose drop uses the handle.
+        let (heap, bodies) = {
+            let mut st = core.state.lock();
+            let bodies: Vec<Body> = st.procs.iter_mut().filter_map(|s| s.body.take()).collect();
+            (std::mem::take(&mut st.heap), bodies)
+        };
+        drop((heap, bodies));
+        let hooks = std::mem::take(&mut *core.teardown.lock());
+        for hook in hooks {
+            hook();
+        }
     }
 }
 
@@ -982,6 +1020,26 @@ mod tests {
         }
         // The parked sibling was unwound, not run to completion.
         assert_eq!(sibling_done.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn drop_frees_the_core_and_runs_hooks_in_order() {
+        let sim = Simulation::new();
+        let core = Arc::downgrade(&sim.handle.core);
+        // A queued callback and a never-started body, each owning a handle.
+        let h = sim.handle();
+        sim.handle()
+            .schedule_in(SimDuration::from_micros(1), move |_| drop(h));
+        let h = sim.handle();
+        sim.spawn("never-run", move |_| drop(h));
+        let order = Arc::new(Mutex::new(Vec::new()));
+        for i in 0..3 {
+            let order = Arc::clone(&order);
+            sim.handle().on_teardown(move || order.lock().push(i));
+        }
+        drop(sim);
+        assert_eq!(*order.lock(), [0, 1, 2]);
+        assert!(core.upgrade().is_none(), "the core outlived its simulation");
     }
 
     #[test]

@@ -81,14 +81,6 @@ impl<T: Clone + Send + 'static> Link<T> {
         self.params
     }
 
-    /// Observer handle for this link's fault counters.
-    pub fn fault_handle(&self) -> FaultHandle {
-        self.faults
-            .as_ref()
-            .map(|l| l.handle())
-            .unwrap_or_else(FaultHandle::disabled)
-    }
-
     /// Hand a fully serialized frame to the wire; it arrives at the far end
     /// after the propagation latency (unless the fault lane intervenes).
     pub fn transmit(&self, item: T) {

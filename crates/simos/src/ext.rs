@@ -47,6 +47,13 @@ impl Extensions {
             .expect("extension type mismatch")
     }
 
+    /// Remove every singleton (simulation teardown). The map is dropped
+    /// outside its lock; no singleton's drop has an observable effect, so
+    /// the hash order it drops them in does not matter.
+    pub fn clear(&self) {
+        drop(std::mem::take(&mut *self.map.lock()));
+    }
+
     /// Shallow-clone the map (all singletons shared). Used by `fork`, which
     /// models the library state a child keeps sharing with its parent
     /// through shared memory.

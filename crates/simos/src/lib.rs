@@ -32,5 +32,5 @@ pub use costs::HostCosts;
 pub use cpu::KernelCpu;
 pub use error::{OsError, OsResult};
 pub use ext::Extensions;
-pub use machine::{HostId, Machine};
+pub use machine::{HostId, Machine, WeakMachine};
 pub use process::{Fd, FdEntry, Process};

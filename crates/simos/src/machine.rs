@@ -1,7 +1,7 @@
 //! A simulated host machine.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use dsim::SimHandle;
 use parking_lot::{Mutex, MutexGuard};
@@ -42,9 +42,11 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Create a machine.
+    /// Create a machine. Dropping `sim`'s `Simulation` clears its
+    /// extension map, which frees the machine once the caller's handles
+    /// are gone (the NICs and stacks registered there point back at it).
     pub fn new(sim: &SimHandle, id: HostId, name: impl Into<String>, costs: HostCosts) -> Machine {
-        Machine {
+        let machine = Machine {
             inner: Arc::new(MachineInner {
                 id,
                 name: name.into(),
@@ -55,7 +57,19 @@ impl Machine {
                 ext: Extensions::new(),
                 next_pid: AtomicU32::new(1),
             }),
-        }
+        };
+        let weak = machine.downgrade();
+        sim.on_teardown(move || {
+            if let Some(m) = weak.upgrade() {
+                m.ext().clear();
+            }
+        });
+        machine
+    }
+
+    /// A handle that does not keep the machine alive.
+    pub fn downgrade(&self) -> WeakMachine {
+        WeakMachine(Arc::downgrade(&self.inner))
     }
 
     /// Host id.
@@ -96,13 +110,22 @@ impl Machine {
     /// Create a fresh process on this machine (the "init"-spawned case; use
     /// [`Process::fork`] to model fork semantics).
     pub fn spawn_process(&self, name: impl Into<String>) -> Process {
-        let pid = self.inner.next_pid.fetch_add(1, Ordering::Relaxed);
-        Process {
-            inner: Arc::new(ProcessInner::new(self.clone(), pid, name.into())),
-        }
+        let pid = self.alloc_pid();
+        Process::new(ProcessInner::new(self.clone(), pid, name.into()))
     }
 
     pub(crate) fn alloc_pid(&self) -> u32 {
         self.inner.next_pid.fetch_add(1, Ordering::Relaxed)
+    }
+}
+
+/// A weak reference to a [`Machine`] (see [`Machine::downgrade`]).
+#[derive(Clone)]
+pub struct WeakMachine(Weak<MachineInner>);
+
+impl WeakMachine {
+    /// The machine, if it is still alive.
+    pub fn upgrade(&self) -> Option<Machine> {
+        self.0.upgrade().map(|inner| Machine { inner })
     }
 }

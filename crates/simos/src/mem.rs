@@ -6,6 +6,12 @@
 //! paper's Figure 5 bug — after a fork, a parent write moves the parent's
 //! virtual pages onto fresh frames while a registered (pinned) region keeps
 //! DMA-ing into the stale frames, corrupting received data.
+//!
+//! A frame's bytes exist on the host only once something writes to it:
+//! until then it reads as zeros, like the kernel's zero page. This is a
+//! host-memory saving only; frame counts, refcounts, pins, COW faults and
+//! every charged cost are the same as if each frame were filled at
+//! allocation.
 
 use std::collections::BTreeMap;
 
@@ -51,8 +57,12 @@ impl std::ops::Add<u64> for VAddr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FrameId(pub u32);
 
+/// What every frame holds until its first write.
+static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+
 struct Frame {
-    data: Box<[u8]>,
+    /// `None` until the first write: the frame is all zeros.
+    data: Option<Box<[u8]>>,
     /// Number of address-space mappings plus pins referencing this frame.
     refs: u32,
 }
@@ -84,7 +94,7 @@ impl PhysMem {
     pub fn alloc_frame(&mut self) -> FrameId {
         self.allocated += 1;
         let frame = Frame {
-            data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
+            data: None,
             refs: 1,
         };
         match self.free.pop() {
@@ -134,6 +144,16 @@ impl PhysMem {
         self.frame(id).refs
     }
 
+    /// Number of live frames whose bytes have been written, and so occupy
+    /// host memory (test/diagnostic aid).
+    pub fn frames_materialized(&self) -> usize {
+        self.frames
+            .iter()
+            .flatten()
+            .filter(|f| f.data.is_some())
+            .count()
+    }
+
     /// Number of live frames.
     pub fn frames_in_use(&self) -> usize {
         self.allocated
@@ -141,13 +161,18 @@ impl PhysMem {
 
     /// Copy bytes out of a frame.
     pub fn read_frame(&self, id: FrameId, offset: usize, out: &mut [u8]) {
-        out.copy_from_slice(&self.frame(id).data[offset..offset + out.len()]);
+        let data = self.frame(id).data.as_deref().unwrap_or(&ZERO_PAGE);
+        out.copy_from_slice(&data[offset..offset + out.len()]);
     }
 
     /// Copy bytes into a frame (this is what DMA does — no address-space
     /// checks, by design).
     pub fn write_frame(&mut self, id: FrameId, offset: usize, data: &[u8]) {
-        self.frame_mut(id).data[offset..offset + data.len()].copy_from_slice(data);
+        let bytes = self
+            .frame_mut(id)
+            .data
+            .get_or_insert_with(|| vec![0u8; PAGE_SIZE].into_boxed_slice());
+        bytes[offset..offset + data.len()].copy_from_slice(data);
     }
 
     /// Duplicate `src` into a fresh frame (COW break), refcount 1.
@@ -586,5 +611,55 @@ mod tests {
         let (phys, asp) = setup();
         let mut out = [0u8; 1];
         asp.read(&phys, VAddr(0), &mut out);
+    }
+
+    #[test]
+    fn untouched_frames_read_as_zeros_without_host_memory() {
+        let (mut phys, mut asp) = setup();
+        let va = asp.map_fresh(&mut phys, 2 * PAGE_SIZE, false);
+        let pin = asp.pin(&mut phys, va.add(100), PAGE_SIZE);
+        let mut out = vec![1u8; 2 * PAGE_SIZE];
+        asp.read(&phys, va, &mut out);
+        assert!(out.iter().all(|&b| b == 0));
+        let mut out = vec![1u8; 64];
+        phys.read_frame(pin.pages[1].frame, 10, &mut out);
+        assert!(out.iter().all(|&b| b == 0));
+        assert_eq!(dma_read(&phys, &pin, 0, PAGE_SIZE), vec![0u8; PAGE_SIZE]);
+        assert_eq!(phys.frames_materialized(), 0);
+    }
+
+    #[test]
+    fn one_byte_write_materializes_one_frame() {
+        let (mut phys, mut asp) = setup();
+        let va = asp.map_fresh(&mut phys, 1 << 20, false);
+        assert_eq!(phys.frames_in_use(), 256);
+        assert_eq!(phys.frames_materialized(), 0);
+        asp.write(&mut phys, va.add(5 * PAGE_SIZE as u64 + 17), &[9]);
+        assert_eq!(phys.frames_materialized(), 1);
+        let mut out = [0u8; 3];
+        asp.read(&phys, va.add(5 * PAGE_SIZE as u64 + 16), &mut out);
+        assert_eq!(out, [0, 9, 0]);
+    }
+
+    #[test]
+    fn cow_of_an_untouched_frame_stays_independent() {
+        for parent_writes in [true, false] {
+            let (mut phys, mut asp) = setup();
+            let va = asp.map_fresh(&mut phys, PAGE_SIZE, false);
+            let mut child = asp.fork(&mut phys);
+            let (writer, reader) = if parent_writes {
+                (&mut asp, &child)
+            } else {
+                (&mut child, &asp)
+            };
+            assert_eq!(writer.write(&mut phys, va, b"mine"), 1);
+            assert_eq!(phys.frames_in_use(), 2);
+            assert_eq!(phys.frames_materialized(), 1);
+            let mut out = [1u8; 4];
+            reader.read(&phys, va, &mut out);
+            assert_eq!(out, [0; 4], "the other side still sees zeros");
+            writer.read(&phys, va, &mut out);
+            assert_eq!(&out, b"mine");
+        }
     }
 }

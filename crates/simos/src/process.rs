@@ -120,6 +120,20 @@ pub struct Process {
 }
 
 impl Process {
+    /// Wrap `inner`, clearing its extension map when the simulation is
+    /// dropped (the sockets table and the SOVIA instance there point back
+    /// at the process).
+    pub(crate) fn new(inner: ProcessInner) -> Process {
+        let inner = Arc::new(inner);
+        let weak = Arc::downgrade(&inner);
+        inner.machine.sim().on_teardown(move || {
+            if let Some(p) = weak.upgrade() {
+                p.ext.clear();
+            }
+        });
+        Process { inner }
+    }
+
     /// The machine this process runs on.
     pub fn machine(&self) -> &Machine {
         &self.inner.machine
@@ -246,16 +260,14 @@ impl Process {
             let mut phys = self.inner.machine.phys();
             self.inner.aspace.lock().fork(&mut phys)
         };
-        let child = Process {
-            inner: Arc::new(ProcessInner {
-                machine: self.inner.machine.clone(),
-                pid: self.inner.machine.alloc_pid(),
-                name: child_name.into(),
-                aspace: Mutex::new(child_aspace),
-                fds: Mutex::new(self.inner.fds.lock().fork_clone()),
-                ext: self.inner.ext.clone_shared(),
-            }),
-        };
+        let child = Process::new(ProcessInner {
+            machine: self.inner.machine.clone(),
+            pid: self.inner.machine.alloc_pid(),
+            name: child_name.into(),
+            aspace: Mutex::new(child_aspace),
+            fds: Mutex::new(self.inner.fds.lock().fork_clone()),
+            ext: self.inner.ext.clone_shared(),
+        });
         let child_handle = child.clone();
         let label = format!("{}#{}", child.inner.name, child.inner.pid);
         ctx.handle().spawn(label, move |cctx| {
@@ -288,11 +300,6 @@ impl Process {
         let r = fds.insert(FdEntry::PipeRead(Arc::clone(&pipe)));
         let w = fds.insert(FdEntry::PipeWrite(pipe));
         (r, w)
-    }
-
-    /// Look up a descriptor (used by the sockets layer's dispatch).
-    pub fn fd_entry(&self, fd: Fd) -> OsResult<FdEntry> {
-        self.inner.fds.lock().get(fd)
     }
 
     /// `read(2)`: up to `max` bytes; empty vec means EOF.

@@ -55,6 +55,18 @@ impl TcpStack {
             });
             device.set_rx(handler);
         }
+        // Teardown: cut the stack's cycles (device rx handler -> stack,
+        // table -> Tcb -> close hook -> stack, timer queue <-> Tcb).
+        {
+            let weak = Arc::downgrade(&stack);
+            sim.on_teardown(move || {
+                if let Some(stack) = weak.upgrade() {
+                    stack.device.set_rx(Arc::new(|_, _| {}));
+                    stack.conns.lock().clear();
+                    while stack.timer_q.try_pop().is_some() {}
+                }
+            });
+        }
         // Timer service thread.
         {
             let tstack = Arc::clone(&stack);

@@ -943,11 +943,6 @@ impl Tcb {
         }
         self.close(ctx);
     }
-
-    /// Whether the peer reset the connection.
-    pub fn is_reset(&self) -> bool {
-        self.reset.load(Ordering::Relaxed)
-    }
 }
 
 // Self-reference plumbing: the stack sets this right after creation so

@@ -11,6 +11,9 @@
 #   - tests/half_close.rs             teardown + disconnect-while-blocked
 #   - crates/via/tests/error_paths.rs every VipError via the public API
 #   - crates/bench/tests/determinism.rs  empty-plan no-op + sweep identity
+# the teardown gate (DESIGN.md §7):
+#   - tests/teardown.rs               dropping a Simulation frees every
+#     Machine, after clean, lossy and failed runs and without a run
 # and the trace gate (DESIGN.md §9):
 #   - crates/bench/tests/trace.rs     tracing is a virtual-time no-op,
 #     trace JSON byte-identical at --threads 1/2/8 and across runs, and
@@ -26,6 +29,7 @@ scripts/lint.sh
 cargo test -q
 cargo test --workspace -q
 cargo test -q --test proptest_faults --test half_close
+cargo test -q --test teardown
 cargo test -q -p via --test error_paths
 cargo test -q -p bench --test determinism
 cargo test -q -p bench --test trace
