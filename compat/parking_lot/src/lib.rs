@@ -1,181 +1,33 @@
-//! Offline drop-in subset of the `parking_lot` API, backed by `std::sync`.
+//! Offline stand-in for the one piece of `parking_lot` this workspace
+//! uses: a `Mutex` whose `lock()` returns the guard directly.
 //!
 //! The build container has no crates.io access, so the workspace pins this
 //! path crate instead of the real `parking_lot` (see `[workspace.dependencies]`
-//! in the root manifest). Only the surface the repo actually uses is
-//! provided: `Mutex` / `MutexGuard` with panic-tolerant `lock()`, and a
-//! `Condvar` whose `wait` takes `&mut MutexGuard` (parking_lot style).
-//! Poisoning is deliberately swallowed — parking_lot has no poisoning, and
-//! the simulator relies on being able to lock after a worker panicked.
+//! in the root manifest). Poisoning is deliberately swallowed — parking_lot
+//! has no poisoning, and the simulator relies on being able to lock after
+//! a process panicked.
 
-use std::fmt;
-use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
-use std::time::Duration;
+
+/// RAII guard returned by [`Mutex::lock`].
+pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
 
 /// A mutual-exclusion primitive (parking_lot-flavoured: no poisoning,
 /// guard-returning `lock()` with no `Result`).
-pub struct Mutex<T: ?Sized> {
-    inner: std::sync::Mutex<T>,
-}
-
-/// RAII guard returned by [`Mutex::lock`].
-pub struct MutexGuard<'a, T: ?Sized> {
-    // `Option` so `Condvar::wait` can temporarily take the std guard out
-    // (std's wait consumes and returns the guard; parking_lot's mutates).
-    inner: Option<std::sync::MutexGuard<'a, T>>,
-}
+#[derive(Debug, Default)]
+pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
 
 impl<T> Mutex<T> {
     /// Create a new mutex.
     pub const fn new(value: T) -> Mutex<T> {
-        Mutex {
-            inner: std::sync::Mutex::new(value),
-        }
-    }
-
-    /// Consume the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
+        Mutex(std::sync::Mutex::new(value))
     }
 }
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking the current (OS) thread.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard {
-            inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
-        }
-    }
-
-    /// Try to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                inner: Some(p.into_inner()),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: Default> Default for Mutex<T> {
-    fn default() -> Mutex<T> {
-        Mutex::new(T::default())
-    }
-}
-
-impl<T> From<T> for Mutex<T> {
-    fn from(value: T) -> Mutex<T> {
-        Mutex::new(value)
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("Mutex").field("data", &&*g).finish(),
-            None => f.write_str("Mutex { <locked> }"),
-        }
-    }
-}
-
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard taken during condvar wait")
-    }
-}
-
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard taken during condvar wait")
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
-impl<T: ?Sized + fmt::Display> fmt::Display for MutexGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(&**self, f)
-    }
-}
-
-/// Result of a timed condvar wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended by timeout rather than notification.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
-/// A condition variable whose `wait` mutates the guard in place.
-#[derive(Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Create a new condition variable.
-    pub const fn new() -> Condvar {
-        Condvar {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Atomically release the guard's lock and wait for a notification.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let g = guard.inner.take().expect("guard taken during condvar wait");
-        let g = self.inner.wait(g).unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(g);
-    }
-
-    /// Timed variant of [`Condvar::wait`].
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let g = guard.inner.take().expect("guard taken during condvar wait");
-        let (g, res) = self
-            .inner
-            .wait_timeout(g, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(g);
-        WaitTimeoutResult(res.timed_out())
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) -> bool {
-        self.inner.notify_one();
-        // std does not report whether anyone was woken; parking_lot's bool
-        // return is advisory only in this codebase.
-        true
-    }
-
-    /// Wake all waiters.
-    pub fn notify_all(&self) -> usize {
-        self.inner.notify_all();
-        0
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Condvar")
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -189,7 +41,6 @@ mod tests {
         let m = Mutex::new(5);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 6);
-        assert_eq!(m.into_inner(), 6);
     }
 
     #[test]
@@ -204,25 +55,5 @@ mod tests {
         // parking_lot semantics: no poisoning, lock still usable.
         *m.lock() = 7;
         assert_eq!(*m.lock(), 7);
-    }
-
-    #[test]
-    fn condvar_wait_notify() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*pair2;
-            let mut g = m.lock();
-            *g = true;
-            drop(g);
-            cv.notify_one();
-        });
-        let (m, cv) = &*pair;
-        let mut g = m.lock();
-        while !*g {
-            cv.wait(&mut g);
-        }
-        t.join().unwrap();
-        assert!(*g);
     }
 }

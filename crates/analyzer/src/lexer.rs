@@ -117,7 +117,7 @@ fn lex_raw(src: &str) -> Lexed {
                 while j < n && (b[j] == 'r' || b[j] == 'b') {
                     j += 1;
                 }
-                if j < n && b[j] == '#' || j < n && b[j] == '"' {
+                if j < n && (b[j] == '#' || b[j] == '"') {
                     let mut hashes = 0;
                     while j < n && b[j] == '#' {
                         hashes += 1;

@@ -49,18 +49,14 @@ impl Finding {
 /// line L covers findings on L (trailing comment) and L+1 (comment line
 /// above). Suppressions naming a rule without a justification become
 /// findings themselves: the audit trail is the point.
-pub fn apply_suppressions(
-    file: &str,
-    findings: &mut Vec<Finding>,
-    suppressions: &[Suppression],
-) {
+pub fn apply_suppressions(file: &str, findings: &mut [Finding], suppressions: &[Suppression]) {
     for f in findings.iter_mut() {
         if f.rule == "SUPPRESS" {
             continue;
         }
-        let hit = suppressions.iter().find(|s| {
-            (s.line == f.line || s.line + 1 == f.line) && s.rules.iter().any(|r| *r == f.rule)
-        });
+        let hit = suppressions
+            .iter()
+            .find(|s| (s.line == f.line || s.line + 1 == f.line) && s.rules.contains(&f.rule));
         if let Some(s) = hit {
             if s.justification.is_empty() {
                 f.message = format!(

@@ -128,7 +128,7 @@ fn check_imports(rel: &str, uses: &[UseEntry], findings: &mut Vec<Finding>) {
         for (rule, item, why) in BANNED_ITEMS {
             if path_eq(&u.path, item) || (u.glob && banned_under_glob(item, &u.path)) {
                 findings.push(Finding::new(
-                    *rule,
+                    rule,
                     rel,
                     u.line,
                     format!("import of `{}` in sim code: {}", item.join("::"), why),
@@ -140,7 +140,7 @@ fn check_imports(rel: &str, uses: &[UseEntry], findings: &mut Vec<Finding>) {
                 || (u.glob && banned_under_glob(prefix, &u.path))
             {
                 findings.push(Finding::new(
-                    *rule,
+                    rule,
                     rel,
                     u.line,
                     format!("import from `{}` in sim code: {}", prefix.join("::"), why),
@@ -177,7 +177,7 @@ fn check_inline_paths(
                     // `std::time::Instant::now`).
                     if path_starts_with(&resolved, item) {
                         findings.push(Finding::new(
-                            *rule,
+                            rule,
                             rel,
                             line,
                             format!("use of `{}` in sim code: {}", item.join("::"), why),
@@ -187,7 +187,7 @@ fn check_inline_paths(
                 for (rule, prefix, why) in BANNED_PREFIXES {
                     if path_starts_with(&resolved, prefix) {
                         findings.push(Finding::new(
-                            *rule,
+                            rule,
                             rel,
                             line,
                             format!("use of `{}` in sim code: {}", prefix.join("::"), why),
@@ -219,14 +219,9 @@ fn preceded_by_path_sep(tokens: &[Token], i: usize) -> bool {
 fn read_path(tokens: &[Token], mut i: usize) -> (Vec<String>, u32, usize) {
     let line = tokens[i].line;
     let mut segs = Vec::new();
-    loop {
-        match tokens.get(i).map(|t| &t.tok) {
-            Some(Tok::Ident(s)) => {
-                segs.push(s.clone());
-                i += 1;
-            }
-            _ => break,
-        }
+    while let Some(Tok::Ident(s)) = tokens.get(i).map(|t| &t.tok) {
+        segs.push(s.clone());
+        i += 1;
         if i + 1 < tokens.len() && tokens[i].is_punct(':') && tokens[i + 1].is_punct(':') {
             i += 2;
             // Skip turbofish / generic segments: `::<...>`.

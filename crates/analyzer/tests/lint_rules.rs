@@ -14,10 +14,6 @@ fn lint(class: CrateClass, src: &str) -> (Vec<Finding>, LockGraph) {
     (findings, graph)
 }
 
-fn rules_of(findings: &[Finding]) -> Vec<&str> {
-    findings.iter().map(|f| f.rule.as_str()).collect()
-}
-
 #[test]
 fn r1_fires_on_wall_clock() {
     let src = include_str!("fixtures/r1_wallclock.rs");

@@ -3,11 +3,10 @@
 //!
 //!   cargo run -p bench --release --bin ablations [-- --threads N] [--trace out.json]
 //!
-//! `--threads` (or `SOVIA_BENCH_THREADS`) caps concurrent simulations;
-//! the output is byte-identical at any thread count. `--trace` re-runs
-//! the 2 KB ablation workload (two-way vs REQ/ACK handshake latency and
-//! the COMBINE stream) with tracing enabled and writes a Chrome
-//! trace-event (Perfetto) JSON file.
+//! `--threads` caps concurrent simulations; the output is byte-identical
+//! at any thread count. `--trace` re-runs the 2 KB ablation workload
+//! (two-way vs REQ/ACK handshake latency and the COMBINE stream) with
+//! tracing enabled and writes a Chrome trace-event (Perfetto) JSON file.
 
 use bench::micro::Variant;
 use bench::{cli, figures, micro};

@@ -2,11 +2,10 @@
 //!
 //!   cargo run -p bench --release --bin fig6a [-- --threads N] [--trace out.json]
 //!
-//! `--threads` (or `SOVIA_BENCH_THREADS`) caps concurrent simulations;
-//! the output is byte-identical at any thread count. `--trace` re-runs
-//! every variant's 4-byte point with tracing enabled and writes a Chrome
-//! trace-event (Perfetto) JSON file — also byte-identical at any thread
-//! count.
+//! `--threads` caps concurrent simulations; the output is byte-identical
+//! at any thread count. `--trace` re-runs every variant's 4-byte point
+//! with tracing enabled and writes a Chrome trace-event (Perfetto) JSON
+//! file — also byte-identical at any thread count.
 
 use bench::{cli, figures, micro};
 use dsim::TraceConfig;

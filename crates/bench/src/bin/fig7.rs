@@ -2,10 +2,10 @@
 //!
 //!   cargo run -p bench --release --bin fig7 [-- --threads N] [--trace out.json]
 //!
-//! `--threads` (or `SOVIA_BENCH_THREADS`) caps concurrent simulations;
-//! the output is byte-identical at any thread count. `--trace` re-runs
-//! every platform's 128-byte point with tracing enabled and writes a
-//! Chrome trace-event (Perfetto) JSON file.
+//! `--threads` caps concurrent simulations; the output is byte-identical
+//! at any thread count. `--trace` re-runs every platform's 128-byte point
+//! with tracing enabled and writes a Chrome trace-event (Perfetto) JSON
+//! file.
 
 use bench::{cli, fig7, micro};
 use dsim::TraceConfig;

@@ -2,10 +2,10 @@
 //!
 //!   cargo run -p bench --release --bin table1 [-- --threads N] [--trace out.json]
 //!
-//! `--threads` (or `SOVIA_BENCH_THREADS`) caps concurrent simulations;
-//! the output is byte-identical at any thread count. `--trace` re-runs
-//! the three network platforms' File 1 transfer with tracing enabled and
-//! writes a Chrome trace-event (Perfetto) JSON file.
+//! `--threads` caps concurrent simulations; the output is byte-identical
+//! at any thread count. `--trace` re-runs the three network platforms'
+//! File 1 transfer with tracing enabled and writes a Chrome trace-event
+//! (Perfetto) JSON file.
 
 use bench::{cli, table1};
 use dsim::TraceConfig;

@@ -4,7 +4,7 @@
 //! `src/bin/` mains cannot drift apart:
 //!
 //! * `--threads N` (or `--threads=N`) — cap on concurrent simulations
-//!   (falls back to `SOVIA_BENCH_THREADS`, then host parallelism).
+//!   (falls back to host parallelism).
 //!   Output is byte-identical at any value (DESIGN.md §7).
 //! * `--seed N` — base RNG seed override, for binaries with randomized
 //!   fault plans (`fault_sweep`); others reject it via
@@ -69,8 +69,8 @@ impl BenchCli {
         })
     }
 
-    /// The resolved jobs-in-flight cap (`--threads`, else
-    /// `SOVIA_BENCH_THREADS`, else available parallelism).
+    /// The resolved jobs-in-flight cap (`--threads`, else available
+    /// parallelism).
     pub fn threads(&self) -> usize {
         runner::resolve_threads(self.threads)
     }

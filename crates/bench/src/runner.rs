@@ -14,8 +14,7 @@
 //! `Simulation` runs all of its processes as coroutines on the worker
 //! thread that runs it, so one job is one host thread.
 //!
-//! Cap resolution order: explicit `--threads N` on a bench binary >
-//! the `SOVIA_BENCH_THREADS` environment variable >
+//! The cap is `--threads N` on a bench binary, else
 //! `std::thread::available_parallelism()`. A cap of 1 degrades to the
 //! exact sequential path — no worker threads are spawned at all.
 //!
@@ -25,8 +24,7 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// Host parallelism as reported by the OS (1 when unknown).
 pub fn available_threads() -> usize {
@@ -35,31 +33,17 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// The default jobs-in-flight cap: `SOVIA_BENCH_THREADS` when set to a
-/// positive integer, otherwise [`available_threads`].
-pub fn default_threads() -> usize {
-    match std::env::var("SOVIA_BENCH_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!(
-                    "warning: ignoring SOVIA_BENCH_THREADS={v:?} (want a positive integer)"
-                );
-                available_threads()
-            }
-        },
-        Err(_) => available_threads(),
-    }
-}
-
 /// Resolve the cap from an optional explicit CLI value (`--threads N`),
-/// falling back to [`default_threads`].
+/// falling back to [`available_threads`].
 pub fn resolve_threads(cli: Option<usize>) -> usize {
     match cli {
         Some(n) if n >= 1 => n,
-        _ => default_threads(),
+        _ => available_threads(),
     }
 }
+
+/// Jobs run outside every lock, so a panicking job poisons none.
+const UNPOISONED: &str = "runner: lock poisoned outside a job";
 
 /// Run `f` over every job on at most `threads` concurrent workers,
 /// collecting results **in input order**.
@@ -101,10 +85,10 @@ where
                         break;
                     }
                     match panic::catch_unwind(AssertUnwindSafe(|| f(i, &jobs[i]))) {
-                        Ok(r) => *slots[i].lock() = Some(r),
+                        Ok(r) => *slots[i].lock().expect(UNPOISONED) = Some(r),
                         Err(payload) => {
                             abort.store(true, Ordering::Relaxed);
-                            let mut g = first_panic.lock();
+                            let mut g = first_panic.lock().expect(UNPOISONED);
                             if g.is_none() {
                                 *g = Some(payload);
                             }
@@ -115,11 +99,15 @@ where
                 .expect("runner: failed to spawn worker thread");
         }
     });
-    if let Some(payload) = first_panic.into_inner() {
+    if let Some(payload) = first_panic.into_inner().expect(UNPOISONED) {
         panic::resume_unwind(payload);
     }
     slots
         .into_iter()
-        .map(|s| s.into_inner().expect("runner: job produced no result"))
+        .map(|s| {
+            s.into_inner()
+                .expect(UNPOISONED)
+                .expect("runner: job produced no result")
+        })
         .collect()
 }

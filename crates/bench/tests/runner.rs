@@ -82,15 +82,15 @@ fn propagates_job_panic_without_hanging() {
 #[test]
 fn threads_one_takes_sequential_path() {
     let caller = std::thread::current().id();
-    let order = parking_lot::Mutex::new(Vec::new());
+    let order = std::sync::Mutex::new(Vec::new());
     let jobs: Vec<usize> = (0..8).collect();
     let results = runner::par_map(&jobs, 1, |i, &j| {
         assert_eq!(std::thread::current().id(), caller, "job left the caller thread");
-        order.lock().push(i);
+        order.lock().unwrap().push(i);
         j + 100
     });
     assert_eq!(results, (100..108).collect::<Vec<_>>());
-    assert_eq!(order.into_inner(), (0..8).collect::<Vec<_>>());
+    assert_eq!(order.into_inner().unwrap(), (0..8).collect::<Vec<_>>());
 }
 
 /// A single job never pays for a pool either, whatever the cap.

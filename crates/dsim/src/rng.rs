@@ -3,8 +3,8 @@
 //! Everything in a simulation must be reproducible from a single seed, so
 //! we never touch OS entropy. `SimRng` is xoshiro256++ (Blackman & Vigna)
 //! with its state expanded from a 64-bit seed by SplitMix64, plus the
-//! small helpers the workload generators need. The property-test shim
-//! (`compat/proptest`) draws its cases from the same generator.
+//! small helpers the workload generators need. The property tests
+//! (`tests/proptest_*.rs`) draw their cases from the same generator.
 
 /// A seeded deterministic RNG.
 pub struct SimRng {

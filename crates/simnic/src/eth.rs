@@ -206,7 +206,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds MTU")]
     fn oversized_frame_panics() {
-        let mut sim = Simulation::new();
+        let sim = Simulation::new();
         let h = sim.handle();
         let costs = EthNicCosts {
             tx_frame: SimDuration::ZERO,

@@ -435,8 +435,8 @@ mod tests {
         let a = decide();
         let b = decide();
         assert_eq!(a, b, "same (seed, plan) must give the same schedule");
-        assert!(a.iter().any(|d| *d == Some(FaultAction::Drop)));
-        assert!(a.iter().any(|d| *d == Some(FaultAction::Duplicate)));
+        assert!(a.contains(&Some(FaultAction::Drop)));
+        assert!(a.contains(&Some(FaultAction::Duplicate)));
         assert!(a.iter().any(|d| d.is_none()));
     }
 

@@ -91,7 +91,7 @@ mod tests {
 
     #[test]
     fn same_instance_per_machine() {
-        let mut sim = Simulation::new();
+        let sim = Simulation::new();
         let m = Machine::new(&sim.handle(), HostId(0), "m", HostCosts::free());
         let a = KernelCpu::of(&m);
         let b = KernelCpu::of(&m);

@@ -2,7 +2,8 @@
 # Static-analysis gate (DESIGN.md §10): sovia-lint enforces the
 # determinism & virtual-time discipline (wall-clock, OS threads, hash
 # iteration, host randomness, unwrap-on-error-path, lock ordering), then
-# clippy runs with -D warnings over every target.
+# clippy runs with -D warnings over every target of every workspace
+# crate.
 #
 #   scripts/lint.sh           # human-readable diagnostics
 #   scripts/lint.sh --json    # machine-readable sovia-lint output
@@ -27,7 +28,7 @@ fi
 # Clippy is part of the same gate, but only where the toolchain ships it
 # (the offline container does; a bare rustup profile may not).
 if cargo clippy --version >/dev/null 2>&1; then
-    cargo clippy --all-targets --release -q -- -D warnings
+    cargo clippy --workspace --all-targets --release -q -- -D warnings
     [ "$JSON" = 1 ] || echo "clippy OK (-D warnings)"
 else
     echo "clippy not installed; skipping (sovia-lint gate still applies)" >&2

@@ -11,6 +11,9 @@
 #   - tests/half_close.rs             teardown + disconnect-while-blocked
 #   - crates/via/tests/error_paths.rs every VipError via the public API
 #   - crates/bench/tests/determinism.rs  empty-plan no-op + sweep identity
+# the property suites (seeded cases from dsim::rng, tests/common/mod.rs):
+#   - tests/proptest_stream.rs        byte streams survive any config
+#   - tests/proptest_substrate.rs     COW/pin invariants, wire codecs
 # the teardown gate (DESIGN.md §7):
 #   - tests/teardown.rs               dropping a Simulation frees every
 #     Machine, after clean, lossy and failed runs and without a run
@@ -28,7 +31,7 @@ cargo build --release
 scripts/lint.sh
 cargo test -q
 cargo test --workspace -q
-cargo test -q --test proptest_faults --test half_close
+cargo test -q --test proptest_faults --test proptest_stream --test proptest_substrate --test half_close
 cargo test -q --test teardown
 cargo test -q -p via --test error_paths
 cargo test -q -p bench --test determinism

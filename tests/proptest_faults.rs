@@ -8,23 +8,27 @@
 //! Hangs are bounded deterministically: the scheduler detects deadlock
 //! (every non-daemon parked, heap empty), and a virtual-time watchdog
 //! turns "still running at t = 600 s" into a test failure. Both surface
-//! as `sim.run()` errors, which the property rejects.
+//! as `sim.run()` errors, which fail the case.
 //!
-//! To replay a failing case, take the `seed`/probabilities from the
-//! proptest minimal-failure output and call `run_lossy_stream` with them
-//! directly (the simulation is bit-reproducible for a given plan).
+//! To replay a failing case, take the seed and probabilities from the
+//! printed inputs and call `run_lossy_stream` with them directly (the
+//! simulation is bit-reproducible for a given plan).
+
+mod common;
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
+use dsim::rng::SimRng;
 use dsim::{SimDuration, Simulation};
 use parking_lot::Mutex;
-use proptest::prelude::*;
 use simnic::FaultPlan;
 use simos::HostId;
 use sovia_repro::sockets::{api, SockAddr, SockError, SockType};
 use sovia_repro::sovia::SoviaConfig;
 use sovia_repro::testbed;
+
+use common::{check, range};
 
 const PORT: u16 = 4040;
 const PATTERN_SEED: u64 = 1;
@@ -43,12 +47,13 @@ struct Outcome {
 
 /// Drive one `total`-byte client->server stream over `stype` with fault
 /// plans installed on both directions, to completion or typed failure.
+/// Panics if the simulation itself fails (deadlock or watchdog).
 fn run_lossy_stream(
     stype: SockType,
     plan_to_m0: FaultPlan,
     plan_to_m1: FaultPlan,
     total: usize,
-) -> Result<Outcome, String> {
+) -> Outcome {
     let mut sim = Simulation::new();
     let got = Arc::new(Mutex::new(Vec::new()));
     let server_err = Arc::new(Mutex::new(None));
@@ -136,48 +141,49 @@ fn run_lossy_stream(
             assert!(n == 2, "lossy stream hung: {n}/2 sides finished by t={WATCHDOG:?}");
         });
     }
-    sim.run().map_err(|e| format!("simulation failed: {e}"))?;
+    if let Err(e) = sim.run() {
+        panic!("simulation failed: {e}");
+    }
 
     let got = std::mem::take(&mut *got.lock());
     let server_err = *server_err.lock();
     let client_err = *client_err.lock();
-    Ok(Outcome {
+    Outcome {
         got,
         server_err,
         client_err,
-    })
+    }
 }
 
 /// The shared postcondition: exact in-order delivery, or a typed error.
-fn check_outcome(out: &Outcome, total: usize) -> Result<(), TestCaseError> {
+fn check_outcome(out: &Outcome, total: usize) {
     // Whatever arrived must be an exact in-order prefix of what was sent:
     // no corruption, no reordering, no duplication reaching the app.
-    prop_assert!(
+    assert!(
         out.got.len() <= total,
         "over-delivery: got {} of {} bytes",
         out.got.len(),
         total
     );
     if let Some(bad) = dsim::rng::check_pattern(PATTERN_SEED, 0, &out.got) {
-        return Err(TestCaseError::Fail(format!(
+        panic!(
             "corrupted stream at offset {bad} ({} bytes delivered)",
             out.got.len()
-        )));
+        );
     }
     // Short delivery without a typed error anywhere is silent truncation.
     if out.got.len() < total {
-        prop_assert!(
+        assert!(
             out.server_err.is_some() || out.client_err.is_some(),
             "silent truncation: {} of {} bytes, no error on either side",
             out.got.len(),
             total
         );
     }
-    Ok(())
 }
 
 /// Build both directions' plans from one seed and permille probabilities
-/// (the compat proptest shim samples integers, not floats).
+/// (integers, so a printed case replays exactly).
 fn plans(
     seed: u64,
     drop_pm: u32,
@@ -197,43 +203,54 @@ fn plans(
     (mk(seed), mk(seed ^ 0x9E37_79B9_7F4A_7C15))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+/// Cases per property; each case is a whole simulation.
+const CASES: u32 = 24;
 
-    /// TCP recovers from loss/duplication/reordering by retransmission:
-    /// the stream either arrives exactly, or dies with a typed error
-    /// (e.g. the retry cap resetting the connection) — never silently
-    /// wrong, never hung.
-    #[test]
-    fn tcp_stream_exact_or_typed_error(
-        seed in any::<u64>(),
-        drop_pm in 0u32..200,
-        dup_pm in 0u32..100,
-        reorder_pm in 0u32..100,
-        total in 4_096usize..32_768,
-    ) {
-        let (to_m0, to_m1) = plans(seed, drop_pm, dup_pm, reorder_pm, SimDuration::from_micros(200));
-        let out = run_lossy_stream(SockType::Stream, to_m0, to_m1, total)
-            .map_err(TestCaseError::Fail)?;
-        check_outcome(&out, total)?;
-    }
+/// Plan seed, drop/duplicate/reorder permille, and stream length.
+fn lossy_case(rng: &mut SimRng) -> Option<(u64, u32, u32, u32, usize)> {
+    let seed = rng.next_u64();
+    let drop_pm = range(rng, 0..200) as u32;
+    let dup_pm = range(rng, 0..100) as u32;
+    let reorder_pm = range(rng, 0..100) as u32;
+    let total = range(rng, 4_096..32_768);
+    Some((seed, drop_pm, dup_pm, reorder_pm, total))
+}
 
-    /// SOVIA runs over reliable-delivery VIs: any wire fault the NIC
-    /// cannot absorb (drops, reordering; duplicates are discarded by
-    /// sequence check) breaks the connection, and that break must surface
-    /// as a typed error on at least one side — never as a hang or a
-    /// silently short/corrupt stream.
-    #[test]
-    fn sovia_stream_exact_or_typed_error(
-        seed in any::<u64>(),
-        drop_pm in 0u32..200,
-        dup_pm in 0u32..100,
-        reorder_pm in 0u32..100,
-        total in 4_096usize..32_768,
-    ) {
-        let (to_m0, to_m1) = plans(seed, drop_pm, dup_pm, reorder_pm, SimDuration::from_micros(50));
-        let out = run_lossy_stream(SockType::Via, to_m0, to_m1, total)
-            .map_err(TestCaseError::Fail)?;
-        check_outcome(&out, total)?;
-    }
+/// TCP recovers from loss/duplication/reordering by retransmission:
+/// the stream either arrives exactly, or dies with a typed error
+/// (e.g. the retry cap resetting the connection) — never silently
+/// wrong, never hung.
+#[test]
+fn tcp_stream_exact_or_typed_error() {
+    check(
+        "proptest_faults::tcp_stream_exact_or_typed_error",
+        CASES,
+        lossy_case,
+        |(seed, drop_pm, dup_pm, reorder_pm, total)| {
+            let hold = SimDuration::from_micros(200);
+            let (to_m0, to_m1) = plans(seed, drop_pm, dup_pm, reorder_pm, hold);
+            let out = run_lossy_stream(SockType::Stream, to_m0, to_m1, total);
+            check_outcome(&out, total);
+        },
+    );
+}
+
+/// SOVIA runs over reliable-delivery VIs: any wire fault the NIC
+/// cannot absorb (drops, reordering; duplicates are discarded by
+/// sequence check) breaks the connection, and that break must surface
+/// as a typed error on at least one side — never as a hang or a
+/// silently short/corrupt stream.
+#[test]
+fn sovia_stream_exact_or_typed_error() {
+    check(
+        "proptest_faults::sovia_stream_exact_or_typed_error",
+        CASES,
+        lossy_case,
+        |(seed, drop_pm, dup_pm, reorder_pm, total)| {
+            let hold = SimDuration::from_micros(50);
+            let (to_m0, to_m1) = plans(seed, drop_pm, dup_pm, reorder_pm, hold);
+            let out = run_lossy_stream(SockType::Via, to_m0, to_m1, total);
+            check_outcome(&out, total);
+        },
+    );
 }
