@@ -16,11 +16,16 @@
 //! short of the guard page becomes a typed [`Resumed::Overflowed`] rather
 //! than silent memory corruption.
 //!
-//! Stacks are released with [`Stack::unmap`], never from a `Drop` impl:
-//! the scheduler's teardown unmaps every stack itself.
+//! A coroutine that finishes (returns, panics or is unwound by teardown)
+//! leaves its stack, pages still committed, in a cache of its OS thread,
+//! where the next coroutine, of this simulation or a later one, takes it
+//! before mapping a fresh one. The cache holds at most [`CACHE_CAP`]
+//! stacks (8 KiB committed for a short process; 2 MiB at most) until the
+//! thread exits. An overflowed stack is unmapped, never cached; a
+//! coroutine dropped unfinished leaks its stack, live frames and all.
 
 use std::any::Any;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::ffi::c_void;
 use std::io;
 use std::panic::{self, AssertUnwindSafe};
@@ -40,6 +45,10 @@ compile_error!(
 /// Usable bytes per coroutine stack: the default Rust thread stack size,
 /// which the protocol code's stack depth is known to fit.
 pub(crate) const STACK_SIZE: usize = 2 << 20;
+/// Stacks cached per OS thread: a perfbench simulation runs about a dozen
+/// processes, and a run of thousands should not leave thousands of
+/// committed stacks behind.
+const CACHE_CAP: usize = 64;
 /// The x86_64 base page size: the guard page below each stack.
 const PAGE: usize = 4096;
 /// Written to the lowest usable word of every stack.
@@ -65,16 +74,54 @@ extern "C" {
 }
 
 /// One coroutine stack: a guard page followed by [`STACK_SIZE`] usable
-/// bytes, growing down from [`Stack::top`].
-pub(crate) struct Stack {
+/// bytes, growing down from [`Stack::top`]. Dropping it leaks the mapping;
+/// [`Stack::unmap`] or [`recycle`] release it.
+struct Stack {
     /// Start of the mapping (the guard page).
     base: *mut u8,
+}
+
+/// This thread's cached stacks, most recently finished last.
+struct StackCache(Vec<Stack>);
+
+impl Drop for StackCache {
+    fn drop(&mut self) {
+        for stack in self.0.drain(..) {
+            stack.unmap();
+        }
+    }
+}
+
+thread_local! {
+    static CACHE: RefCell<StackCache> = const { RefCell::new(StackCache(Vec::new())) };
+}
+
+#[cfg(test)]
+thread_local! {
+    static FRESH_MAPS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Test hook: stacks this thread has mapped so far (cache misses).
+#[cfg(test)]
+pub(crate) fn fresh_maps() -> u64 {
+    FRESH_MAPS.with(Cell::get)
+}
+
+/// Cache a finished coroutine's stack (intact canary, no live frames), or
+/// unmap it if the cache is full or the thread is exiting.
+fn recycle(stack: Stack) {
+    match CACHE.try_with(|cache| cache.borrow().0.len() < CACHE_CAP) {
+        Ok(true) => CACHE.with(|cache| cache.borrow_mut().0.push(stack)),
+        _ => stack.unmap(),
+    }
 }
 
 impl Stack {
     /// Map a fresh stack. Only the guard page's protection and the canary
     /// word are touched; everything else is committed on first use.
-    pub(crate) fn new() -> io::Result<Stack> {
+    fn new() -> io::Result<Stack> {
+        #[cfg(test)]
+        FRESH_MAPS.with(|n| n.set(n.get() + 1));
         let len = PAGE + STACK_SIZE;
         let flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK;
         // SAFETY: an anonymous private mapping at a kernel-chosen address
@@ -116,7 +163,7 @@ impl Stack {
     /// Return the stack to the kernel. No frame may still be running on
     /// it; abandoned frames of a dead coroutine are fine (nothing outside
     /// a coroutine can hold a borrow into its stack).
-    pub(crate) fn unmap(self) {
+    fn unmap(self) {
         // SAFETY: `base` is the start of a `PAGE + STACK_SIZE` mapping owned
         // by this value, which is consumed here.
         unsafe { munmap(self.base.cast(), PAGE + STACK_SIZE) };
@@ -131,8 +178,8 @@ pub(crate) enum Resumed {
     /// The body called [`suspend`]; resume the coroutine again later.
     Suspended(Coroutine),
     /// The body returned (`Ok`) or panicked (`Err` with the payload). Its
-    /// stack is free for another coroutine.
-    Finished(Outcome, Stack),
+    /// stack went back to this thread's cache (see [`recycle`]).
+    Finished(Outcome),
     /// The stack canary was overwritten: the body overflowed its stack. It
     /// can never run again; its stack has been unmapped.
     Overflowed,
@@ -163,9 +210,14 @@ thread_local! {
 }
 
 impl Coroutine {
-    /// Prepare `body` to run on `stack`; nothing runs until the first
-    /// [`Coroutine::resume`].
-    pub(crate) fn new(stack: Stack, body: Box<dyn FnOnce()>) -> Coroutine {
+    /// Prepare `body` to run on this thread's last cached stack, else a
+    /// fresh one; nothing runs until the first [`Coroutine::resume`], which
+    /// checks the canary like every resume.
+    pub(crate) fn new(body: Box<dyn FnOnce()>) -> io::Result<Coroutine> {
+        let stack = match CACHE.try_with(|cache| cache.borrow_mut().0.pop()) {
+            Ok(Some(stack)) => stack,
+            _ => Stack::new()?,
+        };
         let top = stack.top();
         let mut inner = Box::new(Inner {
             sp: 0,
@@ -196,7 +248,7 @@ impl Coroutine {
         // region, which nothing else uses yet; `sp` is 8-byte aligned.
         unsafe { ptr::copy_nonoverlapping(frame.as_ptr(), sp as *mut usize, frame.len()) };
         inner.sp = sp;
-        Coroutine { inner }
+        Ok(Coroutine { inner })
     }
 
     /// Run the coroutine until it suspends or finishes; the [`suspend`]
@@ -223,7 +275,10 @@ impl Coroutine {
             }
             match (*p).outcome.take() {
                 None => Resumed::Suspended(self),
-                Some(outcome) => Resumed::Finished(outcome, self.inner.stack),
+                Some(outcome) => {
+                    recycle(self.inner.stack);
+                    Resumed::Finished(outcome)
+                }
             }
         }
     }

@@ -15,8 +15,9 @@
 //! The sequence number breaks ties in schedule order, so same-instant
 //! events fire in a deterministic FIFO order.
 //!
-//! A process gets its stack at its first dispatch, and a finished process's
-//! stack is reused by the next one to start; teardown unmaps them all.
+//! A process gets its stack at its first dispatch, from [`crate::coro`],
+//! which also takes it back when the process finishes: the scheduler
+//! itself keeps no stacks.
 //!
 //! # Wake-up protocol
 //!
@@ -36,7 +37,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::coro::{self, Coroutine, Resumed, Stack};
+use crate::coro::{self, Coroutine, Resumed};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{
     TraceConfig, TraceData, TraceEvent, TraceKind, TraceLayer, TraceShared, TraceTag, Tracer,
@@ -612,11 +613,12 @@ impl SimCtx {
 /// A whole simulation: owns the event queue, clock, and processes.
 ///
 /// Teardown frees the simulated world in a fixed order. The end of `run`,
-/// whatever its result, unwinds every parked process with `Shutdown`,
-/// drops the bodies of processes that never started and unmaps every
-/// stack. Dropping the `Simulation` then drops the events still queued
-/// and any unstarted bodies (a simulation that never ran), outside the
-/// scheduler lock, and last runs the hooks registered with
+/// whatever its result, unwinds every parked process with `Shutdown`
+/// (its stack goes back to the thread's cache, see [`crate::coro`]) and
+/// drops the bodies of processes that never started. Dropping the
+/// `Simulation` then drops the events still queued and any unstarted
+/// bodies (a simulation that never ran), outside the scheduler lock, and
+/// last runs the hooks registered with
 /// [`SimHandle::on_teardown`], in registration order. Upper layers use
 /// the hooks to cut the reference cycles that tie a host model to itself.
 pub struct Simulation {
@@ -737,7 +739,7 @@ impl Simulation {
         core.state.lock().max_events = max_events;
         let mut procs = Coroutines::default();
         // A panicking `Call` callback still gets the processes torn down
-        // (and their stacks unmapped) before the panic propagates.
+        // before the panic propagates.
         let result = panic::catch_unwind(AssertUnwindSafe(|| procs.dispatch(&core)));
         procs.teardown(&core);
         result.unwrap_or_else(|payload| panic::resume_unwind(payload))
@@ -771,11 +773,10 @@ enum Step {
 }
 
 /// The dispatch loop's side of the processes: the coroutines of parked
-/// processes, by pid, and the stacks of finished ones, ready for reuse.
+/// processes, by pid.
 #[derive(Default)]
 struct Coroutines {
     parked: Vec<Option<Coroutine>>,
-    free: Vec<Stack>,
 }
 
 impl Coroutines {
@@ -880,21 +881,20 @@ impl Coroutines {
         core.running.store(pid.0, Ordering::Relaxed);
         let co = match body {
             Some(body) => {
-                let stack = match self.free.pop().map_or_else(Stack::new, Ok) {
-                    Ok(stack) => stack,
-                    Err(e) => {
-                        let msg = format!("cannot map a process stack: {e}");
-                        finish(core, pid, Err(Box::new(msg)));
-                        return false;
-                    }
-                };
                 let ctx = SimCtx {
                     handle: SimHandle {
                         core: Arc::clone(core),
                     },
                     pid,
                 };
-                Coroutine::new(stack, Box::new(move || body(&ctx)))
+                match Coroutine::new(Box::new(move || body(&ctx))) {
+                    Ok(co) => co,
+                    Err(e) => {
+                        let msg = format!("cannot map a process stack: {e}");
+                        finish(core, pid, Err(Box::new(msg)));
+                        return false;
+                    }
+                }
             }
             None => self.parked[i]
                 .take()
@@ -908,8 +908,7 @@ impl Coroutines {
                 self.parked[i] = Some(co);
                 true
             }
-            Resumed::Finished(outcome, stack) => {
-                self.free.push(stack);
+            Resumed::Finished(outcome) => {
                 finish(core, pid, outcome);
                 false
             }
@@ -924,9 +923,8 @@ impl Coroutines {
         }
     }
 
-    /// Unwind every parked process with `Shutdown`, drop the bodies of
-    /// processes that never started (they are never entered), and unmap
-    /// every stack.
+    /// Unwind every parked process with `Shutdown`, and drop the bodies of
+    /// processes that never started (they are never entered).
     fn teardown(&mut self, core: &Arc<SimCore>) {
         core.state.lock().shutting_down = true;
         // Processes below `next` are Done: tear down in pid order.
@@ -955,9 +953,6 @@ impl Coroutines {
                     self.run(core, pid, WakeReason::Shutdown, None);
                 }
             }
-        }
-        for stack in self.free.drain(..) {
-            stack.unmap();
         }
     }
 }
@@ -1020,6 +1015,47 @@ mod tests {
         }
         // The parked sibling was unwound, not run to completion.
         assert_eq!(sibling_done.load(Ordering::Relaxed), 0);
+        // The clobbered stack was unmapped, not cached: the next
+        // simulation on this thread, which needs five stacks at once,
+        // reuses only the sibling's and sees no false overflow.
+        let (end, _, fresh) = run_program();
+        assert_eq!(end.as_nanos(), 12_000);
+        assert_eq!(fresh, 4);
+    }
+
+    /// A small simulation (five processes, all live at once, one of them a
+    /// daemon that parks forever): its end time, counters and the stacks
+    /// it mapped on this thread.
+    fn run_program() -> (SimTime, SchedStats, u64) {
+        let fresh = coro::fresh_maps();
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        sim.spawn_daemon("idle", |ctx| {
+            let _ = ctx.park();
+        });
+        sim.spawn("parent", move |ctx| {
+            for i in 1..=3 {
+                h.spawn(format!("child{i}"), move |ctx| {
+                    ctx.sleep(SimDuration::from_micros(i * 4));
+                });
+            }
+            ctx.sleep(SimDuration::from_micros(2));
+        });
+        let end = sim.run().expect("the program finishes");
+        (end, sim.sched_stats(), coro::fresh_maps() - fresh)
+    }
+
+    #[test]
+    fn back_to_back_simulations_reuse_their_stacks() {
+        let first = std::thread::spawn(run_program).join().expect("fresh thread");
+        let (end, stats, fresh) = first;
+        assert_eq!(end.as_nanos(), 12_000);
+        assert_eq!(fresh, 5, "one stack per process on a fresh thread");
+        let (first, second) = std::thread::spawn(|| (run_program(), run_program()))
+            .join()
+            .expect("fresh thread");
+        assert_eq!(first, (end, stats, fresh));
+        assert_eq!(second, (end, stats, 0), "the second run mapped a stack");
     }
 
     #[test]

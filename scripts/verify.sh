@@ -17,6 +17,12 @@
 # the teardown gate (DESIGN.md §7):
 #   - tests/teardown.rs               dropping a Simulation frees every
 #     Machine, after clean, lossy and failed runs and without a run
+# the scheduler suites (DESIGN.md §7):
+#   - crates/dsim/tests/sched_edges.rs   event order and counts match the
+#     values recorded from the OS-thread scheduler
+#   - crates/dsim/tests/many_procs.rs    10,000 lazily committed stacks;
+#     the per-thread stack cache stays within its cap and dies with its
+#     thread
 # and the trace gate (DESIGN.md §9):
 #   - crates/bench/tests/trace.rs     tracing is a virtual-time no-op,
 #     trace JSON byte-identical at --threads 1/2/8 and across runs, and
@@ -33,6 +39,7 @@ cargo test -q
 cargo test --workspace -q
 cargo test -q --test proptest_faults --test proptest_stream --test proptest_substrate --test half_close
 cargo test -q --test teardown
+cargo test -q -p dsim --test many_procs --test sched_edges
 cargo test -q -p via --test error_paths
 cargo test -q -p bench --test determinism
 cargo test -q -p bench --test trace
