@@ -745,6 +745,7 @@ impl SovConn {
                         epoch,
                         timer,
                     });
+                    lib.combining.lock().insert(self.vi_id());
                 } else {
                     drop(c);
                     self.send_pool.release(slot);
@@ -796,34 +797,29 @@ impl SovConn {
 
     /// Flush the combine buffer if present (conditions (1)–(4)).
     pub fn flush_combine(&self, ctx: &SimCtx, lib: &SoviaLib) -> SockResult<()> {
-        let taken = self.combine.lock().take();
-        if let Some(st) = taken {
-            st.timer.cancel();
-            if st.filled == 0 {
-                self.send_pool.release(st.slot);
-            } else {
-                self.post_data_slot(ctx, lib, st.slot, st.filled)?;
-            }
-        }
-        Ok(())
+        self.flush_if_epoch(ctx, lib, None)
     }
 
-    /// Timer-thread path: flush only if the armed epoch is still current.
-    pub(crate) fn flush_if_epoch(&self, ctx: &SimCtx, lib: &SoviaLib, epoch: u64) {
-        let taken = {
-            let mut c = self.combine.lock();
-            match &*c {
-                Some(st) if st.epoch == epoch => c.take(),
-                _ => None,
-            }
+    /// Like [`SovConn::flush_combine`], but with `Some(epoch)` (the timer
+    /// thread's path) only if that armed epoch is still current. Taking
+    /// the buffer drops this connection from the library's dirty list.
+    pub(crate) fn flush_if_epoch(
+        &self,
+        ctx: &SimCtx,
+        lib: &SoviaLib,
+        epoch: Option<u64>,
+    ) -> SockResult<()> {
+        let armed = |st: &mut Combine| epoch.unwrap_or(st.epoch) == st.epoch;
+        let Some(st) = self.combine.lock().take_if(armed) else {
+            return Ok(());
         };
-        if let Some(st) = taken {
-            if st.filled == 0 {
-                self.send_pool.release(st.slot);
-            } else {
-                let _ = self.post_data_slot(ctx, lib, st.slot, st.filled);
-            }
+        lib.combining.lock().remove(&self.vi_id());
+        st.timer.cancel();
+        if st.filled == 0 {
+            self.send_pool.release(st.slot);
+            return Ok(());
         }
+        self.post_data_slot(ctx, lib, st.slot, st.filled)
     }
 
     /// `recv()`: drain buffered stream data, re-posting descriptors as they
@@ -904,7 +900,7 @@ impl SovConn {
         if self.fin_sent.swap(true, Ordering::Relaxed) {
             return Ok(()); // already half- or fully closed
         }
-        let _ = self.flush_combine_closing(ctx, lib);
+        let _ = self.flush_combine(ctx, lib);
         let piggy = self.take_dacks();
         let _ = self.post_control(ctx, lib, PacketType::Fin, piggy, &[]);
         self.maybe_finalize(ctx, lib);
@@ -919,17 +915,12 @@ impl SovConn {
             return Ok(());
         }
         if !self.fin_sent.swap(true, Ordering::Relaxed) {
-            let _ = self.flush_combine_closing(ctx, lib);
+            let _ = self.flush_combine(ctx, lib);
             let piggy = self.take_dacks();
             let _ = self.post_control(ctx, lib, PacketType::Fin, piggy, &[]);
         }
         self.maybe_finalize(ctx, lib);
         Ok(())
-    }
-
-    /// flush_combine, but tolerant of a broken connection during close.
-    fn flush_combine_closing(&self, ctx: &SimCtx, lib: &SoviaLib) -> SockResult<()> {
-        self.flush_combine(ctx, lib)
     }
 
     // ----- ingress: processing one receive completion ---------------------

@@ -1,7 +1,8 @@
 //! The per-process SOVIA library instance.
 //!
-//! Owns the shared completion queue, the VI→connection table, and the
-//! service machinery for both receive modes:
+//! Owns the shared completion queue, the VI→connection table, the dirty
+//! list of connections that hold a combine buffer, and the service
+//! machinery for both receive modes:
 //!
 //! * **single-threaded** (SOVIA's design): the application thread itself
 //!   services completions inside `send()`/`recv()`/`accept()`, polling the
@@ -11,7 +12,8 @@
 //!   comparison): a dedicated thread blocks on the CQ and signals the
 //!   application, paying `thread_wake` on every message.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 use std::sync::Arc;
 
 use dsim::sync::{SimCondvar, SimQueue};
@@ -33,6 +35,9 @@ pub struct SoviaLib {
     sim: SimHandle,
     cq: Arc<CompletionQueue>,
     conns: Mutex<BTreeMap<u32, Arc<SovConn>>>,
+    /// The dirty list: VI ids of the connections that hold a combine
+    /// buffer (`SovConn` adds an id on install and removes it on take).
+    pub(crate) combining: Mutex<BTreeSet<u32>>,
     /// Notified whenever anything that could unblock a waiter happened:
     /// a CQ push (single mode), a processed packet, an accept-queue push.
     progress_cv: SimCondvar,
@@ -69,6 +74,7 @@ impl SoviaLib {
                 sim: sim.clone(),
                 cq: Arc::clone(&cq),
                 conns: Mutex::new(BTreeMap::new()),
+                combining: Mutex::new(BTreeSet::new()),
                 progress_cv: SimCondvar::new(&sim),
                 active_sockets: Mutex::new(0),
                 open_conns: Mutex::new(0),
@@ -172,6 +178,12 @@ impl SoviaLib {
 
     pub(crate) fn remove_conn(&self, vi_id: u32) {
         self.conns.lock().remove(&vi_id);
+        self.combining.lock().remove(&vi_id);
+    }
+
+    /// Whether connection `vi_id` is on the dirty list (diagnostics).
+    pub fn holds_combine(&self, vi_id: u32) -> bool {
+        self.combining.lock().contains(&vi_id)
     }
 
     pub(crate) fn conn_finalized(&self) {
@@ -200,25 +212,28 @@ impl SoviaLib {
 
     // ----- servicing -------------------------------------------------------
 
-    /// Flush every connection's pending combine buffer. The paper's flush
-    /// condition (4) — "when the application calls recv() or close()" —
-    /// applies to the application (re)entering the single-threaded
-    /// library, not just the one socket: combined data must not linger
-    /// while the application blocks on another descriptor.
-    pub fn flush_all_combines(&self, ctx: &SimCtx) {
-        self.flush_combines_except(ctx, None);
+    /// Flush every pending combine buffer but `except_vi`'s (a `send()`
+    /// on that connection is mid-combine). The paper's flush condition
+    /// (4) — "when the application calls recv() or close()" — applies to
+    /// the application (re)entering the single-threaded library, not just
+    /// the one socket: combined data must not linger while the
+    /// application blocks on another descriptor. Walks the dirty list
+    /// once, in ascending VI id.
+    pub fn flush_combines_except(&self, ctx: &SimCtx, except_vi: Option<u32>) {
+        let mut after = Bound::Unbounded;
+        while let Some(vi) = self.next_combining(after, except_vi) {
+            after = Bound::Excluded(vi);
+            let conn = self.conns.lock().get(&vi).cloned();
+            if let Some(conn) = conn {
+                let _ = conn.flush_combine(ctx, self);
+            }
+        }
     }
 
-    /// Like [`SoviaLib::flush_all_combines`], but leaves one connection's
-    /// buffer alone (a `send()` on that connection is mid-combine).
-    pub fn flush_combines_except(&self, ctx: &SimCtx, except_vi: Option<u32>) {
-        let conns: Vec<Arc<SovConn>> = self.conns.lock().values().cloned().collect();
-        for conn in conns {
-            if Some(conn.vi_id()) == except_vi {
-                continue;
-            }
-            let _ = conn.flush_combine(ctx, self);
-        }
+    fn next_combining(&self, after: Bound<u32>, except_vi: Option<u32>) -> Option<u32> {
+        let held = self.combining.lock();
+        let mut later = held.range((after, Bound::Unbounded)).copied();
+        later.find(|&vi| Some(vi) != except_vi)
     }
 
     /// Process at most one receive completion (non-blocking). Returns true
@@ -301,7 +316,7 @@ impl SoviaLib {
     fn timer_thread_main(self: &Arc<Self>, ctx: &SimCtx) {
         loop {
             let (conn, epoch) = self.timer_q.pop(ctx);
-            conn.flush_if_epoch(ctx, self, epoch);
+            let _ = conn.flush_if_epoch(ctx, self, Some(epoch));
         }
     }
 

@@ -133,7 +133,7 @@ impl Socket for SovSocket {
         };
         // Entering a blocking call flushes pending combined data on every
         // connection (flush condition 4, library-wide).
-        self.lib.flush_all_combines(ctx);
+        self.lib.flush_combines_except(ctx, None);
         // Service the library while waiting (single-threaded mode keeps
         // all protocol progress on application threads).
         let conn = loop {
@@ -222,7 +222,7 @@ impl Socket for SovSocket {
     fn recv(&self, ctx: &SimCtx, max: usize) -> SockResult<Vec<u8>> {
         let conn = self.conn()?;
         // Flush condition (4), library-wide: see `accept`.
-        self.lib.flush_all_combines(ctx);
+        self.lib.flush_combines_except(ctx, None);
         conn.recv(ctx, &self.lib, max)
     }
 

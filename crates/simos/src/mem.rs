@@ -12,8 +12,12 @@
 //! host-memory saving only; frame counts, refcounts, pins, COW faults and
 //! every charged cost are the same as if each frame were filled at
 //! allocation.
+//!
+//! Bytes, frames, refcounts and COW flags are per page, but an address
+//! space is indexed per mapping: map, unmap and fork cost one map
+//! operation per mapping, and a read, write or pin one lookup.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use crate::costs::HostCosts;
 use dsim::{SimCtx, SimDuration};
@@ -194,9 +198,10 @@ struct PageEntry {
     shared: bool,
 }
 
-/// One process's virtual address space.
+/// One process's virtual address space: one entry per mapping, keyed by
+/// its base VPN, holding that mapping's pages in order.
 pub struct AddressSpace {
-    pages: BTreeMap<u64, PageEntry>,
+    maps: BTreeMap<u64, Vec<PageEntry>>,
     /// Bump allocator for fresh mappings, in pages.
     next_vpn: u64,
 }
@@ -243,7 +248,7 @@ impl AddressSpace {
     /// unmapped (null deref traps in tests).
     pub fn new() -> AddressSpace {
         AddressSpace {
-            pages: BTreeMap::new(),
+            maps: BTreeMap::new(),
             next_vpn: (64 * 1024 * 1024) / PAGE_SIZE as u64,
         }
     }
@@ -255,52 +260,59 @@ impl AddressSpace {
         let base_vpn = self.next_vpn;
         // Leave a one-page guard gap between mappings.
         self.next_vpn += pages + 1;
-        for i in 0..pages {
-            let frame = phys.alloc_frame();
-            self.pages.insert(
-                base_vpn + i,
-                PageEntry {
-                    frame,
-                    cow: false,
-                    shared,
-                },
-            );
-        }
+        let entries = (0..pages)
+            .map(|_| PageEntry {
+                frame: phys.alloc_frame(),
+                cow: false,
+                shared,
+            })
+            .collect();
+        self.maps.insert(base_vpn, entries);
         VAddr(base_vpn * PAGE_SIZE as u64)
     }
 
-    /// Remove a mapping created by [`AddressSpace::map_fresh`].
+    /// Remove a whole mapping created by [`AddressSpace::map_fresh`];
+    /// panics unless `va` and `len` name exactly one mapping.
     pub fn unmap(&mut self, phys: &mut PhysMem, va: VAddr, len: usize) {
-        let pages = len.div_ceil(PAGE_SIZE) as u64;
-        for i in 0..pages {
-            let vpn = va.vpn() + i;
-            let entry = self.pages.remove(&vpn).expect("unmap of unmapped page");
+        let pages = len.div_ceil(PAGE_SIZE);
+        let entries = match self.maps.entry(va.vpn()) {
+            Entry::Occupied(m) if va.page_offset() == 0 && m.get().len() == pages => m.remove(),
+            _ => panic!("unmap of {len} bytes at {:#x} is not a whole mapping", va.0),
+        };
+        for entry in entries {
             phys.decref(entry.frame);
         }
     }
 
     /// Total mapped pages.
     pub fn mapped_pages(&self) -> usize {
-        self.pages.len()
+        self.maps.values().map(Vec::len).sum()
     }
 
-    fn entry(&self, vpn: u64) -> PageEntry {
-        *self
-            .pages
-            .get(&vpn)
-            .unwrap_or_else(|| panic!("access to unmapped page vpn={vpn:#x}"))
+    /// The entries of the pages that `len > 0` bytes at `va` touch. They
+    /// must lie in one mapping: a guard page separates any two.
+    fn span(&self, va: VAddr, len: usize) -> &[PageEntry] {
+        let hit = self.maps.range(..=va.vpn()).next_back();
+        hit.and_then(|(&base, pages)| pages.get(span_of(base, va, len)))
+            .unwrap_or_else(|| panic!("access to unmapped page: {len} bytes at {:#x}", va.0))
+    }
+
+    fn span_mut(&mut self, va: VAddr, len: usize) -> &mut [PageEntry] {
+        let hit = self.maps.range_mut(..=va.vpn()).next_back();
+        hit.and_then(|(&base, pages)| pages.get_mut(span_of(base, va, len)))
+            .unwrap_or_else(|| panic!("access to unmapped page: {len} bytes at {:#x}", va.0))
     }
 
     /// Read bytes through the virtual mapping.
     pub fn read(&self, phys: &PhysMem, va: VAddr, out: &mut [u8]) {
-        let mut done = 0usize;
-        while done < out.len() {
-            let cur = va.add(done as u64);
-            let entry = self.entry(cur.vpn());
-            let off = cur.page_offset();
+        if out.is_empty() {
+            return;
+        }
+        let (mut off, mut done) = (va.page_offset(), 0usize);
+        for entry in self.span(va, out.len()) {
             let n = (PAGE_SIZE - off).min(out.len() - done);
             phys.read_frame(entry.frame, off, &mut out[done..done + n]);
-            done += n;
+            (off, done) = (0, done + n);
         }
     }
 
@@ -308,12 +320,11 @@ impl AddressSpace {
     /// Returns the number of COW faults taken (the caller charges their
     /// cost).
     pub fn write(&mut self, phys: &mut PhysMem, va: VAddr, data: &[u8]) -> usize {
-        let mut faults = 0usize;
-        let mut done = 0usize;
-        while done < data.len() {
-            let cur = va.add(done as u64);
-            let vpn = cur.vpn();
-            let mut entry = self.entry(vpn);
+        if data.is_empty() {
+            return 0;
+        }
+        let (mut off, mut done, mut faults) = (va.page_offset(), 0usize, 0usize);
+        for entry in self.span_mut(va, data.len()) {
             if entry.cow {
                 faults += 1;
                 if phys.refcount(entry.frame) > 1 {
@@ -324,12 +335,10 @@ impl AddressSpace {
                     entry.frame = new;
                 }
                 entry.cow = false;
-                self.pages.insert(vpn, entry);
             }
-            let off = cur.page_offset();
             let n = (PAGE_SIZE - off).min(data.len() - done);
             phys.write_frame(entry.frame, off, &data[done..done + n]);
-            done += n;
+            (off, done) = (0, done + n);
         }
         faults
     }
@@ -338,18 +347,18 @@ impl AddressSpace {
     /// call [`unpin`] (via the owning machine) when done.
     pub fn pin(&self, phys: &mut PhysMem, va: VAddr, len: usize) -> PinnedRegion {
         assert!(len > 0, "zero-length pin");
-        let first_offset = va.page_offset();
-        let page_count = (first_offset + len).div_ceil(PAGE_SIZE);
-        let mut pages = Vec::with_capacity(page_count);
-        for i in 0..page_count {
-            let entry = self.entry(va.vpn() + i as u64);
-            phys.incref(entry.frame);
-            pages.push(PinnedPage { frame: entry.frame });
-        }
+        let pages = self
+            .span(va, len)
+            .iter()
+            .map(|entry| {
+                phys.incref(entry.frame);
+                PinnedPage { frame: entry.frame }
+            })
+            .collect();
         PinnedRegion {
             va,
             len,
-            first_offset,
+            first_offset: va.page_offset(),
             pages,
         }
     }
@@ -358,26 +367,24 @@ impl AddressSpace {
     /// in **both** parent and child; shared-segment pages stay shared and
     /// writable. Returns the child's address space.
     pub fn fork(&mut self, phys: &mut PhysMem) -> AddressSpace {
-        let mut child_pages = BTreeMap::new();
-        for (vpn, entry) in self.pages.iter_mut() {
+        let mut share = |entry: &mut PageEntry| {
             phys.incref(entry.frame);
-            if !entry.shared {
-                entry.cow = true;
-            }
-            child_pages.insert(
-                *vpn,
-                PageEntry {
-                    frame: entry.frame,
-                    cow: !entry.shared,
-                    shared: entry.shared,
-                },
-            );
-        }
+            entry.cow = !entry.shared;
+            *entry
+        };
         AddressSpace {
-            pages: child_pages,
+            maps: (self.maps.iter_mut())
+                .map(|(&base, pages)| (base, pages.iter_mut().map(&mut share).collect()))
+                .collect(),
             next_vpn: self.next_vpn,
         }
     }
+}
+
+/// Which pages of the mapping at VPN `base` `len` bytes at `va` touch.
+fn span_of(base: u64, va: VAddr, len: usize) -> std::ops::Range<usize> {
+    let first = (va.vpn() - base) as usize;
+    first..first + (va.page_offset() + len).div_ceil(PAGE_SIZE)
 }
 
 /// Release a pin's frame references.
@@ -611,6 +618,97 @@ mod tests {
         let (phys, asp) = setup();
         let mut out = [0u8; 1];
         asp.read(&phys, VAddr(0), &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a whole mapping")]
+    fn partial_unmap_panics() {
+        let (mut phys, mut asp) = setup();
+        let va = asp.map_fresh(&mut phys, 4 * PAGE_SIZE, false);
+        asp.unmap(&mut phys, va, 2 * PAGE_SIZE);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a whole mapping")]
+    fn unmap_from_inside_a_mapping_panics() {
+        let (mut phys, mut asp) = setup();
+        let va = asp.map_fresh(&mut phys, 4 * PAGE_SIZE, false);
+        asp.unmap(&mut phys, va.add(PAGE_SIZE as u64), 3 * PAGE_SIZE);
+    }
+
+    #[test]
+    #[should_panic(expected = "unmapped page")]
+    fn guard_page_between_adjacent_mappings_is_unmapped() {
+        let (mut phys, mut asp) = setup();
+        let a = asp.map_fresh(&mut phys, 2 * PAGE_SIZE, false);
+        let b = asp.map_fresh(&mut phys, PAGE_SIZE, false);
+        assert_eq!(b.vpn(), a.vpn() + 3, "one guard page between them");
+        asp.write(&mut phys, a.add(2 * PAGE_SIZE as u64), b"x");
+    }
+
+    #[test]
+    #[should_panic(expected = "unmapped page")]
+    fn pin_across_the_guard_page_panics() {
+        let (mut phys, mut asp) = setup();
+        let a = asp.map_fresh(&mut phys, PAGE_SIZE, false);
+        asp.map_fresh(&mut phys, PAGE_SIZE, false);
+        asp.pin(&mut phys, a, 3 * PAGE_SIZE);
+    }
+
+    #[test]
+    fn mapped_pages_tracks_map_fork_and_unmap() {
+        let (mut phys, mut asp) = setup();
+        assert_eq!(asp.mapped_pages(), 0);
+        let a = asp.map_fresh(&mut phys, 3 * PAGE_SIZE, false);
+        let b = asp.map_fresh(&mut phys, PAGE_SIZE + 1, true);
+        assert_eq!(asp.mapped_pages(), 5);
+        let mut child = asp.fork(&mut phys);
+        assert_eq!(child.mapped_pages(), 5);
+        asp.unmap(&mut phys, a, 3 * PAGE_SIZE);
+        assert_eq!((asp.mapped_pages(), child.mapped_pages()), (2, 5));
+        assert_eq!(phys.frames_in_use(), 5, "the child still maps them all");
+        child.unmap(&mut phys, b, PAGE_SIZE + 1);
+        child.unmap(&mut phys, a, 3 * PAGE_SIZE);
+        assert_eq!((asp.mapped_pages(), child.mapped_pages()), (2, 0));
+        assert_eq!(phys.frames_in_use(), 2);
+    }
+
+    #[test]
+    fn fork_write_to_one_page_breaks_only_that_page() {
+        let (mut phys, mut asp) = setup();
+        let va = asp.map_fresh(&mut phys, 4 * PAGE_SIZE, false);
+        let before = asp.pin(&mut phys, va, 4 * PAGE_SIZE);
+        unpin(&mut phys, &before);
+        let _child = asp.fork(&mut phys);
+        assert_eq!(
+            asp.write(&mut phys, va.add(2 * PAGE_SIZE as u64 + 5), b"w"),
+            1
+        );
+        for (i, page) in before.pages.iter().enumerate() {
+            let want = if i == 2 { 1 } else { 2 };
+            assert_eq!(phys.refcount(page.frame), want, "page {i}");
+        }
+        assert_eq!(phys.frames_in_use(), 5);
+    }
+
+    #[test]
+    fn pin_of_a_whole_mapping_yields_its_frames_in_order() {
+        let (mut phys, mut asp) = setup();
+        asp.map_fresh(&mut phys, PAGE_SIZE, false);
+        let va = asp.map_fresh(&mut phys, 64 * PAGE_SIZE, true);
+        let pin = asp.pin(&mut phys, va, 64 * PAGE_SIZE);
+        let frames: Vec<FrameId> = pin.pages.iter().map(|p| p.frame).collect();
+        assert_eq!(
+            frames,
+            asp.maps[&va.vpn()]
+                .iter()
+                .map(|e| e.frame)
+                .collect::<Vec<_>>()
+        );
+        let one_by_one: Vec<FrameId> = (0..64u64)
+            .map(|i| asp.pin(&mut phys, va.add(i * PAGE_SIZE as u64), 1).pages[0].frame)
+            .collect();
+        assert_eq!(frames, one_by_one);
     }
 
     #[test]

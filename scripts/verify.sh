@@ -4,7 +4,8 @@
 # suite, the full workspace test run (the root `cargo test` only covers
 # the root package), and the golden-results check (all seven
 # results/*.txt must regenerate byte-identically, sequentially and in
-# parallel).
+# parallel, and the SHA-256 of each binary's --trace JSON must match
+# results/trace_digests.txt).
 #
 # The workspace run includes the fault-injection suites (DESIGN.md §8):
 #   - tests/proptest_faults.rs        random lossy streams, exact-or-error
@@ -13,7 +14,8 @@
 #   - crates/bench/tests/determinism.rs  empty-plan no-op + sweep identity
 # the property suites (seeded cases from dsim::rng, tests/common/mod.rs):
 #   - tests/proptest_stream.rs        byte streams survive any config
-#   - tests/proptest_substrate.rs     COW/pin invariants, wire codecs
+#   - tests/proptest_substrate.rs     COW/pin invariants, mappings against
+#     a per-page model, wire codecs
 # the teardown gate (DESIGN.md §7):
 #   - tests/teardown.rs               dropping a Simulation frees every
 #     Machine, after clean, lossy and failed runs and without a run

@@ -6,7 +6,11 @@ mod common;
 use dsim::rng::SimRng;
 use sovia_repro::apps::rpc::msg::{record_mark, CallMsg, ReplyMsg, ReplyStat};
 use sovia_repro::apps::rpc::xdr::{XdrDecoder, XdrEncoder};
-use sovia_repro::simos::mem::{dma_read, dma_write, unpin, AddressSpace, PhysMem, PAGE_SIZE};
+use std::collections::BTreeMap;
+
+use sovia_repro::simos::mem::{
+    dma_read, dma_write, unpin, AddressSpace, PhysMem, PinnedRegion, VAddr, PAGE_SIZE,
+};
 use sovia_repro::tcpip::{IpPacket, TcpFlags, TcpSegment};
 
 use common::{check, range, rng_for};
@@ -164,6 +168,331 @@ fn pin_dma_window_is_exact() {
             asp.unmap(&mut phys, va, region_len);
             assert_eq!(dma_read(&phys, &pin, 0, len), data);
             unpin(&mut phys, &pin);
+            assert_eq!(phys.frames_in_use(), 0);
+        },
+    );
+}
+
+/// One step over several address spaces. Indices are reduced modulo the
+/// number of spaces, mappings or pins that exist when the step runs.
+#[derive(Debug, Clone, Copy)]
+enum MemOp {
+    Map {
+        space: usize,
+        len: usize,
+        shared: bool,
+    },
+    Unmap {
+        space: usize,
+        mapping: usize,
+    },
+    Fork {
+        space: usize,
+    },
+    Write {
+        space: usize,
+        mapping: usize,
+        off: usize,
+        len: usize,
+        tag: u64,
+    },
+    Pin {
+        space: usize,
+        mapping: usize,
+        off: usize,
+        len: usize,
+    },
+    DmaWrite {
+        pin: usize,
+        off: usize,
+        len: usize,
+        tag: u64,
+    },
+    Unpin {
+        pin: usize,
+    },
+}
+
+fn mem_op(rng: &mut SimRng) -> MemOp {
+    let mut any = || range(rng, 0..1 << 16);
+    let (space, mapping, off, len) = (any(), any(), any(), any());
+    let tag = rng.next_u64();
+    match rng.below(14) {
+        0..=2 => MemOp::Map {
+            space,
+            len: range(rng, 1..4 * PAGE_SIZE),
+            shared: rng.below(2) == 1,
+        },
+        3 => MemOp::Unmap { space, mapping },
+        4 => MemOp::Fork { space },
+        5..=8 => MemOp::Write {
+            space,
+            mapping,
+            off,
+            len,
+            tag,
+        },
+        9 | 10 => MemOp::Pin {
+            space,
+            mapping,
+            off,
+            len,
+        },
+        11 | 12 => MemOp::DmaWrite {
+            pin: mapping,
+            off,
+            len,
+            tag,
+        },
+        _ => MemOp::Unpin { pin: mapping },
+    }
+}
+
+/// The reference model: every page its own map entry, every frame a
+/// plain byte vector with a reference count.
+#[derive(Default)]
+struct PageModel {
+    frames: Vec<Option<(Vec<u8>, u32)>>,
+    spaces: Vec<ModelSpace>,
+    /// Per pin: its first offset, length and frames.
+    pins: Vec<(usize, usize, Vec<usize>)>,
+}
+
+#[derive(Clone)]
+struct ModelSpace {
+    /// vpn -> (frame, cow, shared).
+    pages: BTreeMap<u64, (usize, bool, bool)>,
+    next_vpn: u64,
+    /// Base address and length of each live mapping, oldest first.
+    maps: Vec<(VAddr, usize)>,
+}
+
+impl PageModel {
+    fn alloc(&mut self, bytes: Vec<u8>) -> usize {
+        self.frames.push(Some((bytes, 1)));
+        self.frames.len() - 1
+    }
+
+    fn decref(&mut self, f: usize) {
+        let frame = self.frames[f].as_mut().unwrap();
+        frame.1 -= 1;
+        if frame.1 == 0 {
+            self.frames[f] = None;
+        }
+    }
+
+    fn live_frames(&self) -> usize {
+        self.frames.iter().flatten().count()
+    }
+
+    /// Call `f(page, offset in page, offset in data, run length)` for each
+    /// page that `len` bytes starting `first` bytes into page 0 touch.
+    fn each_byte_run(first: usize, len: usize, mut f: impl FnMut(usize, usize, usize, usize)) {
+        let (mut pos, mut done) = (first, 0);
+        while done < len {
+            let n = (PAGE_SIZE - pos % PAGE_SIZE).min(len - done);
+            f(pos / PAGE_SIZE, pos % PAGE_SIZE, done, n);
+            (pos, done) = (pos + n, done + n);
+        }
+    }
+
+    fn read(&self, space: usize, va: VAddr, len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        Self::each_byte_run(va.page_offset(), len, |page, off, at, n| {
+            let (f, ..) = self.spaces[space].pages[&(va.vpn() + page as u64)];
+            let bytes = &self.frames[f].as_ref().unwrap().0;
+            out[at..at + n].copy_from_slice(&bytes[off..off + n]);
+        });
+        out
+    }
+
+    /// Returns the COW faults taken.
+    fn write(&mut self, space: usize, va: VAddr, data: &[u8]) -> usize {
+        let mut faults = 0;
+        Self::each_byte_run(va.page_offset(), data.len(), |page, off, at, n| {
+            let vpn = va.vpn() + page as u64;
+            let (mut f, cow, shared) = self.spaces[space].pages[&vpn];
+            if cow {
+                faults += 1;
+                if self.frames[f].as_ref().unwrap().1 > 1 {
+                    let copy = self.frames[f].as_ref().unwrap().0.clone();
+                    self.decref(f);
+                    f = self.alloc(copy);
+                }
+                self.spaces[space].pages.insert(vpn, (f, false, shared));
+            }
+            self.frames[f].as_mut().unwrap().0[off..off + n].copy_from_slice(&data[at..at + n]);
+        });
+        faults
+    }
+}
+
+/// Random sequences of map, whole-mapping unmap, fork, cross-page
+/// writes, and pins with DMA over several private and shared mappings
+/// agree, after every step, with a model that keeps one entry per page:
+/// bytes, COW faults, frames in use and mapped pages.
+#[test]
+fn mappings_behave_like_a_per_page_model() {
+    check(
+        "proptest_substrate::mappings_behave_like_a_per_page_model",
+        CASES,
+        |rng| {
+            let n = range(rng, 1..40);
+            Some((0..n).map(|_| mem_op(rng)).collect::<Vec<_>>())
+        },
+        |ops| {
+            let mut phys = PhysMem::new();
+            let mut real = vec![AddressSpace::new()];
+            let mut pins: Vec<PinnedRegion> = Vec::new();
+            let mut model = PageModel::default();
+            model.spaces.push(ModelSpace {
+                pages: BTreeMap::new(),
+                next_vpn: (64 << 20) / PAGE_SIZE as u64,
+                maps: Vec::new(),
+            });
+            // A window of `len` bytes at `off` inside mapping `mapping`.
+            let window = |m: &PageModel, space: usize, mapping: usize, off: usize, len: usize| {
+                let maps = &m.spaces[space].maps;
+                (!maps.is_empty()).then(|| {
+                    let (va, mlen) = maps[mapping % maps.len()];
+                    let off = off % mlen;
+                    (va.add(off as u64), 1 + len % (mlen - off))
+                })
+            };
+            for op in ops {
+                match op {
+                    MemOp::Map { space, len, shared } => {
+                        let space = space % real.len();
+                        let va = real[space].map_fresh(&mut phys, len, shared);
+                        let pages = len.div_ceil(PAGE_SIZE) as u64;
+                        let base = model.spaces[space].next_vpn;
+                        assert_eq!(va.vpn(), base, "mappings are bump-allocated");
+                        for vpn in base..base + pages {
+                            let f = model.alloc(vec![0; PAGE_SIZE]);
+                            model.spaces[space].pages.insert(vpn, (f, false, shared));
+                        }
+                        model.spaces[space].next_vpn += pages + 1;
+                        model.spaces[space].maps.push((va, len));
+                    }
+                    MemOp::Unmap { space, mapping } => {
+                        let space = space % real.len();
+                        let maps = &mut model.spaces[space].maps;
+                        if maps.is_empty() {
+                            continue;
+                        }
+                        let (va, len) = maps.remove(mapping % maps.len());
+                        real[space].unmap(&mut phys, va, len);
+                        for vpn in va.vpn()..va.vpn() + len.div_ceil(PAGE_SIZE) as u64 {
+                            let (f, ..) = model.spaces[space].pages.remove(&vpn).unwrap();
+                            model.decref(f);
+                        }
+                    }
+                    MemOp::Fork { space } => {
+                        if real.len() == 4 {
+                            continue;
+                        }
+                        let space = space % real.len();
+                        let child = real[space].fork(&mut phys);
+                        real.push(child);
+                        for (f, cow, shared) in model.spaces[space].pages.values_mut() {
+                            model.frames[*f].as_mut().unwrap().1 += 1;
+                            *cow |= !*shared;
+                        }
+                        let child = model.spaces[space].clone();
+                        model.spaces.push(child);
+                    }
+                    MemOp::Write {
+                        space,
+                        mapping,
+                        off,
+                        len,
+                        tag,
+                    } => {
+                        let space = space % real.len();
+                        let Some((va, n)) = window(&model, space, mapping, off, len) else {
+                            continue;
+                        };
+                        let mut data = vec![0u8; n];
+                        dsim::rng::fill_pattern(tag, 0, &mut data);
+                        let faults = real[space].write(&mut phys, va, &data);
+                        assert_eq!(faults, model.write(space, va, &data), "COW faults");
+                    }
+                    MemOp::Pin {
+                        space,
+                        mapping,
+                        off,
+                        len,
+                    } => {
+                        let space = space % real.len();
+                        let Some((va, n)) = window(&model, space, mapping, off, len) else {
+                            continue;
+                        };
+                        pins.push(real[space].pin(&mut phys, va, n));
+                        let count = (va.page_offset() + n).div_ceil(PAGE_SIZE) as u64;
+                        let frames: Vec<usize> = (va.vpn()..va.vpn() + count)
+                            .map(|vpn| model.spaces[space].pages[&vpn].0)
+                            .collect();
+                        for &f in &frames {
+                            model.frames[f].as_mut().unwrap().1 += 1;
+                        }
+                        model.pins.push((va.page_offset(), n, frames));
+                    }
+                    MemOp::DmaWrite { pin, off, len, tag } => {
+                        if pins.is_empty() {
+                            continue;
+                        }
+                        let pin = pin % pins.len();
+                        let (first, plen, frames) = model.pins[pin].clone();
+                        let off = off % plen;
+                        let mut data = vec![0u8; 1 + len % (plen - off)];
+                        dsim::rng::fill_pattern(tag, 0, &mut data);
+                        dma_write(&mut phys, &pins[pin], off, &data);
+                        PageModel::each_byte_run(first + off, data.len(), |page, o, at, n| {
+                            let bytes = &mut model.frames[frames[page]].as_mut().unwrap().0;
+                            bytes[o..o + n].copy_from_slice(&data[at..at + n]);
+                        });
+                    }
+                    MemOp::Unpin { pin } => {
+                        if pins.is_empty() {
+                            continue;
+                        }
+                        let pin = pin % pins.len();
+                        unpin(&mut phys, &pins.remove(pin));
+                        for f in model.pins.remove(pin).2 {
+                            model.decref(f);
+                        }
+                    }
+                }
+                // Compare everything observable after every step.
+                assert_eq!(phys.frames_in_use(), model.live_frames(), "frames in use");
+                for (space, asp) in real.iter().enumerate() {
+                    let ms = &model.spaces[space];
+                    assert_eq!(asp.mapped_pages(), ms.pages.len(), "mapped pages");
+                    for &(va, len) in &ms.maps {
+                        let mut got = vec![0u8; len];
+                        asp.read(&phys, va, &mut got);
+                        assert!(got == model.read(space, va, len), "bytes at {va:?}");
+                    }
+                }
+                for (pin, (first, len, frames)) in pins.iter().zip(&model.pins) {
+                    let mut want = vec![0u8; *len];
+                    PageModel::each_byte_run(*first, *len, |page, o, at, n| {
+                        let bytes = &model.frames[frames[page]].as_ref().unwrap().0;
+                        want[at..at + n].copy_from_slice(&bytes[o..o + n]);
+                    });
+                    assert!(dma_read(&phys, pin, 0, *len) == want, "DMA through a pin");
+                }
+            }
+            // Tearing everything down frees every frame.
+            for pin in &pins {
+                unpin(&mut phys, pin);
+            }
+            for (asp, ms) in real.iter_mut().zip(&model.spaces) {
+                for &(va, len) in &ms.maps {
+                    asp.unmap(&mut phys, va, len);
+                }
+                assert_eq!(asp.mapped_pages(), 0);
+            }
             assert_eq!(phys.frames_in_use(), 0);
         },
     );

@@ -4,11 +4,11 @@
 
 use std::sync::Arc;
 
-use dsim::{SimDuration, Simulation};
+use dsim::{SimDuration, SimTime, Simulation};
 use parking_lot::Mutex;
 use simos::HostId;
 use sovia_repro::sockets::{api, SockAddr, SockError, SockType};
-use sovia_repro::sovia::{ConnStats, SovSocket, SoviaConfig};
+use sovia_repro::sovia::{ConnStats, SovSocket, SoviaConfig, SoviaLib};
 use sovia_repro::testbed;
 
 const PORT: u16 = 7;
@@ -243,4 +243,156 @@ fn sovia_connections_on_three_hosts_simultaneously() {
         }
     });
     sim.run().unwrap();
+}
+
+/// What one client saw while three combining connections A, B and C
+/// (ascending VI ids) shared its SOVIA library, plus every server-side
+/// arrival as `(connection, time, bytes)`.
+#[derive(Default)]
+struct FlushScene {
+    vi_ids: Vec<u32>,
+    /// Dirty-list membership of A, B, C after each step.
+    after_a_b_sends: Vec<bool>,
+    after_c_send: Vec<bool>,
+    after_recv: Vec<bool>,
+    after_b_resend: Vec<bool>,
+    after_b_close: Vec<bool>,
+    arrivals_before_c_send: usize,
+    c_send_at: SimTime,
+    recv_at: SimTime,
+    arrivals: Vec<(usize, SimTime, Vec<u8>)>,
+}
+
+/// Flush condition (4), library-wide: a client holds combine buffers on
+/// A and B, sends on C, receives on A, then refills and closes B. The
+/// server echoes every message from one thread per connection.
+fn three_combining_connections() -> FlushScene {
+    let mut sim = Simulation::new();
+    let (m0, m1) = testbed::sovia_pair(&sim.handle(), SoviaConfig::combine());
+    let (cp, sp) = testbed::procs(&m0, &m1);
+    let scene = Arc::new(Mutex::new(FlushScene::default()));
+    {
+        let scene = Arc::clone(&scene);
+        sim.spawn("server", move |ctx| {
+            let s = api::socket(ctx, &sp, SockType::Via).unwrap();
+            api::bind(ctx, &sp, s, SockAddr::new(HostId(1), PORT)).unwrap();
+            api::listen(ctx, &sp, s, 3).unwrap();
+            for conn in 0..3 {
+                let (c, _) = api::accept(ctx, &sp, s).unwrap();
+                let (sp, scene) = (sp.clone(), Arc::clone(&scene));
+                ctx.handle().spawn(format!("server-{conn}"), move |ctx| loop {
+                    let d = api::recv(ctx, &sp, c, 1024).unwrap();
+                    if d.is_empty() {
+                        api::close(ctx, &sp, c).unwrap();
+                        break;
+                    }
+                    scene.lock().arrivals.push((conn, ctx.now(), d.clone()));
+                    api::send_all(ctx, &sp, c, &d).unwrap();
+                });
+            }
+            api::close(ctx, &sp, s).unwrap();
+        });
+    }
+    {
+        let scene = Arc::clone(&scene);
+        sim.spawn("client", move |ctx| {
+            ctx.sleep(SimDuration::from_micros(100));
+            let fds: Vec<_> = (0..3)
+                .map(|_| {
+                    let s = api::socket(ctx, &cp, SockType::Via).unwrap();
+                    api::connect(ctx, &cp, s, SockAddr::new(HostId(1), PORT)).unwrap();
+                    s
+                })
+                .collect();
+            let table = api::SocketTable::of(&cp);
+            let vi_ids: Vec<u32> = (fds.iter())
+                .map(|&s| {
+                    let sov = table.get(s).unwrap().as_any().downcast::<SovSocket>().unwrap();
+                    sov.connection().unwrap().vi_id()
+                })
+                .collect();
+            let lib = SoviaLib::get(&cp).unwrap();
+            let dirty = || vi_ids.iter().map(|&vi| lib.holds_combine(vi)).collect::<Vec<_>>();
+            let (a, b, c) = (fds[0], fds[1], fds[2]);
+            ctx.sleep(SimDuration::from_millis(1));
+
+            // One thread never holds two buffers: each send flushes the
+            // others. Two threads sending at the same instant do, since
+            // neither send's flush sees the other's buffer yet.
+            for (fd, byte) in [(a, b"a"), (b, b"b")] {
+                let cp = cp.clone();
+                ctx.handle().spawn("sender", move |ctx| {
+                    api::send(ctx, &cp, fd, byte).unwrap();
+                });
+            }
+            ctx.sleep(SimDuration::from_millis(5));
+            scene.lock().after_a_b_sends = dirty();
+            let before = scene.lock().arrivals.len();
+            scene.lock().arrivals_before_c_send = before;
+            scene.lock().c_send_at = ctx.now();
+            api::send(ctx, &cp, c, b"c").unwrap();
+            scene.lock().after_c_send = dirty();
+            ctx.sleep(SimDuration::from_millis(5));
+
+            scene.lock().recv_at = ctx.now();
+            assert_eq!(api::recv_exact(ctx, &cp, a, 1).unwrap(), b"a");
+            scene.lock().after_recv = dirty();
+            ctx.sleep(SimDuration::from_millis(5));
+
+            api::send(ctx, &cp, b, b"x").unwrap();
+            scene.lock().after_b_resend = dirty();
+            api::close(ctx, &cp, b).unwrap();
+            scene.lock().after_b_close = dirty();
+            api::close(ctx, &cp, a).unwrap();
+            api::close(ctx, &cp, c).unwrap();
+            scene.lock().vi_ids = vi_ids;
+        });
+    }
+    sim.run().unwrap();
+    let mut scene = scene.lock();
+    std::mem::take(&mut *scene)
+}
+
+#[test]
+fn send_flushes_other_connections_in_vi_order() {
+    let scene = three_combining_connections();
+    assert!(scene.vi_ids.windows(2).all(|w| w[0] < w[1]), "{:?}", scene.vi_ids);
+    assert_eq!(scene.after_a_b_sends, [true, true, false]);
+    assert_eq!(scene.arrivals_before_c_send, 0, "A and B are still combining");
+    // The send on C flushes A then B, long before the 100 ms timer, and
+    // leaves C's own buffer pending.
+    assert_eq!(scene.after_c_send, [false, false, true]);
+    let flushed: Vec<_> = (scene.arrivals.iter())
+        .filter(|(_, at, _)| *at < scene.recv_at)
+        .collect();
+    assert_eq!(flushed.iter().map(|(conn, ..)| *conn).collect::<Vec<_>>(), [0, 1]);
+    assert_eq!(flushed[0].2, b"a");
+    assert_eq!(flushed[1].2, b"b");
+    assert!(flushed[0].1 < flushed[1].1, "A's bytes arrive before B's");
+    for (_, at, _) in flushed {
+        assert!(at.since(scene.c_send_at) < SimDuration::from_millis(1), "{at:?}");
+    }
+}
+
+#[test]
+fn recv_flushes_every_connection() {
+    let scene = three_combining_connections();
+    assert_eq!(scene.after_recv, [false, false, false]);
+    let (_, at, bytes) = (scene.arrivals.iter())
+        .find(|(conn, ..)| *conn == 2)
+        .expect("C's byte arrives");
+    assert_eq!(bytes, b"c");
+    assert!(*at >= scene.recv_at);
+    assert!(at.since(scene.recv_at) < SimDuration::from_millis(1), "{at:?}");
+}
+
+#[test]
+fn closed_connection_leaves_the_dirty_list() {
+    let scene = three_combining_connections();
+    assert_eq!(scene.after_b_resend, [false, true, false]);
+    assert_eq!(scene.after_b_close, [false, false, false]);
+    let resent: Vec<_> = (scene.arrivals.iter())
+        .filter(|(conn, _, bytes)| *conn == 1 && bytes == b"x")
+        .collect();
+    assert_eq!(resent.len(), 1, "close() flushed B's buffer");
 }
