@@ -8,7 +8,7 @@
 //! | R4   | yes       | host randomness (`rand::*`, `DefaultHasher`, `RandomState`) |
 //! | R5   | yes       | `unwrap()`/`expect()` on fallible-API error paths |
 //! | R6   | all       | nested `lock()` acquisition cycles (workspace graph) |
-//! | R7   | yes       | a lock guard alive across a blocking `SimCtx` call |
+//! | R7   | yes       | a lock guard alive across a call that may park (`SimCtx` blocking methods, any call handed the context) |
 //!
 //! Detection is import-driven: a banned item reaches code either through a
 //! `use` (flagged at the import, however renamed) or as an inline
@@ -66,14 +66,9 @@ const FALLIBLE_APIS: &[&str] = &[
     "close", "shutdown", "spawn", "run", "run_with_limit", "wait_established",
 ];
 
-/// Blocking `SimCtx` calls that park the calling process whatever their
+/// Blocking `SimCtx` methods that park the calling process whatever their
 /// arguments (R7).
 const PARKING_CALLS: &[&str] = &["park", "sleep", "yield_now"];
-
-/// Blocking calls recognised by name prefix; they park only when handed a
-/// `SimCtx` (by convention a first argument named `ctx`, `cctx`, …), so
-/// `vec.pop()` or `buf.pop_into_vec(n)` is not one (R7).
-const PARKING_PREFIXES: &[&str] = &["wait", "pop", "acquire"];
 
 /// Lint one file's token stream. `rel` is the workspace-relative path used
 /// in diagnostics. Lock acquisitions feed the workspace-wide `graph`.
@@ -683,9 +678,9 @@ fn scan_fn_locks(
                 rel,
                 t.line,
                 format!(
-                    "`{}` lock guard alive across blocking `.{call}()`: every process runs on one \
-                     thread, so another process locking it deadlocks the simulation; drop the \
-                     guard before blocking",
+                    "`{}` lock guard alive across `{call}(…)`, which may park: every process runs \
+                     on one thread, so another process locking it deadlocks the simulation; drop \
+                     the guard before the call",
                     h.lock
                 ),
             ));
@@ -704,22 +699,26 @@ fn scan_fn_locks(
     }
 }
 
-/// If `tokens[i]` names a blocking `SimCtx` method call (`.park()`,
-/// `.sleep(d)`, `.pop(ctx)`, …), return the method name.
+/// If `tokens[i]` names a call that may park the calling process, return
+/// its name: a `SimCtx` method from [`PARKING_CALLS`] (`.sleep(d)`), or any
+/// call, method or plain, whose first argument is the process context (by
+/// convention `ctx`, `cctx`, …): `.pop(ctx)`, `pool.write_slot(ctx, …)`,
+/// `handler(ctx, frame)`. Whatever takes the context may charge a cost,
+/// and charging a cost parks. `vec.pop()` or `buf.pop_into_vec(n)` is no
+/// such call.
 fn parking_call(tokens: &[Token], i: usize) -> Option<&str> {
     let name = tokens[i].ident()?;
-    if i == 0 || !tokens[i - 1].is_punct('.') || !tokens.get(i + 1)?.is_punct('(') {
+    if !tokens.get(i + 1)?.is_punct('(') || (i > 0 && tokens[i - 1].is_ident("fn")) {
         return None;
     }
-    // The first argument's name, past any `&`/`*`/`mut`.
-    let first_arg = tokens[i + 2..]
-        .iter()
-        .take_while(|t| !t.is_punct(',') && !t.is_punct(')'))
-        .filter_map(|t| t.ident())
-        .find(|id| *id != "mut");
-    let takes_ctx = first_arg.is_some_and(|a| a.ends_with("ctx"));
-    let parks = PARKING_CALLS.contains(&name)
-        || (takes_ctx && PARKING_PREFIXES.iter().any(|p| name.starts_with(p)));
+    let method = i > 0 && tokens[i - 1].is_punct('.');
+    // The first argument, past any `&`/`*`/`mut`, must be the bare context.
+    let prefix = |t: &Token| t.is_punct('&') || t.is_punct('*') || t.is_ident("mut");
+    let j = (i + 2..tokens.len()).find(|&j| !prefix(&tokens[j]))?;
+    let ctx_arg = tokens[j].ident().is_some_and(|a| a.ends_with("ctx"));
+    let next = tokens.get(j + 1);
+    let arg_ends = next.is_some_and(|t| t.is_punct(',') || t.is_punct(')'));
+    let parks = (method && PARKING_CALLS.contains(&name)) || (ctx_arg && arg_ends);
     parks.then_some(name)
 }
 

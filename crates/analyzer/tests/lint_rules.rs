@@ -112,6 +112,31 @@ fn r7_fires_on_guard_alive_across_blocking_call() {
 }
 
 #[test]
+fn r7_fires_on_any_call_handed_the_context() {
+    let src = include_str!("fixtures/r7_ctx_call_under_guard.rs");
+    let (findings, _) = lint(CrateClass::Sim, src);
+    let r7: Vec<(u32, &str)> = findings
+        .iter()
+        .filter(|f| f.rule == "R7")
+        .map(|f| (f.line, f.message.as_str()))
+        .collect();
+    // Exactly the lines marked `// R7`: `pool.write_slot(ctx, …)` and the
+    // plain call `h(ctx, frame)`. The context-free `store_slot`, the
+    // `ctx.now()` argument and the `fn` declarations stay quiet.
+    let marked: Vec<u32> = src
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| l.contains("// R7"))
+        .map(|(i, _)| i as u32 + 1)
+        .collect();
+    assert_eq!(marked.len(), 2);
+    let lines: Vec<u32> = r7.iter().map(|&(l, _)| l).collect();
+    assert_eq!(lines, marked, "{findings:?}");
+    assert!(r7[0].1.contains("`combine` lock guard") && r7[0].1.contains("`write_slot(…)`"));
+    assert!(r7[1].1.contains("`handler` lock guard") && r7[1].1.contains("`h(…)`"));
+}
+
+#[test]
 fn host_class_is_exempt_from_sim_rules() {
     // The same wall-clock fixture produces nothing when classified as
     // host-side code (bench/analyzer are allowed to time the host).

@@ -107,9 +107,16 @@ impl SlotPool {
     /// the mapped buffer; the *memcpy* cost is charged by the caller, which
     /// knows whether this models a copy or data that already existed).
     pub fn write_slot(&self, ctx: &SimCtx, slot: usize, within: usize, data: &[u8]) {
+        let faults = self.store_slot(slot, within, data);
+        simos::mem::charge_cow_faults(ctx, self.process.costs(), faults);
+    }
+
+    /// [`SlotPool::write_slot`] without the COW-fault charge, which it
+    /// returns as a fault count instead: safe under a lock guard.
+    pub fn store_slot(&self, slot: usize, within: usize, data: &[u8]) -> usize {
         assert!(within + data.len() <= self.slot_size, "slot overflow");
         self.process
-            .write_mem(ctx, self.va_of(slot).add(within as u64), data);
+            .store_mem(self.va_of(slot).add(within as u64), data)
     }
 
     /// Deregister the pool's region (connection teardown).

@@ -17,8 +17,19 @@
 //!
 //! Lock discipline (this matters in the virtual-time executor): **no lock
 //! is ever held across a time-advancing call**. Costs are charged before
-//! critical sections; posting to VIA work queues uses the `_uncharged`
-//! variants inside them.
+//! or after critical sections. Inside them, posting to VIA work queues
+//! uses the `_uncharged` variants, and a combined send writes its slot
+//! with an uncharged store whose COW faults are charged once the guard
+//! drops. The locks:
+//!
+//! * `send_state`: the send side, that is the credits, the inflight FIFO
+//!   paired with the VI's send queue, the pending combine buffer and the
+//!   protocol counters. A combined send that finds room takes it once, to
+//!   reap completions and append.
+//! * `ingress`: serializes popping and applying receive completions.
+//! * `rdata`: received DATA that `recv()` has not consumed yet.
+//! * `dacks`: acknowledgments owed to the peer.
+//! * `peer`, `fd_hint`: set while the connection is established.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -26,7 +37,7 @@ use std::sync::Arc;
 
 use dsim::{SimCtx, TimerGuard};
 use parking_lot::Mutex;
-use simos::mem::VAddr;
+use simos::mem::{charge_cow_faults, VAddr};
 use simos::{HostCosts, Process};
 use sockets::{SockAddr, SockError, SockResult};
 use via::{DescState, Descriptor, MemRegion, VipError, ViaNic, Vi};
@@ -52,10 +63,15 @@ enum InflightKind {
     ZeroCopy,
 }
 
+/// The send side of a connection, under one lock: a combined send takes
+/// it once, to reap completions and append to the pending buffer.
 struct SendState {
     /// Send credits: pre-posted descriptors available at the receiver.
     credits: u32,
     inflight: VecDeque<InflightKind>,
+    /// The pending combine buffer, if any.
+    combine: Option<Combine>,
+    stats: ConnStats,
 }
 
 struct RecvItem {
@@ -116,7 +132,6 @@ pub struct SovConn {
     rdata: Mutex<VecDeque<RecvItem>>,
     dacks: Mutex<u32>,
     send_state: Mutex<SendState>,
-    combine: Mutex<Option<Combine>>,
     combine_epoch: AtomicU64,
 
     req_outstanding: AtomicBool,
@@ -127,8 +142,6 @@ pub struct SovConn {
     finalized: AtomicBool,
     local_closed: AtomicBool,
     reset: AtomicBool,
-
-    stats: Mutex<ConnStats>,
 }
 
 /// Follow-up work decided under the ingress lock, executed after it drops.
@@ -191,9 +204,10 @@ impl SovConn {
                     config.effective_window()
                 },
                 inflight: VecDeque::new(),
+                combine: None,
+                stats: ConnStats::default(),
             }),
             req_outstanding: AtomicBool::new(false),
-            combine: Mutex::new(None),
             combine_epoch: AtomicU64::new(0),
             wakeup_rcvd: AtomicBool::new(false),
             fin_rcvd: AtomicBool::new(false),
@@ -202,7 +216,6 @@ impl SovConn {
             finalized: AtomicBool::new(false),
             local_closed: AtomicBool::new(false),
             reset: AtomicBool::new(false),
-            stats: Mutex::new(ConnStats::default()),
             config,
         });
         // Pre-post the full descriptor complement.
@@ -257,12 +270,17 @@ impl SovConn {
 
     /// Protocol counters.
     pub fn stats(&self) -> ConnStats {
-        *self.stats.lock()
+        self.send_state.lock().stats
     }
 
     /// Current send credits (diagnostics/tests).
     pub fn credits(&self) -> u32 {
         self.send_state.lock().credits
+    }
+
+    /// Whether the application closed this connection.
+    pub(crate) fn is_closed(&self) -> bool {
+        self.local_closed.load(Ordering::Relaxed)
     }
 
     fn check_open(&self) -> SockResult<()> {
@@ -288,17 +306,23 @@ impl SovConn {
 
     // ----- send-side completion reaping ---------------------------------
 
-    /// Handle one already-popped send completion under the send lock.
-    fn apply_send_completion(&self, kind: InflightKind) {
-        match kind {
-            InflightKind::DataSlot(i) => self.send_pool.release(i),
-            InflightKind::Ctrl(i) => self.ctrl_pool.release(i),
-            InflightKind::ZeroCopy => {}
+    /// Pop one send completion, if there is one, and release the resource
+    /// its inflight record names. With nothing in flight, the VI's queue is
+    /// not looked at.
+    fn reap_one(&self, ss: &mut SendState) -> bool {
+        if ss.inflight.is_empty() || self.vi.send_done_uncharged().is_none() {
+            return false;
         }
+        match ss.inflight.pop_front() {
+            Some(InflightKind::DataSlot(i)) => self.send_pool.release(i),
+            Some(InflightKind::Ctrl(i)) => self.ctrl_pool.release(i),
+            Some(InflightKind::ZeroCopy) | None => {}
+        }
+        true
     }
 
-    /// Reap all currently completed sends (non-blocking).
-    fn reap_sends(&self, ctx: &SimCtx) {
+    /// Charge one poll of the send queue.
+    fn charge_poll(&self, ctx: &SimCtx) {
         ctx.sleep(self.costs.poll_check);
         ctx.trace_span(
             dsim::TraceLayer::Sovia,
@@ -306,39 +330,13 @@ impl SovConn {
             self.costs.poll_check,
             dsim::TraceTag::on_conn(self.vi.id()),
         );
-        loop {
-            let kind = {
-                let mut ss = self.send_state.lock();
-                match self.vi.send_done_uncharged() {
-                    Some(_d) => ss
-                        .inflight
-                        .pop_front()
-                        .expect("send completion without inflight record"),
-                    None => break,
-                }
-            };
-            self.apply_send_completion(kind);
-        }
     }
 
     /// Block until at least one send completion is reaped.
     fn reap_one_blocking(&self, ctx: &SimCtx) -> SockResult<()> {
         loop {
-            ctx.sleep(self.costs.poll_check);
-            ctx.trace_span(
-                dsim::TraceLayer::Sovia,
-                dsim::TraceKind::Poll,
-                self.costs.poll_check,
-                dsim::TraceTag::on_conn(self.vi.id()),
-            );
-            let kind = {
-                let mut ss = self.send_state.lock();
-                self.vi
-                    .send_done_uncharged()
-                    .map(|_d| ss.inflight.pop_front().expect("inflight record missing"))
-            };
-            if let Some(kind) = kind {
-                self.apply_send_completion(kind);
+            self.charge_poll(ctx);
+            if self.reap_one(&mut self.send_state.lock()) {
                 return Ok(());
             }
             if self.reset.load(Ordering::Relaxed) {
@@ -422,7 +420,7 @@ impl SovConn {
         if to_ack > 0 {
             // An unsendable ACK (peer torn down) is not the app's problem.
             let _ = self.post_control(ctx, lib, PacketType::Ack, to_ack, &[]);
-            self.stats.lock().acks_sent += 1;
+            self.send_state.lock().stats.acks_sent += 1;
             // to_ack - 1 acknowledgments were coalesced into this one
             // explicit ACK packet.
             if to_ack > 1 {
@@ -450,33 +448,9 @@ impl SovConn {
         let slot = self.acquire_ctrl_slot(ctx)?;
         if !payload.is_empty() {
             self.ctrl_pool.write_slot(ctx, slot, 0, payload);
-            ctx.sleep(self.costs.memcpy(payload.len()));
-            ctx.trace_span(
-                dsim::TraceLayer::Sovia,
-                dsim::TraceKind::Copy,
-                self.costs.memcpy(payload.len()),
-                dsim::TraceTag::on_conn(self.vi.id()).value(payload.len() as u64),
-            );
-            ctx.trace_count(
-                dsim::TraceLayer::Sovia,
-                dsim::TraceKind::BytesCopied,
-                payload.len() as u64,
-                dsim::TraceTag::on_conn(self.vi.id()),
-            );
+            self.charge_copy(ctx, payload.len());
         }
-        ctx.sleep(self.costs.descriptor_post + self.costs.doorbell);
-        ctx.trace_span(
-            dsim::TraceLayer::Sovia,
-            dsim::TraceKind::DescriptorPost,
-            self.costs.descriptor_post + self.costs.doorbell,
-            dsim::TraceTag::on_conn(self.vi.id()),
-        );
-        ctx.trace_count(
-            dsim::TraceLayer::Sovia,
-            dsim::TraceKind::DescriptorsPosted,
-            1,
-            dsim::TraceTag::on_conn(self.vi.id()),
-        );
+        self.charge_post(ctx, 0, 0);
         if ctx.trace_enabled() {
             let mark = match ptype {
                 PacketType::Req => Some(dsim::TraceKind::HandshakeReq),
@@ -499,23 +473,61 @@ impl SovConn {
             payload.len(),
             Some(encode(ptype, acks)),
         );
-        let result = {
+        let posted = {
             let mut ss = self.send_state.lock();
-            match self.vi.post_send_uncharged(desc) {
-                Ok(()) => {
-                    ss.inflight.push_back(InflightKind::Ctrl(slot));
-                    Ok(())
-                }
-                Err(e) => Err(e),
-            }
+            (self.vi.post_send_uncharged(desc))
+                .map(|()| ss.inflight.push_back(InflightKind::Ctrl(slot)))
         };
-        match result {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.ctrl_pool.release(slot);
-                Err(Self::map_vip(e))
-            }
+        posted.map_err(|e| {
+            self.ctrl_pool.release(slot);
+            Self::map_vip(e)
+        })
+    }
+
+    /// Charge posting one descriptor and ringing the doorbell. `data_len`
+    /// is the DATA payload (0 for a control packet), and `piggy` the
+    /// acknowledgments riding on it.
+    fn charge_post(&self, ctx: &SimCtx, data_len: usize, piggy: u32) {
+        let cost = self.costs.descriptor_post + self.costs.doorbell;
+        ctx.sleep(cost);
+        let tag = dsim::TraceTag::on_conn(self.vi.id());
+        ctx.trace_span(
+            dsim::TraceLayer::Sovia,
+            dsim::TraceKind::DescriptorPost,
+            cost,
+            tag.value(data_len as u64),
+        );
+        ctx.trace_count(
+            dsim::TraceLayer::Sovia,
+            dsim::TraceKind::DescriptorsPosted,
+            1,
+            tag,
+        );
+        if piggy > 0 {
+            ctx.trace_count(
+                dsim::TraceLayer::Sovia,
+                dsim::TraceKind::AcksPiggybacked,
+                u64::from(piggy),
+                tag,
+            );
         }
+    }
+
+    /// Post a DATA descriptor and record it in flight, with its counters.
+    fn post_data(
+        &self,
+        desc: Arc<Descriptor>,
+        kind: InflightKind,
+        piggy: u32,
+    ) -> Result<(), VipError> {
+        let len = desc.len as u64;
+        let mut ss = self.send_state.lock();
+        self.vi.post_send_uncharged(desc)?;
+        ss.inflight.push_back(kind);
+        ss.stats.data_sent += 1;
+        ss.stats.bytes_sent += len;
+        ss.stats.acks_piggybacked += u64::from(piggy);
+        Ok(())
     }
 
     /// Post a DATA packet from a sender-side slot (waits for a credit).
@@ -523,59 +535,19 @@ impl SovConn {
         debug_assert!(len > 0);
         self.wait_credit(ctx, lib)?;
         let piggy = self.take_dacks();
-        ctx.sleep(self.costs.descriptor_post + self.costs.doorbell);
-        ctx.trace_span(
-            dsim::TraceLayer::Sovia,
-            dsim::TraceKind::DescriptorPost,
-            self.costs.descriptor_post + self.costs.doorbell,
-            dsim::TraceTag::on_conn(self.vi.id()).value(len as u64),
-        );
-        ctx.trace_count(
-            dsim::TraceLayer::Sovia,
-            dsim::TraceKind::DescriptorsPosted,
-            1,
-            dsim::TraceTag::on_conn(self.vi.id()),
-        );
-        if piggy > 0 {
-            ctx.trace_count(
-                dsim::TraceLayer::Sovia,
-                dsim::TraceKind::AcksPiggybacked,
-                u64::from(piggy),
-                dsim::TraceTag::on_conn(self.vi.id()),
-            );
-        }
+        self.charge_post(ctx, len, piggy);
         let desc = Descriptor::send(
             Arc::clone(self.send_pool.region()),
             self.send_pool.offset_of(slot),
             len,
             Some(encode(PacketType::Data, piggy)),
         );
-        let result = {
-            let mut ss = self.send_state.lock();
-            match self.vi.post_send_uncharged(desc) {
-                Ok(()) => {
-                    ss.inflight.push_back(InflightKind::DataSlot(slot));
-                    Ok(())
-                }
-                Err(e) => Err(e),
-            }
-        };
-        match result {
-            Ok(()) => {
-                let mut st = self.stats.lock();
-                st.data_sent += 1;
-                st.bytes_sent += len as u64;
-                if piggy > 0 {
-                    st.acks_piggybacked += u64::from(piggy);
-                }
-                Ok(())
-            }
-            Err(e) => {
+        self.post_data(desc, InflightKind::DataSlot(slot), piggy)
+            .map_err(|e| {
                 // Credit already consumed; on a dead conn that is moot.
                 self.send_pool.release(slot);
-                Err(Self::map_vip(e))
-            }
-        }
+                Self::map_vip(e)
+            })
     }
 
     /// Send the WAKEUP packet after connection establishment.
@@ -596,10 +568,13 @@ impl SovConn {
         if data.is_empty() {
             return Ok(0);
         }
-        self.reap_sends(ctx);
+        // Poll for completed sends; the reap itself runs under the send lock
+        // of the path that follows.
+        self.charge_poll(ctx);
         if self.config.combine_small && !nodelay && data.len() < self.config.copy_threshold {
             return self.combine_send(ctx, lib, data);
         }
+        while self.reap_one(&mut self.send_state.lock()) {}
         // Condition (3): a message above the threshold flushes the buffer
         // first, then goes out the normal way.
         self.flush_combine(ctx, lib)?;
@@ -613,19 +588,7 @@ impl SovConn {
     fn send_buffered(&self, ctx: &SimCtx, lib: &SoviaLib, data: &[u8]) -> SockResult<usize> {
         let slot = self.acquire_data_slot(ctx)?;
         self.send_pool.write_slot(ctx, slot, 0, data);
-        ctx.sleep(self.costs.memcpy(data.len()));
-        ctx.trace_span(
-            dsim::TraceLayer::Sovia,
-            dsim::TraceKind::Copy,
-            self.costs.memcpy(data.len()),
-            dsim::TraceTag::on_conn(self.vi.id()).value(data.len() as u64),
-        );
-        ctx.trace_count(
-            dsim::TraceLayer::Sovia,
-            dsim::TraceKind::BytesCopied,
-            data.len() as u64,
-            dsim::TraceTag::on_conn(self.vi.id()),
-        );
+        self.charge_copy(ctx, data.len());
         self.post_data_slot(ctx, lib, slot, data.len())?;
         Ok(data.len())
     }
@@ -637,7 +600,7 @@ impl SovConn {
             self.process.write_mem(ctx, self.staging, chunk);
             // Zero-copy: pay one registration per transfer (Section 3.1).
             let region = MemRegion::register(ctx, &self.process, self.staging, chunk.len());
-            self.stats.lock().zero_copy_registrations += 1;
+            self.send_state.lock().stats.zero_copy_registrations += 1;
             ctx.trace_count(
                 dsim::TraceLayer::Sovia,
                 dsim::TraceKind::BytesZeroCopy,
@@ -646,54 +609,17 @@ impl SovConn {
             );
             self.wait_credit(ctx, lib)?;
             let piggy = self.take_dacks();
-            ctx.sleep(self.costs.descriptor_post + self.costs.doorbell);
-            ctx.trace_span(
-                dsim::TraceLayer::Sovia,
-                dsim::TraceKind::DescriptorPost,
-                self.costs.descriptor_post + self.costs.doorbell,
-                dsim::TraceTag::on_conn(self.vi.id()).value(chunk.len() as u64),
-            );
-            ctx.trace_count(
-                dsim::TraceLayer::Sovia,
-                dsim::TraceKind::DescriptorsPosted,
-                1,
-                dsim::TraceTag::on_conn(self.vi.id()),
-            );
-            if piggy > 0 {
-                ctx.trace_count(
-                    dsim::TraceLayer::Sovia,
-                    dsim::TraceKind::AcksPiggybacked,
-                    u64::from(piggy),
-                    dsim::TraceTag::on_conn(self.vi.id()),
-                );
-            }
+            self.charge_post(ctx, chunk.len(), piggy);
             let desc = Descriptor::send(
                 Arc::clone(&region),
                 0,
                 chunk.len(),
                 Some(encode(PacketType::Data, piggy)),
             );
-            let posted = {
-                let mut ss = self.send_state.lock();
-                match self.vi.post_send_uncharged(Arc::clone(&desc)) {
-                    Ok(()) => {
-                        ss.inflight.push_back(InflightKind::ZeroCopy);
-                        true
-                    }
-                    Err(_) => false,
-                }
-            };
-            if !posted {
+            let posted = self.post_data(Arc::clone(&desc), InflightKind::ZeroCopy, piggy);
+            if posted.is_err() {
                 region.deregister(ctx);
                 return Err(SockError::ConnectionReset);
-            }
-            {
-                let mut st = self.stats.lock();
-                st.data_sent += 1;
-                st.bytes_sent += chunk.len() as u64;
-                if piggy > 0 {
-                    st.acks_piggybacked += u64::from(piggy);
-                }
             }
             // The user may reuse the buffer after send() returns, so wait
             // for the NIC to finish with it, then deregister.
@@ -712,87 +638,97 @@ impl SovConn {
         Ok(data.len())
     }
 
+    /// Reap completed sends and append `data` to the combine buffer: with
+    /// a pending buffer that has room, one send-lock round trip does both.
     fn combine_send(&self, ctx: &SimCtx, lib: &SoviaLib, data: &[u8]) -> SockResult<usize> {
+        let chunk = self.config.chunk_size;
+        let mut ss = self.send_state.lock();
+        while self.reap_one(&mut ss) {}
         loop {
-            // Condition (2): flush when there is no room.
-            let needs_flush = {
-                let c = self.combine.lock();
-                matches!(&*c, Some(st) if st.filled + data.len() > self.config.chunk_size)
-            };
-            if needs_flush {
-                self.flush_combine(ctx, lib)?;
-                continue;
-            }
-            // Ensure an active combine buffer exists.
-            if self.combine.lock().is_none() {
-                let slot = self.acquire_data_slot(ctx)?;
-                // "the sender starts a timer": 1-2 us of software-timer
-                // management (the COMBINE-vs-SINGLE latency gap in Fig 6a).
-                ctx.sleep(self.config.combine_timer_cost);
-                ctx.trace_span(
-                    dsim::TraceLayer::Sovia,
-                    dsim::TraceKind::Timer,
-                    self.config.combine_timer_cost,
-                    dsim::TraceTag::on_conn(self.vi.id()),
-                );
-                let epoch = self.combine_epoch.fetch_add(1, Ordering::Relaxed) + 1;
-                let timer = lib.arm_combine_timer(self, epoch);
-                let mut c = self.combine.lock();
-                if c.is_none() {
-                    *c = Some(Combine {
-                        slot,
-                        filled: 0,
-                        epoch,
-                        timer,
-                    });
-                    lib.combining.lock().insert(self.vi_id());
-                } else {
-                    drop(c);
-                    self.send_pool.release(slot);
-                }
-            }
-            // Append.
-            let appended = {
-                let mut c = self.combine.lock();
-                match c.as_mut() {
-                    Some(st) if st.filled + data.len() <= self.config.chunk_size => {
-                        self.send_pool.write_slot(ctx, st.slot, st.filled, data);
-                        st.filled += data.len();
-                        Some(st.filled)
-                    }
-                    _ => None,
-                }
-            };
-            match appended {
-                Some(filled) => {
-                    ctx.sleep(self.costs.memcpy(data.len()));
-                    ctx.trace_span(
-                        dsim::TraceLayer::Sovia,
-                        dsim::TraceKind::Copy,
-                        self.costs.memcpy(data.len()),
-                        dsim::TraceTag::on_conn(self.vi.id()).value(data.len() as u64),
-                    );
-                    ctx.trace_count(
-                        dsim::TraceLayer::Sovia,
-                        dsim::TraceKind::BytesCopied,
-                        data.len() as u64,
-                        dsim::TraceTag::on_conn(self.vi.id()),
-                    );
+            match ss.combine.as_mut() {
+                Some(st) if st.filled + data.len() <= chunk => {
+                    // The store is uncharged; its COW faults are charged
+                    // once the guard is gone.
+                    let faults = self.send_pool.store_slot(st.slot, st.filled, data);
+                    st.filled += data.len();
+                    let full = st.filled >= chunk;
+                    ss.stats.combined_sends += 1;
+                    drop(ss);
+                    charge_cow_faults(ctx, &self.costs, faults);
+                    self.charge_copy(ctx, data.len());
                     ctx.trace_count(
                         dsim::TraceLayer::Sovia,
                         dsim::TraceKind::CombinedSends,
                         1,
                         dsim::TraceTag::on_conn(self.vi.id()),
                     );
-                    self.stats.lock().combined_sends += 1;
-                    if filled >= self.config.chunk_size {
+                    if full {
                         self.flush_combine(ctx, lib)?;
                     }
                     return Ok(data.len());
                 }
-                None => continue,
+                // Condition (2): flush when there is no room.
+                Some(_) => {
+                    drop(ss);
+                    self.flush_combine(ctx, lib)?;
+                }
+                None => {
+                    drop(ss);
+                    self.start_combine(ctx, lib)?;
+                }
             }
+            ss = self.send_state.lock();
         }
+    }
+
+    /// Install a fresh combine buffer: take a slot and arm the timer.
+    fn start_combine(&self, ctx: &SimCtx, lib: &SoviaLib) -> SockResult<()> {
+        let slot = self.acquire_data_slot(ctx)?;
+        // "the sender starts a timer": 1-2 us of software-timer
+        // management (the COMBINE-vs-SINGLE latency gap in Fig 6a).
+        ctx.sleep(self.config.combine_timer_cost);
+        ctx.trace_span(
+            dsim::TraceLayer::Sovia,
+            dsim::TraceKind::Timer,
+            self.config.combine_timer_cost,
+            dsim::TraceTag::on_conn(self.vi.id()),
+        );
+        let epoch = self.combine_epoch.fetch_add(1, Ordering::Relaxed) + 1;
+        let timer = lib.arm_combine_timer(self, epoch);
+        let mut ss = self.send_state.lock();
+        if ss.combine.is_none() {
+            ss.combine = Some(Combine {
+                slot,
+                filled: 0,
+                epoch,
+                timer,
+            });
+            lib.mark_combining(self.vi_id(), true);
+        } else {
+            drop(ss);
+            self.send_pool.release(slot);
+        }
+        Ok(())
+    }
+
+    /// Charge a memcpy of `len` bytes: one cost serves the sleep and the
+    /// trace span.
+    fn charge_copy(&self, ctx: &SimCtx, len: usize) {
+        let cost = self.costs.memcpy(len);
+        ctx.sleep(cost);
+        let tag = dsim::TraceTag::on_conn(self.vi.id());
+        ctx.trace_span(
+            dsim::TraceLayer::Sovia,
+            dsim::TraceKind::Copy,
+            cost,
+            tag.value(len as u64),
+        );
+        ctx.trace_count(
+            dsim::TraceLayer::Sovia,
+            dsim::TraceKind::BytesCopied,
+            len as u64,
+            tag,
+        );
     }
 
     /// Flush the combine buffer if present (conditions (1)–(4)).
@@ -810,10 +746,10 @@ impl SovConn {
         epoch: Option<u64>,
     ) -> SockResult<()> {
         let armed = |st: &mut Combine| epoch.unwrap_or(st.epoch) == st.epoch;
-        let Some(st) = self.combine.lock().take_if(armed) else {
+        let Some(st) = self.send_state.lock().combine.take_if(armed) else {
             return Ok(());
         };
-        lib.combining.lock().remove(&self.vi_id());
+        lib.mark_combining(self.vi_id(), false);
         st.timer.cancel();
         if st.filled == 0 {
             self.send_pool.release(st.slot);
@@ -855,27 +791,12 @@ impl SovConn {
             if let Some(bytes) = out {
                 // The copy out of the bounce buffer into user memory — the
                 // "intermediate buffering" cost of Section 3.1.
-                ctx.sleep(self.costs.memcpy(bytes.len()));
-                ctx.trace_span(
-                    dsim::TraceLayer::Sovia,
-                    dsim::TraceKind::Copy,
-                    self.costs.memcpy(bytes.len()),
-                    dsim::TraceTag::on_conn(self.vi.id()).value(bytes.len() as u64),
-                );
-                ctx.trace_count(
-                    dsim::TraceLayer::Sovia,
-                    dsim::TraceKind::BytesCopied,
-                    bytes.len() as u64,
-                    dsim::TraceTag::on_conn(self.vi.id()),
-                );
+                self.charge_copy(ctx, bytes.len());
                 if let Some(desc) = finished_desc {
                     self.repost(ctx, &desc);
                     self.note_consumed(ctx, lib);
                 }
-                {
-                    let mut st = self.stats.lock();
-                    st.bytes_rcvd += bytes.len() as u64;
-                }
+                self.send_state.lock().stats.bytes_rcvd += bytes.len() as u64;
                 return Ok(bytes);
             }
             if self.reset.load(Ordering::Relaxed) {
@@ -949,7 +870,7 @@ impl SovConn {
                         }
                         match ptype {
                         PacketType::Data => {
-                            self.stats.lock().data_rcvd += 1;
+                            self.send_state.lock().stats.data_rcvd += 1;
                             self.rdata.lock().push_back(RecvItem { desc, consumed: 0 });
                             Action::Data
                         }
@@ -993,7 +914,7 @@ impl SovConn {
                 // grant is the ACK carrying one credit.
                 self.repost(ctx, &desc);
                 let _ = self.post_control(ctx, lib, PacketType::Ack, 1, &[]);
-                self.stats.lock().acks_sent += 1;
+                self.send_state.lock().stats.acks_sent += 1;
             }
             Action::Fin(desc) => {
                 self.repost(ctx, &desc);

@@ -14,6 +14,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dsim::sync::{SimCondvar, SimQueue};
@@ -26,6 +27,11 @@ use via::{CompletionQueue, ViaNic, WaitMode};
 use crate::config::{ReceiveMode, SoviaConfig};
 use crate::conn::SovConn;
 
+/// [`SoviaLib::lone_holder`] of an empty dirty list.
+const NO_HOLDER: u64 = u64::MAX;
+/// [`SoviaLib::lone_holder`] of a dirty list of two or more.
+const MANY_HOLDERS: u64 = u64::MAX - 1;
+
 /// The SOVIA library state of one process.
 pub struct SoviaLib {
     process: Process,
@@ -37,7 +43,10 @@ pub struct SoviaLib {
     conns: Mutex<BTreeMap<u32, Arc<SovConn>>>,
     /// The dirty list: VI ids of the connections that hold a combine
     /// buffer (`SovConn` adds an id on install and removes it on take).
-    pub(crate) combining: Mutex<BTreeSet<u32>>,
+    combining: Mutex<BTreeSet<u32>>,
+    /// The dirty list's lone member, readable without its lock, or
+    /// [`NO_HOLDER`] / [`MANY_HOLDERS`].
+    lone_holder: AtomicU64,
     /// Notified whenever anything that could unblock a waiter happened:
     /// a CQ push (single mode), a processed packet, an accept-queue push.
     progress_cv: SimCondvar,
@@ -75,6 +84,7 @@ impl SoviaLib {
                 cq: Arc::clone(&cq),
                 conns: Mutex::new(BTreeMap::new()),
                 combining: Mutex::new(BTreeSet::new()),
+                lone_holder: AtomicU64::new(NO_HOLDER),
                 progress_cv: SimCondvar::new(&sim),
                 active_sockets: Mutex::new(0),
                 open_conns: Mutex::new(0),
@@ -178,7 +188,24 @@ impl SoviaLib {
 
     pub(crate) fn remove_conn(&self, vi_id: u32) {
         self.conns.lock().remove(&vi_id);
-        self.combining.lock().remove(&vi_id);
+        self.mark_combining(vi_id, false);
+    }
+
+    /// Put connection `vi_id` on the dirty list (it installed a combine
+    /// buffer) or take it off.
+    pub(crate) fn mark_combining(&self, vi_id: u32, holds: bool) {
+        let mut held = self.combining.lock();
+        if holds {
+            held.insert(vi_id);
+        } else {
+            held.remove(&vi_id);
+        }
+        let lone = match (held.len(), held.first()) {
+            (0, _) => NO_HOLDER,
+            (1, Some(&vi)) => u64::from(vi),
+            _ => MANY_HOLDERS,
+        };
+        self.lone_holder.store(lone, Ordering::Relaxed);
     }
 
     /// Whether connection `vi_id` is on the dirty list (diagnostics).
@@ -218,8 +245,13 @@ impl SoviaLib {
     /// the application (re)entering the single-threaded library, not just
     /// the one socket: combined data must not linger while the
     /// application blocks on another descriptor. Walks the dirty list
-    /// once, in ascending VI id.
+    /// once, in ascending VI id; a `send()` that follows sends on the same
+    /// connection, the only one holding a buffer, skips the walk.
     pub fn flush_combines_except(&self, ctx: &SimCtx, except_vi: Option<u32>) {
+        let lone = self.lone_holder.load(Ordering::Relaxed);
+        if lone == NO_HOLDER || except_vi.is_some_and(|vi| u64::from(vi) == lone) {
+            return;
+        }
         let mut after = Bound::Unbounded;
         while let Some(vi) = self.next_combining(after, except_vi) {
             after = Bound::Excluded(vi);

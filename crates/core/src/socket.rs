@@ -7,7 +7,7 @@
 //! the server application has not reached `accept()` yet.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dsim::sync::SimQueue;
 use dsim::SimCtx;
@@ -38,7 +38,8 @@ enum State {
         addr: SockAddr,
         accept_q: Arc<SimQueue<Arc<SovConn>>>,
     },
-    Connected(Arc<SovConn>),
+    /// The connection itself sits in [`SovSocket::conn`].
+    Connected,
     Closed,
 }
 
@@ -46,6 +47,9 @@ enum State {
 pub struct SovSocket {
     lib: Arc<SoviaLib>,
     state: Mutex<State>,
+    /// Set once, when the socket connects or is accepted: `send` and
+    /// `recv` reach the connection here without locking `state`.
+    conn: OnceLock<Arc<SovConn>>,
     nodelay: AtomicBool,
 }
 
@@ -55,6 +59,7 @@ impl SovSocket {
         Arc::new(SovSocket {
             lib,
             state: Mutex::new(State::Fresh),
+            conn: OnceLock::new(),
             nodelay: AtomicBool::new(false),
         })
     }
@@ -63,25 +68,29 @@ impl SovSocket {
         lib.socket_opened();
         Arc::new(SovSocket {
             lib,
-            state: Mutex::new(State::Connected(conn)),
+            state: Mutex::new(State::Connected),
+            conn: OnceLock::from(conn),
             nodelay: AtomicBool::new(false),
         })
     }
 
-    fn conn(&self) -> SockResult<Arc<SovConn>> {
-        match &*self.state.lock() {
-            State::Connected(c) => Ok(Arc::clone(c)),
-            State::Closed => Err(SockError::Closed),
-            _ => Err(SockError::NotConnected),
+    /// The connection of a connected socket that is still open. Closing
+    /// the socket closes its connection first thing, so the connection's
+    /// own flag answers for both.
+    fn conn(&self) -> SockResult<&Arc<SovConn>> {
+        match self.conn.get() {
+            Some(c) if !c.is_closed() => Ok(c),
+            Some(_) => Err(SockError::Closed),
+            None => match *self.state.lock() {
+                State::Closed => Err(SockError::Closed),
+                _ => Err(SockError::NotConnected),
+            },
         }
     }
 
     /// The underlying connection (tests/diagnostics).
     pub fn connection(&self) -> Option<Arc<SovConn>> {
-        match &*self.state.lock() {
-            State::Connected(c) => Some(Arc::clone(c)),
-            _ => None,
-        }
+        self.conn().ok().cloned()
     }
 }
 
@@ -207,7 +216,8 @@ impl Socket for SovSocket {
         conn.set_peer(addr);
         conn.set_fd_hint(lib.alloc_sockdes());
         conn.send_wakeup(ctx, lib)?;
-        *self.state.lock() = State::Connected(conn);
+        let _ = self.conn.set(conn);
+        *self.state.lock() = State::Connected;
         Ok(())
     }
 
@@ -240,20 +250,20 @@ impl Socket for SovSocket {
             let mut st = self.state.lock();
             std::mem::replace(&mut *st, State::Closed)
         };
-        match prev {
-            State::Connected(conn) => {
+        match (prev, self.conn.get()) {
+            (State::Connected, Some(conn)) => {
                 let r = conn.close(ctx, &self.lib);
                 self.lib.socket_closed();
                 r
             }
-            State::Listening { addr, .. } => {
+            (State::Listening { addr, .. }, _) => {
                 // Stop accepting; the parked connection thread is reaped at
                 // simulation teardown.
                 self.lib.nic().unlisten(discriminator(addr.port));
                 self.lib.socket_closed();
                 Ok(())
             }
-            State::Closed => Ok(()),
+            (State::Closed, _) => Ok(()),
             _ => {
                 self.lib.socket_closed();
                 Ok(())
@@ -282,16 +292,13 @@ impl Socket for SovSocket {
         match &*self.state.lock() {
             State::Bound(a) => Some(*a),
             State::Listening { addr, .. } => Some(*addr),
-            State::Connected(c) => Some(c.local_addr()),
+            State::Connected => self.conn.get().map(|c| c.local_addr()),
             _ => None,
         }
     }
 
     fn peer_addr(&self) -> Option<SockAddr> {
-        match &*self.state.lock() {
-            State::Connected(c) => c.peer_addr(),
-            _ => None,
-        }
+        self.conn().ok()?.peer_addr()
     }
 
     fn as_any(self: Arc<Self>) -> Arc<dyn std::any::Any + Send + Sync> {

@@ -43,7 +43,7 @@ pub struct EthFrame {
 /// IFG 12).
 pub const ETH_OVERHEAD: usize = 38;
 
-type RxHandler = Box<dyn Fn(&dsim::SimCtx, EthFrame) + Send + Sync>;
+type RxHandler = Arc<dyn Fn(&dsim::SimCtx, EthFrame) + Send + Sync>;
 
 /// One Ethernet port on a host.
 pub struct EthPort {
@@ -51,7 +51,7 @@ pub struct EthPort {
     costs: EthNicCosts,
     tx_queue: Arc<SimQueue<EthFrame>>,
     rx_queue: Arc<SimQueue<EthFrame>>,
-    handler: Arc<Mutex<Option<RxHandler>>>,
+    handler: Mutex<Option<RxHandler>>,
     link_params: LinkParams,
 }
 
@@ -64,7 +64,7 @@ impl EthPort {
             costs,
             tx_queue: SimQueue::new(sim),
             rx_queue: SimQueue::new(sim),
-            handler: Arc::new(Mutex::new(None)),
+            handler: Mutex::new(None),
             link_params: link,
         })
     }
@@ -77,7 +77,7 @@ impl EthPort {
     /// Register the receive ("interrupt") handler. The handler runs on the
     /// NIC's receive process; it should charge its own protocol costs.
     pub fn set_rx_handler(&self, f: impl Fn(&dsim::SimCtx, EthFrame) + Send + Sync + 'static) {
-        *self.handler.lock() = Some(Box::new(f));
+        *self.handler.lock() = Some(Arc::new(f));
     }
 
     /// Queue a frame for transmission (host side; cheap — the engine pays
@@ -151,8 +151,10 @@ impl EthPort {
                     port.costs.rx_frame,
                     dsim::TraceTag::bytes(frame.payload.len()),
                 );
-                let handler = port.handler.lock();
-                if let Some(h) = handler.as_ref() {
+                // The handler charges kernel costs, so it runs outside the
+                // lock.
+                let handler = port.handler.lock().clone();
+                if let Some(h) = handler {
                     h(ctx, frame);
                 }
             });

@@ -163,10 +163,10 @@ impl PhysMem {
         self.allocated
     }
 
-    /// Copy bytes out of a frame.
-    pub fn read_frame(&self, id: FrameId, offset: usize, out: &mut [u8]) {
+    /// The `len` bytes of a frame at `offset`.
+    pub fn frame_bytes(&self, id: FrameId, offset: usize, len: usize) -> &[u8] {
         let data = self.frame(id).data.as_deref().unwrap_or(&ZERO_PAGE);
-        out.copy_from_slice(&data[offset..offset + out.len()]);
+        &data[offset..offset + len]
     }
 
     /// Copy bytes into a frame (this is what DMA does — no address-space
@@ -303,17 +303,19 @@ impl AddressSpace {
             .unwrap_or_else(|| panic!("access to unmapped page: {len} bytes at {:#x}", va.0))
     }
 
-    /// Read bytes through the virtual mapping.
-    pub fn read(&self, phys: &PhysMem, va: VAddr, out: &mut [u8]) {
-        if out.is_empty() {
-            return;
+    /// Read `len` bytes through the virtual mapping.
+    pub fn read(&self, phys: &PhysMem, va: VAddr, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        if len == 0 {
+            return out;
         }
-        let (mut off, mut done) = (va.page_offset(), 0usize);
-        for entry in self.span(va, out.len()) {
-            let n = (PAGE_SIZE - off).min(out.len() - done);
-            phys.read_frame(entry.frame, off, &mut out[done..done + n]);
-            (off, done) = (0, done + n);
+        let mut off = va.page_offset();
+        for entry in self.span(va, len) {
+            let n = (PAGE_SIZE - off).min(len - out.len());
+            out.extend_from_slice(phys.frame_bytes(entry.frame, off, n));
+            off = 0;
         }
+        out
     }
 
     /// Write bytes through the virtual mapping, breaking COW as needed.
@@ -425,16 +427,13 @@ pub fn dma_read(phys: &PhysMem, region: &PinnedRegion, offset: usize, len: usize
         len,
         region.len
     );
-    let mut out = vec![0u8; len];
+    let mut out = Vec::with_capacity(len);
     let mut pos = region.first_offset + offset;
-    let mut done = 0usize;
-    while done < len {
-        let page = pos / PAGE_SIZE;
-        let off = pos % PAGE_SIZE;
-        let n = (PAGE_SIZE - off).min(len - done);
-        phys.read_frame(region.pages[page].frame, off, &mut out[done..done + n]);
+    while out.len() < len {
+        let (page, off) = (pos / PAGE_SIZE, pos % PAGE_SIZE);
+        let n = (PAGE_SIZE - off).min(len - out.len());
+        out.extend_from_slice(phys.frame_bytes(region.pages[page].frame, off, n));
         pos += n;
-        done += n;
     }
     out
 }
@@ -463,8 +462,7 @@ mod tests {
         let va = asp.map_fresh(&mut phys, 10_000, false);
         let data: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
         asp.write(&mut phys, va, &data);
-        let mut out = vec![0u8; 10_000];
-        asp.read(&phys, va, &mut out);
+        let out = asp.read(&phys, va, 10_000);
         assert_eq!(out, data);
     }
 
@@ -475,8 +473,7 @@ mod tests {
         let start = va.add(PAGE_SIZE as u64 - 7);
         let data = vec![0xAB; 20]; // spans two pages
         asp.write(&mut phys, start, &data);
-        let mut out = vec![0u8; 20];
-        asp.read(&phys, start, &mut out);
+        let out = asp.read(&phys, start, 20);
         assert_eq!(out, data);
     }
 
@@ -484,8 +481,7 @@ mod tests {
     fn fresh_pages_are_zeroed() {
         let (mut phys, mut asp) = setup();
         let va = asp.map_fresh(&mut phys, PAGE_SIZE, false);
-        let mut out = vec![1u8; PAGE_SIZE];
-        asp.read(&phys, va, &mut out);
+        let out = asp.read(&phys, va, PAGE_SIZE);
         assert!(out.iter().all(|&b| b == 0));
     }
 
@@ -512,11 +508,9 @@ mod tests {
         assert_eq!(phys.frames_in_use(), 2);
 
         // Child still sees the original bytes.
-        let mut out = vec![0u8; 8];
-        child.read(&phys, va, &mut out);
+        let out = child.read(&phys, va, 8);
         assert_eq!(&out, b"original");
-        let mut out = vec![0u8; 8];
-        asp.read(&phys, va, &mut out);
+        let out = asp.read(&phys, va, 8);
         assert_eq!(&out, b"parent!!");
     }
 
@@ -536,8 +530,7 @@ mod tests {
         let child = asp.fork(&mut phys);
         let faults = asp.write(&mut phys, va, b"both see this");
         assert_eq!(faults, 0, "shared pages take no COW fault");
-        let mut out = vec![0u8; 13];
-        child.read(&phys, va, &mut out);
+        let out = child.read(&phys, va, 13);
         assert_eq!(&out, b"both see this");
     }
 
@@ -558,8 +551,7 @@ mod tests {
         dma_write(&mut phys, &pin, 0, b"INCOMING DATA");
 
         // The parent reads its receive buffer: the data is NOT there.
-        let mut got = vec![0u8; 13];
-        asp.read(&phys, va, &mut got);
+        let got = asp.read(&phys, va, 13);
         assert_ne!(&got, b"INCOMING DATA", "corruption must be observable");
 
         // With a shared segment (the SOVIA fix) the same sequence works.
@@ -569,8 +561,7 @@ mod tests {
         let _child = asp.fork(&mut phys);
         asp.write(&mut phys, va, b"touch");
         dma_write(&mut phys, &pin, 0, b"INCOMING DATA");
-        let mut got = vec![0u8; 13];
-        asp.read(&phys, va, &mut got);
+        let got = asp.read(&phys, va, 13);
         assert_eq!(&got, b"INCOMING DATA");
     }
 
@@ -598,8 +589,7 @@ mod tests {
         dma_write(&mut phys, &pin, 0, &data);
         assert_eq!(dma_read(&phys, &pin, 0, 300), data);
         // The process sees the same bytes through its mapping.
-        let mut out = vec![0u8; 300];
-        asp.read(&phys, start, &mut out);
+        let out = asp.read(&phys, start, 300);
         assert_eq!(out, data);
     }
 
@@ -616,8 +606,7 @@ mod tests {
     #[should_panic(expected = "unmapped page")]
     fn unmapped_access_panics() {
         let (phys, asp) = setup();
-        let mut out = [0u8; 1];
-        asp.read(&phys, VAddr(0), &mut out);
+        asp.read(&phys, VAddr(0), 1);
     }
 
     #[test]
@@ -716,12 +705,9 @@ mod tests {
         let (mut phys, mut asp) = setup();
         let va = asp.map_fresh(&mut phys, 2 * PAGE_SIZE, false);
         let pin = asp.pin(&mut phys, va.add(100), PAGE_SIZE);
-        let mut out = vec![1u8; 2 * PAGE_SIZE];
-        asp.read(&phys, va, &mut out);
+        let out = asp.read(&phys, va, 2 * PAGE_SIZE);
         assert!(out.iter().all(|&b| b == 0));
-        let mut out = vec![1u8; 64];
-        phys.read_frame(pin.pages[1].frame, 10, &mut out);
-        assert!(out.iter().all(|&b| b == 0));
+        assert_eq!(phys.frame_bytes(pin.pages[1].frame, 10, 64), [0; 64]);
         assert_eq!(dma_read(&phys, &pin, 0, PAGE_SIZE), vec![0u8; PAGE_SIZE]);
         assert_eq!(phys.frames_materialized(), 0);
     }
@@ -734,8 +720,7 @@ mod tests {
         assert_eq!(phys.frames_materialized(), 0);
         asp.write(&mut phys, va.add(5 * PAGE_SIZE as u64 + 17), &[9]);
         assert_eq!(phys.frames_materialized(), 1);
-        let mut out = [0u8; 3];
-        asp.read(&phys, va.add(5 * PAGE_SIZE as u64 + 16), &mut out);
+        let out = asp.read(&phys, va.add(5 * PAGE_SIZE as u64 + 16), 3);
         assert_eq!(out, [0, 9, 0]);
     }
 
@@ -753,11 +738,12 @@ mod tests {
             assert_eq!(writer.write(&mut phys, va, b"mine"), 1);
             assert_eq!(phys.frames_in_use(), 2);
             assert_eq!(phys.frames_materialized(), 1);
-            let mut out = [1u8; 4];
-            reader.read(&phys, va, &mut out);
-            assert_eq!(out, [0; 4], "the other side still sees zeros");
-            writer.read(&phys, va, &mut out);
-            assert_eq!(&out, b"mine");
+            assert_eq!(
+                reader.read(&phys, va, 4),
+                [0; 4],
+                "the other side still sees zeros"
+            );
+            assert_eq!(writer.read(&phys, va, 4), b"mine");
         }
     }
 }

@@ -189,19 +189,21 @@ impl Process {
     /// an actual data copy).
     pub fn read_mem(&self, va: VAddr, len: usize) -> Vec<u8> {
         let phys = self.inner.machine.phys();
-        let mut out = vec![0u8; len];
-        self.inner.aspace.lock().read(&phys, va, &mut out);
-        out
+        self.inner.aspace.lock().read(&phys, va, len)
     }
 
     /// Write memory; charges COW fault costs if sharing must be broken, but
     /// not a memcpy (the data had to exist somewhere anyway).
     pub fn write_mem(&self, ctx: &SimCtx, va: VAddr, data: &[u8]) {
-        let faults = {
-            let mut phys = self.inner.machine.phys();
-            self.inner.aspace.lock().write(&mut phys, va, data)
-        };
-        charge_cow_faults(ctx, self.costs(), faults);
+        charge_cow_faults(ctx, self.costs(), self.store_mem(va, data));
+    }
+
+    /// [`Process::write_mem`] without the charge: returns the COW faults
+    /// taken, for a caller that must not advance time here (it holds a
+    /// lock) to charge with [`charge_cow_faults`] later.
+    pub fn store_mem(&self, va: VAddr, data: &[u8]) -> usize {
+        let mut phys = self.inner.machine.phys();
+        self.inner.aspace.lock().write(&mut phys, va, data)
     }
 
     /// Memory-to-memory copy within this process, charging the memcpy cost

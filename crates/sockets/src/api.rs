@@ -2,12 +2,12 @@
 //!
 //! This is the reproduction of the paper's Figure 4: `socket()` with
 //! `SOCK_VIA` obtains a *dummy* kernel descriptor and records the SOVIA
-//! socket in a per-process table (`sockdes[s]` in the paper); `write`,
+//! socket in a per-process table indexed by that descriptor (`sockdes[s]`
+//! in the paper), so every call finds its socket with one index; `write`,
 //! `read` and `close` check the table first and fall through to the
 //! ordinary file-descriptor path otherwise, so TCP sockets, SOVIA sockets,
 //! files and pipes all coexist behind plain descriptor numbers.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use dsim::SimCtx;
@@ -17,10 +17,13 @@ use simos::{Fd, Process};
 use crate::provider::{ProviderRegistry, Socket};
 use crate::types::{SockAddr, SockError, SockOption, SockResult, SockType, Shutdown};
 
-/// Per-process socket-descriptor table (the paper's `sockdes[]`).
+/// Per-process socket-descriptor table (the paper's `sockdes[]`): slot
+/// `fd` holds the socket behind descriptor `fd`. `simos` hands out the
+/// lowest free descriptor, so the table stays as dense as the process's
+/// descriptor table and a lookup is one index.
 #[derive(Default)]
 pub struct SocketTable {
-    map: Mutex<HashMap<Fd, Arc<dyn Socket>>>,
+    slots: Mutex<Vec<Option<Arc<dyn Socket>>>>,
 }
 
 impl SocketTable {
@@ -32,26 +35,31 @@ impl SocketTable {
     }
 
     fn insert(&self, fd: Fd, sock: Arc<dyn Socket>) {
-        self.map.lock().insert(fd, sock);
+        let i = usize::try_from(fd).expect("the OS hands out non-negative descriptors");
+        let mut slots = self.slots.lock();
+        if slots.len() <= i {
+            slots.resize_with(i + 1, || None);
+        }
+        slots[i] = Some(sock);
     }
 
     /// Look up a socket by descriptor.
     pub fn get(&self, fd: Fd) -> Option<Arc<dyn Socket>> {
-        self.map.lock().get(&fd).cloned()
+        self.slots.lock().get(usize::try_from(fd).ok()?)?.clone()
     }
 
     fn remove(&self, fd: Fd) -> Option<Arc<dyn Socket>> {
-        self.map.lock().remove(&fd)
+        self.slots.lock().get_mut(usize::try_from(fd).ok()?)?.take()
     }
 
     /// Number of live sockets in this process.
     pub fn len(&self) -> usize {
-        self.map.lock().len()
+        self.slots.lock().iter().flatten().count()
     }
 
     /// Whether the process has no sockets.
     pub fn is_empty(&self) -> bool {
-        self.map.lock().is_empty()
+        self.len() == 0
     }
 }
 

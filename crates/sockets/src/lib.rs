@@ -137,6 +137,90 @@ mod tests {
     }
 
     #[test]
+    fn socket_table_len_tracks_open_sockets() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let (_m, p) = setup(&h);
+        sim.spawn("main", move |ctx| {
+            let table = api::SocketTable::of(&p);
+            let a = api::socket(ctx, &p, SockType::Stream).unwrap();
+            let b = api::socket(ctx, &p, SockType::Stream).unwrap();
+            let c = api::socket(ctx, &p, SockType::Stream).unwrap();
+            assert_eq!(table.len(), 3);
+            api::close(ctx, &p, b).unwrap();
+            assert_eq!(table.len(), 2);
+            assert!(table.get(b).is_none());
+            api::close(ctx, &p, a).unwrap();
+            api::close(ctx, &p, c).unwrap();
+            assert!(table.is_empty());
+        });
+        sim.run().unwrap();
+    }
+
+    #[test]
+    fn reused_descriptor_maps_to_the_new_socket() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let (m, p) = setup(&h);
+        sim.spawn("main", move |ctx| {
+            let table = api::SocketTable::of(&p);
+            let s = api::socket(ctx, &p, SockType::Stream).unwrap();
+            let old = table.get(s).unwrap();
+            api::close(ctx, &p, s).unwrap();
+            // The OS hands out the lowest free descriptor: the same number.
+            let s2 = api::socket(ctx, &p, SockType::Stream).unwrap();
+            assert_eq!(s2, s);
+            assert!(!Arc::ptr_eq(&old, &table.get(s2).unwrap()));
+            api::close(ctx, &p, s2).unwrap();
+            // Reused by a file, the number no longer names a socket.
+            let f = p.open(ctx, "f.txt", simos::fs::OpenMode::Write).unwrap();
+            assert_eq!(f, s);
+            assert!(table.get(f).is_none());
+            api::write(ctx, &p, f, b"file bytes").unwrap();
+            api::close(ctx, &p, f).unwrap();
+            assert_eq!(m.fs().contents("f.txt").unwrap(), b"file bytes");
+        });
+        sim.run().unwrap();
+    }
+
+    #[test]
+    fn negative_and_out_of_range_descriptors_are_bad() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let (_m, p) = setup(&h);
+        sim.spawn("main", move |ctx| {
+            let s = api::socket(ctx, &p, SockType::Stream).unwrap();
+            for fd in [-1, i32::MIN, s + 1, 1 << 20, i32::MAX] {
+                assert!(api::SocketTable::of(&p).get(fd).is_none());
+                assert_eq!(api::send(ctx, &p, fd, b"x"), Err(SockError::BadFd));
+                assert_eq!(api::recv(ctx, &p, fd, 1), Err(SockError::BadFd));
+                assert!(api::close(ctx, &p, fd).is_err());
+            }
+            api::close(ctx, &p, s).unwrap();
+        });
+        sim.run().unwrap();
+    }
+
+    #[test]
+    fn read_and_write_fall_through_for_pipes() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let (_m, p) = setup(&h);
+        sim.spawn("main", move |ctx| {
+            let s = api::socket(ctx, &p, SockType::Stream).unwrap();
+            let (r, w) = p.pipe(ctx);
+            assert_eq!(api::write(ctx, &p, w, b"through the pipe").unwrap(), 16);
+            assert_eq!(api::read(ctx, &p, r, 100).unwrap(), b"through the pipe");
+            assert_eq!(api::SocketTable::of(&p).len(), 1);
+            api::close(ctx, &p, w).unwrap();
+            assert_eq!(api::read(ctx, &p, r, 100).unwrap(), b"");
+            api::close(ctx, &p, r).unwrap();
+            api::close(ctx, &p, s).unwrap();
+        });
+        sim.run().unwrap();
+    }
+
+    #[test]
     fn no_provider_error() {
         let mut sim = Simulation::new();
         let h = sim.handle();

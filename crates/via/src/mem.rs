@@ -6,10 +6,10 @@
 //! relatively expensive operation for small messages", which is why SOVIA
 //! copies small sends into pre-registered buffers instead.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use dsim::SimCtx;
-use parking_lot::Mutex;
 use simos::mem::{PinnedRegion, VAddr, PAGE_SIZE};
 use simos::{Machine, Process};
 
@@ -17,7 +17,7 @@ use simos::{Machine, Process};
 pub struct MemRegion {
     machine: Machine,
     pinned: PinnedRegion,
-    deregistered: Mutex<bool>,
+    deregistered: AtomicBool,
 }
 
 impl MemRegion {
@@ -36,17 +36,14 @@ impl MemRegion {
         Arc::new(MemRegion {
             machine: process.machine().clone(),
             pinned,
-            deregistered: Mutex::new(false),
+            deregistered: AtomicBool::new(false),
         })
     }
 
     /// `VipDeregisterMem`: unpin, releasing the frames for reuse.
     pub fn deregister(&self, ctx: &SimCtx) {
-        {
-            let mut dereg = self.deregistered.lock();
-            assert!(!*dereg, "double deregister");
-            *dereg = true;
-        }
+        let was = self.deregistered.swap(true, Ordering::Relaxed);
+        assert!(!was, "double deregister");
         ctx.sleep(self.machine.costs().mem_deregister);
         let mut phys = self.machine.phys();
         simos::mem::unpin(&mut phys, &self.pinned);
@@ -69,14 +66,20 @@ impl MemRegion {
 
     /// NIC-side DMA read (no CPU cost; the NIC engine charges DMA time).
     pub fn dma_read(&self, offset: usize, len: usize) -> Vec<u8> {
-        assert!(!*self.deregistered.lock(), "DMA from deregistered region");
+        assert!(
+            !self.deregistered.load(Ordering::Relaxed),
+            "DMA from deregistered region"
+        );
         let phys = self.machine.phys();
         simos::mem::dma_read(&phys, &self.pinned, offset, len)
     }
 
     /// NIC-side DMA write.
     pub fn dma_write(&self, offset: usize, data: &[u8]) {
-        assert!(!*self.deregistered.lock(), "DMA into deregistered region");
+        assert!(
+            !self.deregistered.load(Ordering::Relaxed),
+            "DMA into deregistered region"
+        );
         let mut phys = self.machine.phys();
         simos::mem::dma_write(&mut phys, &self.pinned, offset, data);
     }

@@ -100,10 +100,8 @@ fn cow_fork_behaves_like_deep_copy() {
                     model_parent[off..off + n].copy_from_slice(&data);
                 }
             }
-            let mut got_p = vec![0u8; len];
-            parent.read(&phys, va, &mut got_p);
-            let mut got_c = vec![0u8; len];
-            child.read(&phys, va, &mut got_c);
+            let got_p = parent.read(&phys, va, len);
+            let got_c = child.read(&phys, va, len);
             assert_eq!(got_p, model_parent);
             assert_eq!(got_c, model_child);
         },
@@ -160,8 +158,7 @@ fn pin_dma_window_is_exact() {
             assert_eq!(dma_read(&phys, &pin, 0, len), data);
 
             // Visible through the mapping too (no fork happened).
-            let mut via_map = vec![0u8; len];
-            asp.read(&phys, va.add(start_off as u64), &mut via_map);
+            let via_map = asp.read(&phys, va.add(start_off as u64), len);
             assert_eq!(via_map, data);
 
             // Frames survive unmap while pinned.
@@ -469,8 +466,7 @@ fn mappings_behave_like_a_per_page_model() {
                     let ms = &model.spaces[space];
                     assert_eq!(asp.mapped_pages(), ms.pages.len(), "mapped pages");
                     for &(va, len) in &ms.maps {
-                        let mut got = vec![0u8; len];
-                        asp.read(&phys, va, &mut got);
+                        let got = asp.read(&phys, va, len);
                         assert!(got == model.read(space, va, len), "bytes at {va:?}");
                     }
                 }

@@ -396,3 +396,171 @@ fn closed_connection_leaves_the_dirty_list() {
         .collect();
     assert_eq!(resent.len(), 1, "close() flushed B's buffer");
 }
+
+/// Accept one connection on `sp` and collect every `recv` chunk until
+/// `total` bytes arrived; then send a one-byte acknowledgment and close.
+fn collect_chunks(
+    ctx: &dsim::SimCtx,
+    sp: &simos::Process,
+    total: usize,
+    chunks: &Mutex<Vec<Vec<u8>>>,
+) {
+    let s = api::socket(ctx, sp, SockType::Via).unwrap();
+    api::bind(ctx, sp, s, SockAddr::new(HostId(1), PORT)).unwrap();
+    api::listen(ctx, sp, s, 1).unwrap();
+    let (c, _) = api::accept(ctx, sp, s).unwrap();
+    let mut got = 0;
+    while got < total {
+        let d = api::recv(ctx, sp, c, 64 * 1024).unwrap();
+        assert!(!d.is_empty(), "EOF after {got} of {total} bytes");
+        got += d.len();
+        chunks.lock().push(d);
+    }
+    api::send_all(ctx, sp, c, b"A").unwrap();
+    api::close(ctx, sp, c).unwrap();
+    api::close(ctx, sp, s).unwrap();
+}
+
+/// The SOVIA socket behind descriptor `fd` of `process`.
+fn sov_socket(process: &simos::Process, fd: i32) -> Arc<SovSocket> {
+    let sock = api::SocketTable::of(process).get(fd).unwrap();
+    sock.as_any().downcast::<SovSocket>().ok().unwrap()
+}
+
+#[test]
+fn combine_timer_during_a_cow_fault_after_fork_flushes() {
+    // After fork, private send slots are copy-on-write: the next append
+    // takes a fault and is charged its cost. A combine timer that fires
+    // inside that charge must find the send lock free and flush both
+    // sends together. The simulation runs on a thread of its own so that
+    // a regression fails by timeout instead of hanging the suite.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let sim_thread = std::thread::spawn(move || {
+        let config = SoviaConfig {
+            use_shared_segments: false,
+            ..SoviaConfig::combine()
+        };
+        let timeout = config.combine_timeout;
+        let mut sim = Simulation::new();
+        let (m0, m1) = testbed::sovia_pair(&sim.handle(), config);
+        let (cp, sp) = testbed::procs(&m0, &m1);
+        let chunks = Arc::new(Mutex::new(Vec::new()));
+        let server_chunks = Arc::clone(&chunks);
+        sim.spawn("server", move |ctx| {
+            collect_chunks(ctx, &sp, 8, &server_chunks)
+        });
+        sim.spawn("client", move |ctx| {
+            ctx.sleep(SimDuration::from_micros(100));
+            let s = api::socket(ctx, &cp, SockType::Via).unwrap();
+            api::connect(ctx, &cp, s, SockAddr::new(HostId(1), PORT)).unwrap();
+            api::send(ctx, &cp, s, b"abcd").unwrap();
+            // The timer was armed just before the 4-byte copy was charged.
+            let deadline = ctx.now() + timeout - cp.costs().memcpy(4);
+            cp.fork(ctx, "child", |_, _| {});
+            let wake = deadline - SimDuration::from_micros(5);
+            ctx.sleep(wake.since(ctx.now()));
+            api::send(ctx, &cp, s, b"efgh").unwrap();
+            assert_eq!(api::recv_exact(ctx, &cp, s, 1).unwrap(), b"A");
+            api::close(ctx, &cp, s).unwrap();
+        });
+        sim.run().unwrap();
+        let _ = tx.send(std::mem::take(&mut *chunks.lock()));
+    });
+    let got = rx.recv_timeout(std::time::Duration::from_secs(30));
+    let hung = matches!(got, Err(std::sync::mpsc::RecvTimeoutError::Timeout));
+    // A hang means a guard is held across a charge again.
+    assert!(!hung, "the simulation hung");
+    // A simulation that finished without sending panicked: surface it.
+    if let Err(panic) = sim_thread.join() {
+        std::panic::resume_unwind(panic);
+    }
+    // One timer flush carries all 8 bytes. The last 4 are zeros: the
+    // append after fork broke COW into a fresh frame, while the NIC reads
+    // the pinned original (the Figure 5 hazard that shared segments fix).
+    let want = [b"abcd\0\0\0\0".to_vec()];
+    assert_eq!(got.unwrap(), want, "one timer flush carries both sends");
+}
+
+#[test]
+fn send_on_a_closed_socket_fails_before_flushing_others() {
+    let mut sim = Simulation::new();
+    let (m0, m1) = testbed::sovia_pair(&sim.handle(), SoviaConfig::combine());
+    let (cp, sp) = testbed::procs(&m0, &m1);
+    sim.spawn("server", move |ctx| {
+        let s = api::socket(ctx, &sp, SockType::Via).unwrap();
+        api::bind(ctx, &sp, s, SockAddr::new(HostId(1), PORT)).unwrap();
+        api::listen(ctx, &sp, s, 2).unwrap();
+        for _ in 0..2 {
+            let (c, _) = api::accept(ctx, &sp, s).unwrap();
+            let sp = sp.clone();
+            ctx.handle().spawn("drain", move |ctx| {
+                while !api::recv(ctx, &sp, c, 1024).unwrap().is_empty() {}
+                api::close(ctx, &sp, c).unwrap();
+            });
+        }
+        api::close(ctx, &sp, s).unwrap();
+    });
+    sim.spawn("client", move |ctx| {
+        ctx.sleep(SimDuration::from_micros(100));
+        let [a, b] = [0, 1].map(|_| {
+            let s = api::socket(ctx, &cp, SockType::Via).unwrap();
+            api::connect(ctx, &cp, s, SockAddr::new(HostId(1), PORT)).unwrap();
+            s
+        });
+        let vi_a = sov_socket(&cp, a).connection().unwrap().vi_id();
+        let sock_b = api::SocketTable::of(&cp).get(b).unwrap();
+        api::send(ctx, &cp, a, b"pending").unwrap();
+        api::close(ctx, &cp, b).unwrap();
+        let lib = SoviaLib::get(&cp).unwrap();
+        assert!(lib.holds_combine(vi_a));
+        assert_eq!(sock_b.send(ctx, b"late"), Err(SockError::Closed));
+        assert_eq!(sock_b.recv(ctx, 1), Err(SockError::Closed));
+        assert!(lib.holds_combine(vi_a), "a failed send must not flush A");
+        api::close(ctx, &cp, a).unwrap();
+    });
+    sim.run().unwrap();
+}
+
+#[test]
+fn combined_sends_count_across_every_flush_condition() {
+    // 40 sends of 1,000 B: the 33rd finds no room in the 32 KB buffer
+    // (condition 2), the timer flushes the other 8 (condition 1), and 5
+    // more go out when the client enters recv() (condition 4).
+    let mut sim = Simulation::new();
+    let (m0, m1) = testbed::sovia_pair(&sim.handle(), SoviaConfig::combine());
+    let (cp, sp) = testbed::procs(&m0, &m1);
+    let total = 40 * 1000 + 5 * 100;
+    let chunks = Arc::new(Mutex::new(Vec::new()));
+    let server_chunks = Arc::clone(&chunks);
+    sim.spawn("server", move |ctx| {
+        collect_chunks(ctx, &sp, total, &server_chunks)
+    });
+    let stats = Arc::new(Mutex::new(Vec::new()));
+    let client_stats = Arc::clone(&stats);
+    sim.spawn("client", move |ctx| {
+        ctx.sleep(SimDuration::from_micros(100));
+        let s = api::socket(ctx, &cp, SockType::Via).unwrap();
+        api::connect(ctx, &cp, s, SockAddr::new(HostId(1), PORT)).unwrap();
+        let conn = sov_socket(&cp, s).connection().unwrap();
+        for _ in 0..40 {
+            api::send(ctx, &cp, s, &[1u8; 1000]).unwrap();
+        }
+        client_stats.lock().push(conn.stats());
+        ctx.sleep(SimDuration::from_millis(150));
+        client_stats.lock().push(conn.stats());
+        for _ in 0..5 {
+            api::send(ctx, &cp, s, &[2u8; 100]).unwrap();
+        }
+        assert_eq!(api::recv_exact(ctx, &cp, s, 1).unwrap(), b"A");
+        client_stats.lock().push(conn.stats());
+        api::close(ctx, &cp, s).unwrap();
+    });
+    sim.run().unwrap();
+    let stats = stats.lock();
+    let sent: Vec<_> = (stats.iter())
+        .map(|s| (s.combined_sends, s.data_sent, s.bytes_sent))
+        .collect();
+    assert_eq!(sent, [(40, 1, 32_000), (40, 2, 40_000), (45, 3, 40_500)]);
+    let lens: Vec<_> = chunks.lock().iter().map(Vec::len).collect();
+    assert_eq!(lens.iter().sum::<usize>(), total);
+}
