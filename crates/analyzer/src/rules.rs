@@ -68,7 +68,7 @@ const FALLIBLE_APIS: &[&str] = &[
 
 /// Blocking `SimCtx` methods that park the calling process whatever their
 /// arguments (R7).
-const PARKING_CALLS: &[&str] = &["park", "sleep", "yield_now"];
+const PARKING_CALLS: &[&str] = &["park", "sleep", "charge", "yield_now"];
 
 /// Lint one file's token stream. `rel` is the workspace-relative path used
 /// in diagnostics. Lock acquisitions feed the workspace-wide `graph`.
@@ -700,12 +700,12 @@ fn scan_fn_locks(
 }
 
 /// If `tokens[i]` names a call that may park the calling process, return
-/// its name: a `SimCtx` method from [`PARKING_CALLS`] (`.sleep(d)`), or any
-/// call, method or plain, whose first argument is the process context (by
-/// convention `ctx`, `cctx`, …): `.pop(ctx)`, `pool.write_slot(ctx, …)`,
-/// `handler(ctx, frame)`. Whatever takes the context may charge a cost,
-/// and charging a cost parks. `vec.pop()` or `buf.pop_into_vec(n)` is no
-/// such call.
+/// its name: a `SimCtx` method from [`PARKING_CALLS`] (`.sleep(d)`,
+/// `.charge(layer, kind, d, tag)`), or any call, method or plain, whose
+/// first argument is the process context (by convention `ctx`, `cctx`,
+/// …): `.pop(ctx)`, `pool.write_slot(ctx, …)`, `handler(ctx, frame)`.
+/// Whatever takes the context may charge a cost, and charging a cost
+/// parks. `vec.pop()` or `buf.pop_into_vec(n)` is no such call.
 fn parking_call(tokens: &[Token], i: usize) -> Option<&str> {
     let name = tokens[i].ident()?;
     if !tokens.get(i + 1)?.is_punct('(') || (i > 0 && tokens[i - 1].is_ident("fn")) {

@@ -14,6 +14,14 @@ impl Shared {
         ctx.sleep(SimDuration::from_micros(1)); // R7
     }
 
+    /// A guard alive across a traced charge: the context is its receiver,
+    /// not its first argument.
+    pub fn held_across_charge(&self, ctx: &SimCtx) {
+        let st = self.state.lock();
+        let d = SimDuration::from_nanos(u64::from(st[0]));
+        ctx.charge(TraceLayer::Via, TraceKind::Poll, d, TraceTag::default()); // R7
+    }
+
     /// The temporary guard of an `if let` scrutinee lives through the block.
     pub fn scrutinee_across_pop(&self, ctx: &SimCtx) -> u32 {
         if let Some(v) = self.state.lock().last() {

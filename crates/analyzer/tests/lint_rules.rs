@@ -93,15 +93,16 @@ fn r7_fires_on_guard_alive_across_blocking_call() {
         .filter(|f| f.rule == "R7")
         .map(|f| f.line)
         .collect();
-    // Exactly the two lines marked `// R7`: the let-bound guard across
-    // `sleep` and the `if let` scrutinee guard across `pop(ctx)`.
+    // Exactly the three lines marked `// R7`: the let-bound guards across
+    // `sleep` and `charge` and the `if let` scrutinee guard across
+    // `pop(ctx)`.
     let marked: Vec<u32> = src
         .lines()
         .enumerate()
         .filter(|(_, l)| l.contains("// R7"))
         .map(|(i, _)| i as u32 + 1)
         .collect();
-    assert_eq!(marked.len(), 2);
+    assert_eq!(marked.len(), 3);
     assert_eq!(r7_lines, marked, "R7 findings: {findings:?}");
     // Host crates may block the OS thread however they like.
     let (host, _) = lint(CrateClass::Host, src);

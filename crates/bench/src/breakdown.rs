@@ -101,10 +101,10 @@ fn classify(e: &TraceEvent) -> Option<Component> {
         (_, Syscall) => Component::Syscall,
         (_, Copy) => Component::Copy,
         (Kernel, TxSegment | RxSegment | AckTx | Timer) => Component::KernelProto,
-        (Kernel, Driver | DescriptorPost | Doorbell) => Component::Driver,
+        (Kernel, Driver | DescriptorPost) => Component::Driver,
         (_, Interrupt) => Component::Interrupt,
         (Sovia, DescriptorPost | Timer) => Component::SoviaProto,
-        (Via, DescriptorPost | Doorbell) => Component::ViplPost,
+        (Via, DescriptorPost) => Component::ViplPost,
         (_, MemRegister) => Component::MemRegister,
         (_, ContextSwitch | ThreadWake) => Component::SchedWake,
         (_, Poll) => Component::Poll,

@@ -323,8 +323,7 @@ impl SovConn {
 
     /// Charge one poll of the send queue.
     fn charge_poll(&self, ctx: &SimCtx) {
-        ctx.sleep(self.costs.poll_check);
-        ctx.trace_span(
+        ctx.charge(
             dsim::TraceLayer::Sovia,
             dsim::TraceKind::Poll,
             self.costs.poll_check,
@@ -488,13 +487,11 @@ impl SovConn {
     /// is the DATA payload (0 for a control packet), and `piggy` the
     /// acknowledgments riding on it.
     fn charge_post(&self, ctx: &SimCtx, data_len: usize, piggy: u32) {
-        let cost = self.costs.descriptor_post + self.costs.doorbell;
-        ctx.sleep(cost);
         let tag = dsim::TraceTag::on_conn(self.vi.id());
-        ctx.trace_span(
+        ctx.charge(
             dsim::TraceLayer::Sovia,
             dsim::TraceKind::DescriptorPost,
-            cost,
+            self.costs.descriptor_post + self.costs.doorbell,
             tag.value(data_len as u64),
         );
         ctx.trace_count(
@@ -686,8 +683,7 @@ impl SovConn {
         let slot = self.acquire_data_slot(ctx)?;
         // "the sender starts a timer": 1-2 us of software-timer
         // management (the COMBINE-vs-SINGLE latency gap in Fig 6a).
-        ctx.sleep(self.config.combine_timer_cost);
-        ctx.trace_span(
+        ctx.charge(
             dsim::TraceLayer::Sovia,
             dsim::TraceKind::Timer,
             self.config.combine_timer_cost,
@@ -711,16 +707,13 @@ impl SovConn {
         Ok(())
     }
 
-    /// Charge a memcpy of `len` bytes: one cost serves the sleep and the
-    /// trace span.
+    /// Charge a memcpy of `len` bytes.
     fn charge_copy(&self, ctx: &SimCtx, len: usize) {
-        let cost = self.costs.memcpy(len);
-        ctx.sleep(cost);
         let tag = dsim::TraceTag::on_conn(self.vi.id());
-        ctx.trace_span(
+        ctx.charge(
             dsim::TraceLayer::Sovia,
             dsim::TraceKind::Copy,
-            cost,
+            self.costs.memcpy(len),
             tag.value(len as u64),
         );
         ctx.trace_count(

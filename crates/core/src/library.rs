@@ -302,8 +302,7 @@ impl SoviaLib {
                     return;
                 }
                 self.progress_cv.wait(ctx);
-                ctx.sleep(self.costs.poll_check);
-                ctx.trace_span(
+                ctx.charge(
                     dsim::TraceLayer::Sovia,
                     dsim::TraceKind::Poll,
                     self.costs.poll_check,

@@ -318,8 +318,7 @@ fn connection_thread(
     loop {
         // VipConnectWait: block for a request, pay the kernel wakeup.
         let pending = pending_q.pop(ctx);
-        ctx.sleep(lib.process().costs().context_switch);
-        ctx.trace_span(
+        ctx.charge(
             dsim::TraceLayer::Sovia,
             dsim::TraceKind::ContextSwitch,
             lib.process().costs().context_switch,

@@ -16,7 +16,6 @@
 //!   cross-thread signal (the paper's "tens of microseconds" Linux thread
 //!   synchronization penalty).
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond time.
-//! * [`stats`] — latency histograms and Mb/s meters used by the harnesses.
 //! * [`rng`] — seeded RNGs and verifiable byte patterns for payloads.
 //!
 //! ## Example
@@ -51,7 +50,6 @@ mod time;
 
 pub mod buf;
 pub mod rng;
-pub mod stats;
 pub mod sync;
 pub mod trace;
 

@@ -501,7 +501,8 @@ impl SimCtx {
         &self.handle
     }
 
-    /// Advance this process's virtual clock by `d` (charge a modeled cost).
+    /// Advance this process's virtual clock by `d`: an untraced charge (a
+    /// cost that belongs in a trace goes through [`SimCtx::charge`]).
     pub fn sleep(&self, d: SimDuration) {
         if d.is_zero() {
             return;
@@ -518,12 +519,13 @@ impl SimCtx {
         self.handle.core.trace.is_some()
     }
 
-    /// Record a span for a cost that was just charged: it covers
-    /// `[now - dur, now]`. Call *after* the corresponding `sleep`/charge.
-    /// No-op (one branch) when tracing is off.
+    /// Charge a modeled cost and record it: [`SimCtx::sleep`] for `d`, then
+    /// a span covering `[now - d, now]`. `d = 0` records a zero-width span
+    /// without parking. With tracing off this is a sleep plus one branch.
     #[inline]
-    pub fn trace_span(&self, layer: TraceLayer, kind: TraceKind, dur: SimDuration, tag: TraceTag) {
-        self.trace_push(dur, layer, kind, tag);
+    pub fn charge(&self, layer: TraceLayer, kind: TraceKind, d: SimDuration, tag: TraceTag) {
+        self.sleep(d);
+        self.trace_push(d, layer, kind, tag);
     }
 
     /// Record an instant event at the current virtual time.

@@ -2,7 +2,9 @@
 //!
 //! Every layer of the stack (scheduler, NIC/link, kernel TCP/IP, VIPL,
 //! SOVIA, sockets) emits typed events — **spans** covering a cost-model
-//! charge (syscall, copy, interrupt, doorbell, DMA, segment processing),
+//! charge (syscall, copy, interrupt, descriptor post, DMA, segment
+//! processing; a process's own cost is recorded by the
+//! [`crate::SimCtx::charge`] that charges it),
 //! **counters** (bytes copied vs zero-copied, descriptors posted, ACKs
 //! delayed/combined, retransmits) and **instants** (handshake packets,
 //! injected faults, measurement-window marks) — tagged with the virtual
@@ -75,7 +77,6 @@ pub enum TraceKind {
     ContextSwitch,
     ThreadWake,
     DescriptorPost,
-    Doorbell,
     Dma,
     TxDesc,
     RxDesc,
@@ -133,7 +134,6 @@ impl TraceKind {
             TraceKind::ContextSwitch => "context_switch",
             TraceKind::ThreadWake => "thread_wake",
             TraceKind::DescriptorPost => "descriptor_post",
-            TraceKind::Doorbell => "doorbell",
             TraceKind::Dma => "dma",
             TraceKind::TxDesc => "tx_desc",
             TraceKind::RxDesc => "rx_desc",
@@ -173,9 +173,9 @@ impl TraceKind {
     pub fn class(self) -> TraceClass {
         use TraceKind::*;
         match self {
-            Syscall | Copy | Interrupt | ContextSwitch | ThreadWake | DescriptorPost
-            | Doorbell | Dma | TxDesc | RxDesc | Serialize | Poll | MemRegister | TxSegment
-            | RxSegment | AckTx | Driver | Timer => TraceClass::Span,
+            Syscall | Copy | Interrupt | ContextSwitch | ThreadWake | DescriptorPost | Dma
+            | TxDesc | RxDesc | Serialize | Poll | MemRegister | TxSegment | RxSegment | AckTx
+            | Driver | Timer => TraceClass::Span,
             BytesCopied | BytesZeroCopy | DescriptorsPosted | AcksDelayed | AcksPiggybacked
             | CombinedSends | Retransmits => TraceClass::Counter,
             _ => TraceClass::Instant,

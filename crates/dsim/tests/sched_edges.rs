@@ -429,30 +429,69 @@ fn proc_stats_match_recorded_values() {
 
 #[test]
 fn trace_records_spans_and_names() {
-    use dsim::{TraceConfig, TraceKind, TraceLayer, TraceTag};
-    let mut sim = Simulation::with_trace(Some(TraceConfig::default()));
-    sim.spawn("worker", |ctx| {
-        ctx.sleep(SimDuration::from_micros(2));
-        ctx.trace_span(
+    use dsim::{SimCtx, TraceConfig, TraceKind, TraceLayer, TraceTag};
+    let us = SimDuration::from_micros;
+    let body = move |ctx: &SimCtx| {
+        ctx.sleep(us(1));
+        ctx.charge(
             TraceLayer::Kernel,
             TraceKind::Syscall,
-            SimDuration::from_micros(2),
+            us(2),
             TraceTag::bytes(4),
         );
-    });
-    sim.run().unwrap();
+        assert_eq!(ctx.now().as_nanos(), 3_000);
+        ctx.charge(
+            TraceLayer::Via,
+            TraceKind::Poll,
+            SimDuration::ZERO,
+            TraceTag::on_conn(7),
+        );
+        assert_eq!(ctx.now().as_nanos(), 3_000);
+    };
+    let mut sim = Simulation::with_trace(Some(TraceConfig::default()));
+    sim.spawn("worker", body);
+    assert_eq!(sim.run().unwrap().as_nanos(), 3_000);
     let data = sim.take_trace().expect("tracing was enabled");
     assert_eq!(data.names, vec![(0, "worker".to_string())]);
-    assert_eq!(data.events.len(), 1);
-    let e = data.events[0];
-    assert_eq!(e.start_ns, 0);
-    assert_eq!(e.dur_ns, 2_000);
-    assert_eq!(e.pid, 0);
-    assert_eq!(e.kind, TraceKind::Syscall);
-    assert_eq!(e.tag.value, 4);
-    // Untraced simulations report no data.
+    let spans: Vec<_> = data
+        .events
+        .iter()
+        .map(|e| (e.start_ns, e.dur_ns, e.pid, e.layer, e.kind, e.tag))
+        .collect();
+    assert_eq!(
+        spans,
+        vec![
+            (
+                1_000,
+                2_000,
+                0,
+                TraceLayer::Kernel,
+                TraceKind::Syscall,
+                TraceTag::bytes(4)
+            ),
+            (
+                3_000,
+                0,
+                0,
+                TraceLayer::Via,
+                TraceKind::Poll,
+                TraceTag::on_conn(7)
+            ),
+        ]
+    );
+    // Untraced, the same charges advance time identically and report no
+    // data; both runs take the events of the bare sleeps, so the zero
+    // charge never parked.
     let mut plain = Simulation::new();
-    plain.spawn("idle", |_| {});
-    plain.run().unwrap();
+    plain.spawn("worker", body);
+    assert_eq!(plain.run().unwrap().as_nanos(), 3_000);
     assert!(plain.take_trace().is_none());
+    let mut sleeps = Simulation::new();
+    sleeps.spawn("worker", move |ctx| {
+        ctx.sleep(us(1));
+        ctx.sleep(us(2));
+    });
+    sleeps.run().unwrap();
+    assert_eq!(sim.events_processed(), sleeps.events_processed());
+    assert_eq!(plain.events_processed(), sleeps.events_processed());
 }

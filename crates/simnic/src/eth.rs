@@ -122,15 +122,13 @@ impl EthPort {
             let port = Arc::clone(self);
             sim.spawn_daemon(format!("ethtx-{}", self.host), move |ctx| loop {
                 let frame = port.tx_queue.pop(ctx);
-                ctx.sleep(port.costs.tx_frame);
-                ctx.trace_span(
+                ctx.charge(
                     dsim::TraceLayer::Nic,
                     dsim::TraceKind::TxDesc,
                     port.costs.tx_frame,
                     dsim::TraceTag::bytes(frame.payload.len()),
                 );
-                ctx.sleep(port.link_params.serialize(frame.payload.len() + ETH_OVERHEAD));
-                ctx.trace_span(
+                ctx.charge(
                     dsim::TraceLayer::Link,
                     dsim::TraceKind::Serialize,
                     port.link_params.serialize(frame.payload.len() + ETH_OVERHEAD),
@@ -144,8 +142,7 @@ impl EthPort {
             let port = Arc::clone(self);
             sim.spawn_daemon(format!("ethrx-{}", self.host), move |ctx| loop {
                 let frame = port.rx_queue.pop(ctx);
-                ctx.sleep(port.costs.rx_frame);
-                ctx.trace_span(
+                ctx.charge(
                     dsim::TraceLayer::Nic,
                     dsim::TraceKind::RxDesc,
                     port.costs.rx_frame,

@@ -10,14 +10,14 @@
 //! the serialization (this is what makes FTP-over-TCP land near the
 //! paper's ~260 Mb/s instead of the raw socket peak).
 //!
-//! The account is a virtual-time mutex: `charge` waits for the CPU, holds
-//! it for the charged duration, and releases. Holders never block on
-//! anything else, so it cannot deadlock.
+//! The account is a virtual-time mutex: `charge` (or the untraced `sleep`)
+//! waits for the CPU, holds it for the charged duration, and releases.
+//! Holders never block on anything else, so it cannot deadlock.
 
 use std::sync::Arc;
 
 use dsim::sync::SimSemaphore;
-use dsim::{SimCtx, SimDuration};
+use dsim::{SimCtx, SimDuration, TraceKind, TraceLayer, TraceTag};
 
 use crate::machine::Machine;
 
@@ -38,14 +38,35 @@ impl KernelCpu {
     }
 
     /// Occupy the CPU for `d` of kernel work (queueing behind any other
-    /// kernel work in progress).
-    pub fn charge(&self, ctx: &SimCtx, d: SimDuration) {
+    /// kernel work in progress) and record it: the [`SimCtx::charge`] of
+    /// this account. The span covers the held interval, not the wait in
+    /// the queue, and a zero `d` records a zero-width span.
+    pub fn charge(
+        &self,
+        ctx: &SimCtx,
+        layer: TraceLayer,
+        kind: TraceKind,
+        d: SimDuration,
+        tag: TraceTag,
+    ) {
+        self.hold(ctx, d, || ctx.charge(layer, kind, d, tag));
+    }
+
+    /// [`KernelCpu::charge`] untraced: the [`SimCtx::sleep`] of this account.
+    pub fn sleep(&self, ctx: &SimCtx, d: SimDuration) {
+        self.hold(ctx, d, || ctx.sleep(d));
+    }
+
+    /// Run `charge` (which advances time by `d`) holding the CPU; a zero
+    /// `d` neither waits for it nor holds it.
+    fn hold(&self, ctx: &SimCtx, d: SimDuration, charge: impl FnOnce()) {
         if d.is_zero() {
-            return;
+            charge();
+        } else {
+            self.sem.acquire(ctx);
+            charge();
+            self.sem.release();
         }
-        self.sem.acquire(ctx);
-        ctx.sleep(d);
-        self.sem.release();
     }
 }
 
@@ -66,7 +87,7 @@ mod tests {
             let cpu = Arc::clone(&cpu);
             let ends = Arc::clone(&ends);
             sim.spawn(format!("w{i}"), move |ctx| {
-                cpu.charge(ctx, SimDuration::from_micros(10));
+                cpu.sleep(ctx, SimDuration::from_micros(10));
                 ends.lock().push(ctx.now().as_nanos());
             });
         }
@@ -83,10 +104,35 @@ mod tests {
         let m = Machine::new(&sim.handle(), HostId(0), "m", HostCosts::free());
         let cpu = KernelCpu::of(&m);
         sim.spawn("w", move |ctx| {
-            cpu.charge(ctx, SimDuration::ZERO);
+            cpu.sleep(ctx, SimDuration::ZERO);
             assert_eq!(ctx.now().as_nanos(), 0);
         });
         sim.run().unwrap();
+    }
+
+    #[test]
+    fn charge_spans_cover_the_held_interval() {
+        let mut sim = Simulation::with_trace(Some(dsim::TraceConfig::default()));
+        let m = Machine::new(&sim.handle(), HostId(0), "m", HostCosts::free());
+        let cpu = KernelCpu::of(&m);
+        for i in 0..2 {
+            let cpu = Arc::clone(&cpu);
+            sim.spawn(format!("w{i}"), move |ctx| {
+                let (kind, d) = (TraceKind::Driver, SimDuration::from_micros(10));
+                cpu.charge(ctx, TraceLayer::Kernel, kind, d, TraceTag::bytes(i));
+            });
+        }
+        sim.run().unwrap();
+        let data = sim.take_trace().expect("tracing was enabled");
+        let mut spans: Vec<_> = data
+            .events
+            .iter()
+            .map(|e| (e.start_ns, e.start_ns + e.dur_ns, e.tag.value))
+            .collect();
+        spans.sort_unstable();
+        // The second charge waits 10us in the queue; its span starts when
+        // it takes the CPU.
+        assert_eq!(spans, vec![(0, 10_000, 0), (10_000, 20_000, 1)]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use dsim::{SimCtx, SimDuration};
+use dsim::SimCtx;
 use parking_lot::Mutex;
 
 use crate::costs::HostCosts;
@@ -313,7 +313,7 @@ impl Process {
             FdEntry::File(f) => {
                 let data = f.read(max)?;
                 // Page-cache work happens in the kernel, on the one CPU.
-                KernelCpu::of(self.machine()).charge(ctx, self.costs().ramdisk_read(data.len()));
+                KernelCpu::of(self.machine()).sleep(ctx, self.costs().ramdisk_read(data.len()));
                 Ok(data)
             }
             FdEntry::PipeRead(p) => p.read(ctx, self.costs(), max),
@@ -329,7 +329,7 @@ impl Process {
             FdEntry::Null => Ok(data.len()),
             FdEntry::File(f) => {
                 let n = f.write(data)?;
-                KernelCpu::of(self.machine()).charge(ctx, self.costs().ramdisk_write(n));
+                KernelCpu::of(self.machine()).sleep(ctx, self.costs().ramdisk_write(n));
                 Ok(n)
             }
             FdEntry::PipeWrite(p) => p.write(ctx, self.costs(), data),
@@ -348,19 +348,13 @@ impl Process {
         }
         Ok(())
     }
-
-    /// Charge an arbitrary CPU cost (protocol layers above use this for
-    /// their own modeled work).
-    pub fn charge(&self, ctx: &SimCtx, d: SimDuration) {
-        ctx.sleep(d);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::HostId;
-    use dsim::Simulation;
+    use dsim::{SimDuration, Simulation};
 
     fn machine(sim: &dsim::SimHandle) -> Machine {
         Machine::new(sim, HostId(0), "m0", HostCosts::free())

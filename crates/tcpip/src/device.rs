@@ -198,15 +198,15 @@ impl LaneDevice {
                 // Completion interrupt + driver work, like any kernel NIC;
                 // all of it occupies the machine's one CPU.
                 let kcpu = KernelCpu::of(&dev.machine);
-                kcpu.charge(ctx, dev.machine.costs().interrupt);
-                ctx.trace_span(
+                kcpu.charge(
+                    ctx,
                     dsim::TraceLayer::Kernel,
                     dsim::TraceKind::Interrupt,
                     dev.machine.costs().interrupt,
                     dsim::TraceTag::bytes(bytes.len()),
                 );
-                kcpu.charge(ctx, SimDuration::from_micros_f64(LANE_PKT_COST_US));
-                ctx.trace_span(
+                kcpu.charge(
+                    ctx,
                     dsim::TraceLayer::Kernel,
                     dsim::TraceKind::Driver,
                     SimDuration::from_micros_f64(LANE_PKT_COST_US),
@@ -265,15 +265,15 @@ impl NetDevice for LaneDevice {
         // Driver encapsulation + copy into the registered ring (a real
         // kernel-side copy: LANE cannot do zero-copy from user skbs).
         let kcpu = KernelCpu::of(&self.machine);
-        kcpu.charge(ctx, SimDuration::from_micros_f64(LANE_PKT_COST_US));
-        ctx.trace_span(
+        kcpu.charge(
+            ctx,
             dsim::TraceLayer::Kernel,
             dsim::TraceKind::Driver,
             SimDuration::from_micros_f64(LANE_PKT_COST_US),
             dsim::TraceTag::bytes(packet.len()),
         );
-        kcpu.charge(ctx, self.machine.costs().memcpy(packet.len()));
-        ctx.trace_span(
+        kcpu.charge(
+            ctx,
             dsim::TraceLayer::Kernel,
             dsim::TraceKind::Copy,
             self.machine.costs().memcpy(packet.len()),
@@ -290,9 +290,6 @@ impl NetDevice for LaneDevice {
         self.send_region.dma_write(offset, &packet);
         kcpu.charge(
             ctx,
-            self.machine.costs().descriptor_post + self.machine.costs().doorbell,
-        );
-        ctx.trace_span(
             dsim::TraceLayer::Kernel,
             dsim::TraceKind::DescriptorPost,
             self.machine.costs().descriptor_post + self.machine.costs().doorbell,

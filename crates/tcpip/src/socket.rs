@@ -35,8 +35,8 @@ pub struct TcpSocket {
 
 impl TcpSocket {
     fn syscall(&self, ctx: &SimCtx) {
-        KernelCpu::of(self.process.machine()).charge(ctx, self.process.costs().syscall);
-        ctx.trace_span(
+        KernelCpu::of(self.process.machine()).charge(
+            ctx,
             dsim::TraceLayer::Socket,
             dsim::TraceKind::Syscall,
             self.process.costs().syscall,
@@ -94,8 +94,7 @@ impl Socket for TcpSocket {
             _ => return Err(SockError::InvalidState),
         };
         let tcb = backlog.pop(ctx);
-        ctx.sleep(self.process.costs().context_switch);
-        ctx.trace_span(
+        ctx.charge(
             dsim::TraceLayer::Kernel,
             dsim::TraceKind::ContextSwitch,
             self.process.costs().context_switch,

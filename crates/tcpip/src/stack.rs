@@ -175,8 +175,8 @@ impl TcpStack {
         }
         // New connection?
         if seg.flags.contains(TcpFlags::SYN) && !seg.flags.contains(TcpFlags::ACK) {
-            KernelCpu::of(&self.machine).charge(ctx, self.costs.rx_segment + self.costs.ip);
-            ctx.trace_span(
+            KernelCpu::of(&self.machine).charge(
+                ctx,
                 dsim::TraceLayer::Kernel,
                 dsim::TraceKind::RxSegment,
                 self.costs.rx_segment + self.costs.ip,
@@ -212,8 +212,8 @@ impl TcpStack {
     }
 
     fn send_rst(&self, ctx: &SimCtx, src_host: HostId, seg: &TcpSegment) {
-        KernelCpu::of(&self.machine).charge(ctx, self.costs.tx_ack + self.costs.ip);
-        ctx.trace_span(
+        KernelCpu::of(&self.machine).charge(
+            ctx,
             dsim::TraceLayer::Kernel,
             dsim::TraceKind::AckTx,
             self.costs.tx_ack + self.costs.ip,

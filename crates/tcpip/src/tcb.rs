@@ -301,21 +301,16 @@ impl Tcb {
             (rcv.nxt, self.advertised_window(&rcv))
         };
         let pure_ack = payload.is_empty() && !flags.contains(TcpFlags::SYN);
-        let cost = if pure_ack {
-            self.costs.tx_ack
+        let (kind, cost) = if pure_ack {
+            (dsim::TraceKind::AckTx, self.costs.tx_ack)
         } else {
-            self.costs.tx_segment
+            (dsim::TraceKind::TxSegment, self.costs.tx_segment)
         };
-        let total = cost + self.costs.ip + self.costs.checksum(payload.len());
-        self.kcpu.charge(ctx, total);
-        ctx.trace_span(
+        self.kcpu.charge(
+            ctx,
             dsim::TraceLayer::Kernel,
-            if pure_ack {
-                dsim::TraceKind::AckTx
-            } else {
-                dsim::TraceKind::TxSegment
-            },
-            total,
+            kind,
+            cost + self.costs.ip + self.costs.checksum(payload.len()),
             dsim::TraceTag::on_conn(self.local.port as u32)
                 .msg(seq as u64)
                 .value(payload.len() as u64),
@@ -338,8 +333,8 @@ impl Tcb {
 
     /// Send the initial SYN (no ACK flag; nothing to acknowledge yet).
     pub(crate) fn send_syn(&self, ctx: &SimCtx) {
-        self.kcpu.charge(ctx, self.costs.tx_segment + self.costs.ip);
-        ctx.trace_span(
+        self.kcpu.charge(
+            ctx,
             dsim::TraceLayer::Kernel,
             dsim::TraceKind::TxSegment,
             self.costs.tx_segment + self.costs.ip,
@@ -592,12 +587,11 @@ impl Tcb {
     // ----- the receive path (device service thread) -------------------------
 
     pub(crate) fn on_segment(self: &Arc<Self>, ctx: &SimCtx, seg: TcpSegment) {
-        let total = self.costs.rx_segment + self.costs.ip + self.costs.checksum(seg.payload.len());
-        self.kcpu.charge(ctx, total);
-        ctx.trace_span(
+        self.kcpu.charge(
+            ctx,
             dsim::TraceLayer::Kernel,
             dsim::TraceKind::RxSegment,
-            total,
+            self.costs.rx_segment + self.costs.ip + self.costs.checksum(seg.payload.len()),
             dsim::TraceTag::on_conn(self.local.port as u32)
                 .msg(seg.seq as u64)
                 .value(seg.payload.len() as u64),
@@ -802,8 +796,7 @@ impl Tcb {
                 _ => {}
             }
             self.cv_est.wait(ctx);
-            ctx.sleep(self.host_costs.context_switch);
-            ctx.trace_span(
+            ctx.charge(
                 dsim::TraceLayer::Kernel,
                 dsim::TraceKind::ContextSwitch,
                 self.host_costs.context_switch,
@@ -843,8 +836,8 @@ impl Tcb {
             };
             if took > 0 {
                 // The user→kernel copy.
-                self.kcpu.charge(ctx, self.host_costs.memcpy(took));
-                ctx.trace_span(
+                self.kcpu.charge(
+                    ctx,
                     dsim::TraceLayer::Kernel,
                     dsim::TraceKind::Copy,
                     self.host_costs.memcpy(took),
@@ -885,8 +878,8 @@ impl Tcb {
             };
             if let Some(out) = out {
                 // The kernel→user copy.
-                self.kcpu.charge(ctx, self.host_costs.memcpy(out.len()));
-                ctx.trace_span(
+                self.kcpu.charge(
+                    ctx,
                     dsim::TraceLayer::Kernel,
                     dsim::TraceKind::Copy,
                     self.host_costs.memcpy(out.len()),

@@ -119,8 +119,7 @@ impl ViaNic {
             return Err(VipError::InvalidState);
         }
         // Connection management goes through the kernel agent.
-        ctx.sleep(self.machine().costs().syscall);
-        ctx.trace_span(
+        ctx.charge(
             dsim::TraceLayer::Via,
             dsim::TraceKind::Syscall,
             self.machine().costs().syscall,
@@ -162,12 +161,18 @@ impl ViaNic {
     ) -> VipResult<()> {
         let (_req_id, req) = self.start_connect_request(ctx, vi, remote, discriminator)?;
         req.flag.wait(ctx);
-        ctx.sleep(self.machine().costs().context_switch);
-        ctx.trace_span(
+        self.finish_connect_request(ctx, &req)
+    }
+
+    /// The requester's wake-up once its request is answered (shared by
+    /// the blocking and the timed connect): charge the context switch and
+    /// take the answer.
+    fn finish_connect_request(&self, ctx: &SimCtx, req: &PendingRequest) -> VipResult<()> {
+        ctx.charge(
             dsim::TraceLayer::Via,
             dsim::TraceKind::ContextSwitch,
             self.machine().costs().context_switch,
-            dsim::TraceTag::on_conn(vi.id()),
+            dsim::TraceTag::on_conn(req.vi.id()),
         );
         let result = req.result.lock().take().expect("flag set without result");
         result
@@ -195,9 +200,7 @@ impl ViaNic {
                 return Err(VipError::Timeout);
             }
         }
-        ctx.sleep(self.machine().costs().context_switch);
-        let result = req.result.lock().take().expect("flag set without result");
-        result
+        self.finish_connect_request(ctx, &req)
     }
 
     /// Register a listener for `discriminator` (backing `connect_wait`);
@@ -262,8 +265,7 @@ impl ViaNic {
         if vi.state() != ViState::Idle {
             return Err(VipError::InvalidState);
         }
-        ctx.sleep(self.machine().costs().syscall);
-        ctx.trace_span(
+        ctx.charge(
             dsim::TraceLayer::Via,
             dsim::TraceKind::Syscall,
             self.machine().costs().syscall,
@@ -291,8 +293,7 @@ impl ViaNic {
 
     /// `VipConnectReject`.
     pub fn connect_reject(self: &Arc<Self>, ctx: &SimCtx, pending: &PendingConn) {
-        ctx.sleep(self.machine().costs().syscall);
-        ctx.trace_span(
+        ctx.charge(
             dsim::TraceLayer::Via,
             dsim::TraceKind::Syscall,
             self.machine().costs().syscall,
@@ -309,8 +310,7 @@ impl ViaNic {
     /// `VipDisconnect`: break the connection on both ends. Pending
     /// descriptors on each side complete in error.
     pub fn disconnect(self: &Arc<Self>, ctx: &SimCtx, vi: &Arc<Vi>) {
-        ctx.sleep(self.machine().costs().syscall);
-        ctx.trace_span(
+        ctx.charge(
             dsim::TraceLayer::Via,
             dsim::TraceKind::Syscall,
             self.machine().costs().syscall,

@@ -25,8 +25,7 @@ impl MemRegion {
     /// registration cost (base + per page).
     pub fn register(ctx: &SimCtx, process: &Process, va: VAddr, len: usize) -> Arc<MemRegion> {
         let pages = (va.page_offset() + len).div_ceil(PAGE_SIZE);
-        ctx.sleep(process.costs().mem_register(pages));
-        ctx.trace_span(
+        ctx.charge(
             dsim::TraceLayer::Via,
             dsim::TraceKind::MemRegister,
             process.costs().mem_register(pages),

@@ -345,8 +345,7 @@ impl ViaNic {
         let Some(desc) = vi.sq.pending.lock().pop_front() else {
             return; // stale doorbell
         };
-        ctx.sleep(self.costs.tx_desc);
-        ctx.trace_span(
+        ctx.charge(
             dsim::TraceLayer::Nic,
             dsim::TraceKind::TxDesc,
             self.costs.tx_desc,
@@ -385,8 +384,7 @@ impl ViaNic {
         let payload = Payload::new(desc.region.dma_read(desc.offset, desc.len));
         let busy_ns = self.costs.dma_ns_per_byte * desc.len as f64
             + link.params().ns_per_byte * (desc.len + VIA_FRAME_OVERHEAD) as f64;
-        ctx.sleep(SimDuration::from_nanos_f64(busy_ns));
-        ctx.trace_span(
+        ctx.charge(
             dsim::TraceLayer::Nic,
             dsim::TraceKind::Dma,
             SimDuration::from_nanos_f64(busy_ns),
@@ -410,8 +408,7 @@ impl ViaNic {
     fn process_rx(self: &Arc<Self>, ctx: &SimCtx, frame: ViaFrame) {
         match frame {
             ViaFrame::Mgmt(msg) => {
-                ctx.sleep(self.costs.rx_desc);
-                ctx.trace_span(
+                ctx.charge(
                     dsim::TraceLayer::Nic,
                     dsim::TraceKind::RxDesc,
                     self.costs.rx_desc,
@@ -522,8 +519,7 @@ impl ViaNic {
                         }
                     }
                 }
-                ctx.sleep(self.costs.rx_desc);
-                ctx.trace_span(
+                ctx.charge(
                     dsim::TraceLayer::Nic,
                     dsim::TraceKind::RxDesc,
                     self.costs.rx_desc,
@@ -577,10 +573,7 @@ impl ViaNic {
                     return;
                 }
                 // DMA into the pre-posted buffer.
-                ctx.sleep(SimDuration::from_nanos_f64(
-                    self.costs.dma_ns_per_byte * payload.len() as f64,
-                ));
-                ctx.trace_span(
+                ctx.charge(
                     dsim::TraceLayer::Nic,
                     dsim::TraceKind::Dma,
                     SimDuration::from_nanos_f64(

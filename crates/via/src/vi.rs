@@ -205,20 +205,25 @@ impl Vi {
 
     /// `VipPostSend`: queue a send descriptor and ring the doorbell.
     pub fn post_send(&self, ctx: &SimCtx, desc: Arc<Descriptor>) -> VipResult<()> {
-        ctx.sleep(self.costs.descriptor_post + self.costs.doorbell);
-        ctx.trace_span(
+        self.charge_post(ctx, &desc);
+        self.post_send_uncharged(desc)
+    }
+
+    /// Charge posting `desc` and ringing the doorbell, and count it.
+    fn charge_post(&self, ctx: &SimCtx, desc: &Descriptor) {
+        let tag = dsim::TraceTag::on_conn(self.id);
+        ctx.charge(
             dsim::TraceLayer::Via,
             dsim::TraceKind::DescriptorPost,
             self.costs.descriptor_post + self.costs.doorbell,
-            dsim::TraceTag::on_conn(self.id).value(desc.len as u64),
+            tag.value(desc.len as u64),
         );
         ctx.trace_count(
             dsim::TraceLayer::Via,
             dsim::TraceKind::DescriptorsPosted,
             1,
-            dsim::TraceTag::on_conn(self.id),
+            tag,
         );
-        self.post_send_uncharged(desc)
     }
 
     /// `VipPostSend` without charging the posting cost. For layered
@@ -247,27 +252,14 @@ impl Vi {
         if let ViState::Error(e) = *self.state.lock() {
             return Err(e);
         }
-        ctx.sleep(self.costs.descriptor_post + self.costs.doorbell);
-        ctx.trace_span(
-            dsim::TraceLayer::Via,
-            dsim::TraceKind::DescriptorPost,
-            self.costs.descriptor_post + self.costs.doorbell,
-            dsim::TraceTag::on_conn(self.id).value(desc.len as u64),
-        );
-        ctx.trace_count(
-            dsim::TraceLayer::Via,
-            dsim::TraceKind::DescriptorsPosted,
-            1,
-            dsim::TraceTag::on_conn(self.id),
-        );
+        self.charge_post(ctx, &desc);
         self.rq.pending.lock().push_back(desc);
         Ok(())
     }
 
     /// `VipSendDone`: poll for the next completed send descriptor.
     pub fn send_done(&self, ctx: &SimCtx) -> Option<Arc<Descriptor>> {
-        ctx.sleep(self.costs.poll_check);
-        ctx.trace_span(
+        ctx.charge(
             dsim::TraceLayer::Via,
             dsim::TraceKind::Poll,
             self.costs.poll_check,
@@ -278,8 +270,7 @@ impl Vi {
 
     /// `VipRecvDone`: poll for the next completed receive descriptor.
     pub fn recv_done(&self, ctx: &SimCtx) -> Option<Arc<Descriptor>> {
-        ctx.sleep(self.costs.poll_check);
-        ctx.trace_span(
+        ctx.charge(
             dsim::TraceLayer::Via,
             dsim::TraceKind::Poll,
             self.costs.poll_check,
@@ -338,8 +329,7 @@ impl Vi {
             wq.cv.wait(ctx);
             match mode {
                 WaitMode::Poll => {
-                    ctx.sleep(self.costs.poll_check);
-                    ctx.trace_span(
+                    ctx.charge(
                         dsim::TraceLayer::Via,
                         dsim::TraceKind::Poll,
                         self.costs.poll_check,
@@ -347,8 +337,7 @@ impl Vi {
                     );
                 }
                 WaitMode::Block => {
-                    ctx.sleep(self.costs.context_switch);
-                    ctx.trace_span(
+                    ctx.charge(
                         dsim::TraceLayer::Via,
                         dsim::TraceKind::ContextSwitch,
                         self.costs.context_switch,

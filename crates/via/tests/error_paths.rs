@@ -118,6 +118,54 @@ fn timeout_when_listener_never_accepts() {
 }
 
 #[test]
+fn timed_connect_carries_data_and_traces_its_wakeup() {
+    use dsim::{TraceConfig, TraceKind, TraceLayer};
+    let mut sim = Simulation::with_trace(Some(TraceConfig::default()));
+    let h = sim.handle();
+    let (m0, m1, n0, n1) = testbed(&h);
+    let received = Arc::new(Mutex::new(Vec::new()));
+    {
+        let received = Arc::clone(&received);
+        sim.spawn("server", move |ctx| {
+            let p = m1.spawn_process("server");
+            let vi = n1.create_vi(ViAttributes::default());
+            let region = registered_buffer(ctx, &p, 4096);
+            vi.post_recv(ctx, Descriptor::recv(region, 0, 4096))
+                .unwrap();
+            accept_one(ctx, &n1, 5, &vi);
+            let done = vi.recv_wait(ctx, WaitMode::Block).unwrap();
+            let len = done.status().xfer_len;
+            received.lock().extend(done.region.dma_read(0, len));
+        });
+    }
+    sim.spawn("client", move |ctx| {
+        let p = m0.spawn_process("client");
+        let vi = n0.create_vi(ViAttributes::default());
+        ctx.sleep(SimDuration::from_micros(50));
+        n0.connect_request_timeout(ctx, &vi, ViaNicId(1), 5, SimDuration::from_millis(1))
+            .unwrap();
+        let region = registered_buffer(ctx, &p, 4096);
+        region.dma_write(0, b"hello via");
+        vi.post_send(ctx, Descriptor::send(region, 0, 9, None))
+            .unwrap();
+        assert!(vi.send_wait(ctx, WaitMode::Poll).unwrap().is_done());
+    });
+    sim.run().unwrap();
+    assert_eq!(received.lock().as_slice(), b"hello via");
+    // The requester's wake-up switch is charged through a span, as on the
+    // blocking connect.
+    let data = sim.take_trace().expect("tracing was enabled");
+    let client = data.names.iter().find(|(_, n)| n == "client").unwrap().0;
+    let switches = data
+        .events
+        .iter()
+        .filter(|e| e.pid == client)
+        .filter(|e| (e.layer, e.kind) == (TraceLayer::Via, TraceKind::ContextSwitch))
+        .count();
+    assert_eq!(switches, 1);
+}
+
+#[test]
 fn too_large_send_rejected() {
     let mut sim = Simulation::new();
     let h = sim.handle();

@@ -172,7 +172,7 @@ fn kernel_cpu_contention_is_visible_in_timing() {
             let ends = Arc::clone(&ends);
             sim.spawn(format!("w{i}"), move |ctx| {
                 sovia_repro::simos::KernelCpu::of(&m)
-                    .charge(ctx, SimDuration::from_micros(50));
+                    .sleep(ctx, SimDuration::from_micros(50));
                 ends.lock().push(ctx.now().as_nanos());
             });
         }
