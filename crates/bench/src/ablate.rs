@@ -26,10 +26,8 @@ pub fn window_sweep(msg_size: usize, windows: &[u32], threads: usize) -> Series 
             ..SoviaConfig::single()
         };
         let v = Variant::Sovia(config);
-        (
-            w as usize,
-            micro::bandwidth_mbps(&v, msg_size, bandwidth_total(msg_size)),
-        )
+        let out = micro::bandwidth_traced(&v, msg_size, bandwidth_total(msg_size), None);
+        (w as usize, out.value)
     });
     Series {
         name: format!("bandwidth@{msg_size}B vs window"),
@@ -46,10 +44,8 @@ pub fn ack_threshold_sweep(msg_size: usize, thresholds: &[u32], threads: usize) 
             ..SoviaConfig::flowctrl()
         };
         let v = Variant::Sovia(config);
-        (
-            t as usize,
-            micro::bandwidth_mbps(&v, msg_size, bandwidth_total(msg_size)),
-        )
+        let out = micro::bandwidth_traced(&v, msg_size, bandwidth_total(msg_size), None);
+        (t as usize, out.value)
     });
     Series {
         name: format!("bandwidth@{msg_size}B vs ack threshold"),
@@ -66,7 +62,7 @@ pub fn copy_threshold_sweep(msg_size: usize, thresholds: &[usize], threads: usiz
             ..SoviaConfig::dacks()
         };
         let v = Variant::Sovia(config);
-        (thr, micro::latency_us(&v, msg_size, 30))
+        (thr, micro::latency_traced(&v, msg_size, 30, None).value)
     });
     Series {
         name: format!("latency@{msg_size}B vs copy threshold"),
@@ -79,47 +75,29 @@ pub fn copy_threshold_sweep(msg_size: usize, thresholds: &[usize], threads: usiz
 /// ... has a substantial impact on the latency especially for small
 /// messages").
 pub fn handshake_comparison(sizes: &[usize], threads: usize) -> Vec<Series> {
-    // Flatten the 2 × sizes grid (handshake-major) into one job list.
     let configs = [SoviaConfig::single(), SoviaConfig::reqack()];
-    let jobs: Vec<(&SoviaConfig, usize)> = configs
-        .iter()
-        .flat_map(|c| sizes.iter().map(move |&s| (c, s)))
-        .collect();
-    let results = runner::par_map(&jobs, threads, |_, &(c, s)| {
-        micro::latency_us(&Variant::Sovia(c.clone()), s, 30)
-    });
+    let rows = latency_grid(configs, sizes, threads);
     ["two-way (SOVIA)", "three-way (REQ/ACK)"]
         .iter()
-        .enumerate()
-        .map(|(ci, name)| Series {
-            name: (*name).into(),
-            points: sizes
-                .iter()
-                .enumerate()
-                .map(|(si, &s)| (s, results[ci * sizes.len() + si]))
-                .collect(),
-        })
+        .zip(rows)
+        .map(|(name, row)| Series::new(*name, sizes, row))
         .collect()
 }
 
 /// Latency cost of the handler thread as a function of message size: the
 /// SOVIA_HANDLER minus SOVIA_SINGLE gap (the paper: "more than 15 µsec").
 pub fn handler_gap_us(sizes: &[usize], threads: usize) -> Series {
-    // Flatten the 2 × sizes grid (config-major: SINGLE then HANDLER).
     let configs = [SoviaConfig::single(), SoviaConfig::handler()];
-    let jobs: Vec<(&SoviaConfig, usize)> = configs
-        .iter()
-        .flat_map(|c| sizes.iter().map(move |&s| (c, s)))
-        .collect();
-    let results = runner::par_map(&jobs, threads, |_, &(c, s)| {
-        micro::latency_us(&Variant::Sovia(c.clone()), s, 30)
-    });
-    Series {
-        name: "handler-thread latency penalty".to_string(),
-        points: sizes
-            .iter()
-            .enumerate()
-            .map(|(si, &s)| (s, results[sizes.len() + si] - results[si]))
-            .collect(),
-    }
+    let rows = latency_grid(configs, sizes, threads);
+    let gaps = rows[1].iter().zip(&rows[0]).map(|(h, s)| h - s);
+    Series::new("handler-thread latency penalty", sizes, gaps)
+}
+
+/// 30-round latency of SOVIA in each configuration at every size, one
+/// row per configuration.
+fn latency_grid(configs: [SoviaConfig; 2], sizes: &[usize], threads: usize) -> Vec<Vec<f64>> {
+    let variants = configs.map(Variant::Sovia);
+    runner::par_grid(&variants, sizes, threads, |v, &s| {
+        micro::latency_traced(v, s, 30, None).value
+    })
 }

@@ -25,17 +25,12 @@ fn main() {
         )
     );
     if let Some(path) = &args.trace {
-        let platforms = [
-            fig7::RpcPlatform::TcpFastEthernet,
-            fig7::RpcPlatform::TcpClan,
-            fig7::RpcPlatform::SoviaClan,
-        ];
-        let parts: Vec<_> = platforms
+        let parts: Vec<_> = fig7::fig7_platforms()
             .iter()
-            .map(|&p| {
+            .map(|(label, p)| {
                 let out = fig7::rpc_elapsed_traced(p, 128, Some(TraceConfig::default()));
                 (
-                    format!("{} 128B RPC", p.label()),
+                    format!("{label} 128B RPC"),
                     out.trace.expect("tracing was enabled"),
                 )
             })

@@ -17,20 +17,18 @@ fn main() {
     let rows = table1::run_table1_with(&sizes, args.threads());
     print!("{}", table1::render(&rows, &sizes));
     if let Some(path) = &args.trace {
-        let platforms = [
-            table1::Platform::TcpFastEthernet,
-            table1::Platform::TcpClan,
-            table1::Platform::SoviaClan,
-        ];
-        let parts: Vec<_> = platforms
+        let parts: Vec<_> = table1::table1_rows()
             .iter()
-            .map(|&p| {
-                let (_, trace) =
-                    table1::ftp_transfer_traced(p, sizes[0], Some(TraceConfig::default()));
-                (
-                    format!("{} file1 FTP", p.label()),
-                    trace.expect("tracing was enabled"),
-                )
+            .filter_map(|(label, p)| {
+                let out = table1::ftp_transfer_traced(
+                    p.as_ref()?,
+                    sizes[0],
+                    Some(TraceConfig::default()),
+                );
+                Some((
+                    format!("{label} file1 FTP"),
+                    out.trace.expect("tracing was enabled"),
+                ))
             })
             .collect();
         cli::write_trace(path, &parts);

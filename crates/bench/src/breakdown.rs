@@ -22,6 +22,7 @@ use dsim::{
 use sovia::SoviaConfig;
 
 use crate::micro::{self, Variant};
+use crate::runner::RunOutput;
 
 /// The attribution buckets, in priority order (overlap goes to the
 /// earlier bucket). [`Component::Idle`] is the residual and always last.
@@ -253,7 +254,7 @@ pub fn bandwidth_variants() -> Vec<Variant> {
     ]
 }
 
-fn run_one(v: &Variant, run: impl Fn(&Variant) -> micro::RunOutput) -> VariantBreakdown {
+fn run_one(v: &Variant, run: impl Fn(&Variant) -> RunOutput) -> VariantBreakdown {
     let out = run(v);
     let trace = out.trace.expect("tracing was enabled");
     let attribution = attribute(&trace).expect("measurement window marks missing");

@@ -17,16 +17,14 @@
 //! schedule, goodput digits, fault counters — is bit-reproducible at any
 //! `--threads` count (the determinism suite asserts this at 1/2/8).
 
-use std::sync::Arc;
-
-use dsim::{SchedStats, SimDuration, SimTime, Simulation};
-use parking_lot::Mutex;
+use dsim::{SchedStats, SimDuration, SimTime, Simulation, TraceConfig, TraceData, TraceKind};
 use simnic::{FaultPlan, FaultStats};
 use simos::HostId;
 use sockets::{api, SockAddr, SockOption, SockType};
 use sovia_repro::testbed;
 
-use crate::runner;
+use crate::micro::mark;
+use crate::runner::{self, run_point, Report};
 
 /// Per-frame drop probabilities of the sweep (data direction only).
 pub const LOSS_RATES: [f64; 6] = [0.0, 0.001, 0.005, 0.01, 0.02, 0.05];
@@ -60,38 +58,30 @@ pub struct FaultPoint {
 
 /// Stream `total` bytes over TCP/Fast-Ethernet with per-frame drop
 /// probability `loss_p` (seeded `seed`) on the data direction, measuring
-/// sink goodput and the longest receive stall.
-pub fn lossy_tcp_stream(loss_p: f64, seed: u64, msg: usize, total: usize) -> FaultPoint {
-    lossy_tcp_stream_traced(loss_p, seed, msg, total, None).0
-}
-
-/// [`lossy_tcp_stream`] with optional tracing; the sink brackets the
-/// first-to-last-byte goodput window with measurement marks, so the
-/// trace window matches the reported goodput interval (retransmission
-/// stalls and `FaultDrop` instants land inside it).
+/// sink goodput and the longest receive stall; traced when `trace` is
+/// `Some`. The sink brackets the first-to-last-byte goodput window with
+/// measurement marks, so the trace window matches the reported goodput
+/// interval (retransmission stalls and `FaultDrop` instants land inside
+/// it).
 pub fn lossy_tcp_stream_traced(
     loss_p: f64,
     seed: u64,
     msg: usize,
     total: usize,
-    trace: Option<dsim::TraceConfig>,
-) -> (FaultPoint, Option<dsim::TraceData>) {
-    let mut sim = Simulation::with_trace(trace);
-    let h = sim.handle();
-    let plan = if loss_p > 0.0 {
-        FaultPlan::drops(seed, loss_p)
-    } else {
-        FaultPlan::empty()
-    };
-    let (m0, m1, f01, _f10) =
-        testbed::tcp_ethernet_pair_with_faults(&h, &plan, &FaultPlan::empty());
-    // (goodput Mb/s, max stall µs), written by the sink.
-    let out = Arc::new(Mutex::new((0f64, 0f64)));
+    trace: Option<TraceConfig>,
+) -> (FaultPoint, Option<TraceData>) {
     let msgs = total.div_ceil(msg);
     let total = msgs * msg;
-    let (cp, sp) = testbed::procs(&m0, &m1);
-    {
-        let out = Arc::clone(&out);
+    // The sink reports (goodput Mb/s, max stall µs).
+    let setup = |sim: &Simulation, report: Report<(f64, f64)>| {
+        let plan = if loss_p > 0.0 {
+            FaultPlan::drops(seed, loss_p)
+        } else {
+            FaultPlan::empty()
+        };
+        let (m0, m1, f01, _f10) =
+            testbed::tcp_ethernet_pair_with_faults(&sim.handle(), &plan, &FaultPlan::empty());
+        let (cp, sp) = testbed::procs(&m0, &m1);
         sim.spawn("sink", move |ctx| {
             let s = api::socket(ctx, &sp, SockType::Stream).unwrap();
             api::bind(ctx, &sp, s, SockAddr::new(HostId(1), PORT)).unwrap();
@@ -110,11 +100,7 @@ pub fn lossy_tcp_stream_traced(
                 let now = ctx.now();
                 if t_first.is_none() {
                     t_first = Some(now);
-                    ctx.trace_instant(
-                        dsim::TraceLayer::App,
-                        dsim::TraceKind::MarkStart,
-                        dsim::TraceTag::default(),
-                    );
+                    mark(ctx, TraceKind::MarkStart);
                 } else {
                     let stall = now.since(t_last).as_micros_f64();
                     if stall > max_stall {
@@ -124,15 +110,13 @@ pub fn lossy_tcp_stream_traced(
                 t_last = now;
                 got += d.len();
             }
-            ctx.trace_instant(
-                dsim::TraceLayer::App,
-                dsim::TraceKind::MarkEnd,
-                dsim::TraceTag::default(),
-            );
+            mark(ctx, TraceKind::MarkEnd);
             if let Some(t0) = t_first {
                 let secs = t_last.since(t0).as_secs_f64();
                 if secs > 0.0 {
-                    *out.lock() = (got as f64 * 8.0 / secs / 1e6, max_stall);
+                    let goodput = got as f64 * 8.0 / secs / 1e6;
+                    let point = (goodput, max_stall);
+                    report.set(point).expect("one report per run");
                 }
             }
             // The terminating application-level acknowledgment (clean
@@ -141,47 +125,42 @@ pub fn lossy_tcp_stream_traced(
             api::close(ctx, &sp, c).unwrap();
             api::close(ctx, &sp, s).unwrap();
         });
-    }
-    sim.spawn("source", move |ctx| {
-        ctx.sleep(SimDuration::from_millis(1));
-        let s = api::socket(ctx, &cp, SockType::Stream).unwrap();
-        api::set_option(ctx, &cp, s, SockOption::SendBuf(131_170)).unwrap();
-        api::connect(ctx, &cp, s, SockAddr::new(HostId(1), PORT)).unwrap();
-        let payload = vec![0x5Au8; msg];
-        for _ in 0..msgs {
-            api::send_all(ctx, &cp, s, &payload).unwrap();
-        }
-        let _ = api::recv_exact(ctx, &cp, s, 1).unwrap();
-        api::close(ctx, &cp, s).unwrap();
-    });
-    sim.run().expect("fault-sweep simulation failed");
-    let (goodput_mbps, max_stall_us) = *out.lock();
-    (
-        FaultPoint {
-            loss_p,
-            goodput_mbps,
-            max_stall_us,
-            faults: f01.stats(),
-            stats: sim.sched_stats(),
-        },
-        sim.take_trace(),
-    )
+        sim.spawn("source", move |ctx| {
+            ctx.sleep(SimDuration::from_millis(1));
+            let s = api::socket(ctx, &cp, SockType::Stream).unwrap();
+            api::set_option(ctx, &cp, s, SockOption::SendBuf(131_170)).unwrap();
+            api::connect(ctx, &cp, s, SockAddr::new(HostId(1), PORT)).unwrap();
+            let payload = vec![0x5Au8; msg];
+            for _ in 0..msgs {
+                api::send_all(ctx, &cp, s, &payload).unwrap();
+            }
+            let _ = api::recv_exact(ctx, &cp, s, 1).unwrap();
+            api::close(ctx, &cp, s).unwrap();
+        });
+        f01
+    };
+    // The lossy lane's counters are read after the run: frames sent after
+    // the sink's last read still count.
+    let (out, lossy) = run_point(trace, setup);
+    let (goodput_mbps, max_stall_us) = out.value;
+    let point = FaultPoint {
+        loss_p,
+        goodput_mbps,
+        max_stall_us,
+        faults: lossy.stats(),
+        stats: out.stats,
+    };
+    (point, out.trace)
 }
 
-/// Run the whole sweep on at most `threads` concurrent simulations,
-/// seeded with [`SWEEP_SEED`].
-pub fn run_fault_sweep(threads: usize) -> Vec<FaultPoint> {
-    run_fault_sweep_seeded(threads, SWEEP_SEED)
-}
-
-/// Run the whole sweep with an explicit base seed: point `i` seeds its
-/// fault lane with `base_seed ^ i`, so the default seed reproduces the
-/// checked-in `results/fault_sweep.txt` while `--seed` explores other
-/// fault schedules.
+/// Run the whole sweep on at most `threads` concurrent simulations. Point
+/// `i` seeds its fault lane with `base_seed ^ i`, so [`SWEEP_SEED`]
+/// reproduces the checked-in `results/fault_sweep.txt` while `--seed`
+/// explores other fault schedules.
 pub fn run_fault_sweep_seeded(threads: usize, base_seed: u64) -> Vec<FaultPoint> {
     let jobs: Vec<(usize, f64)> = LOSS_RATES.iter().copied().enumerate().collect();
     runner::par_map(&jobs, threads, |_, &(i, p)| {
-        lossy_tcp_stream(p, base_seed ^ i as u64, STREAM_MSG, STREAM_TOTAL)
+        lossy_tcp_stream_traced(p, base_seed ^ i as u64, STREAM_MSG, STREAM_TOTAL, None).0
     })
 }
 

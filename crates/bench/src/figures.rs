@@ -1,15 +1,15 @@
 //! The experiment definitions, one per table/figure of the paper.
 //!
 //! Every measurement point is a fresh, independent simulation, so the
-//! sweeps flatten their variant × size grids into job lists and run them
-//! through [`crate::runner`]. Output is byte-identical at any thread
+//! sweeps run their variant × size grids through
+//! [`crate::runner::par_grid`]. Output is byte-identical at any thread
 //! count (the runner collects by input index).
 
 use dsim::SchedStats;
 use sovia::SoviaConfig;
 
 use crate::micro::{self, Series, Variant};
-use crate::runner;
+use crate::runner::{self, RunOutput};
 
 /// Message sizes of Figure 6(a).
 pub const FIG6A_SIZES: [usize; 11] = [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
@@ -70,42 +70,30 @@ pub struct SweepOutcome {
     pub sim_stats: Vec<SchedStats>,
 }
 
-/// Assemble `(variant, size)` grid results (job order, variant-major)
-/// back into per-variant series.
-fn assemble(
+/// Run `measure` over the `variants × sizes` grid on at most `threads`
+/// concurrent simulations.
+fn sweep(
     variants: &[Variant],
     sizes: &[usize],
-    results: Vec<(f64, SchedStats)>,
+    threads: usize,
+    measure: impl Fn(&Variant, usize) -> RunOutput + Sync,
 ) -> SweepOutcome {
-    let series = variants
-        .iter()
-        .enumerate()
-        .map(|(vi, v)| Series {
-            name: v.label().to_string(),
-            points: sizes
-                .iter()
-                .enumerate()
-                .map(|(si, &s)| (s, results[vi * sizes.len() + si].0))
-                .collect(),
-        })
-        .collect();
+    let rows = runner::par_grid(variants, sizes, threads, |v, &s| measure(v, s));
     SweepOutcome {
-        series,
-        sim_stats: results.into_iter().map(|(_, st)| st).collect(),
+        series: variants
+            .iter()
+            .zip(&rows)
+            .map(|(v, row)| Series::new(v.label(), sizes, row.iter().map(|o| o.value)))
+            .collect(),
+        sim_stats: rows.iter().flatten().map(|o| o.stats).collect(),
     }
 }
 
 /// Run the Figure 6(a) grid on at most `threads` concurrent simulations.
 pub fn run_fig6a_sweep(sizes: &[usize], rounds: u32, threads: usize) -> SweepOutcome {
-    let variants = fig6a_variants();
-    let jobs: Vec<(&Variant, usize)> = variants
-        .iter()
-        .flat_map(|v| sizes.iter().map(move |&s| (v, s)))
-        .collect();
-    let results = runner::par_map(&jobs, threads, |_, &(v, s)| {
-        micro::latency_with_stats(v, s, rounds)
-    });
-    assemble(&variants, sizes, results)
+    sweep(&fig6a_variants(), sizes, threads, |v, s| {
+        micro::latency_traced(v, s, rounds, None)
+    })
 }
 
 /// Run the Figure 6(b) grid on at most `threads` concurrent simulations.
@@ -116,13 +104,7 @@ pub fn run_fig6b_sweep(
     total: impl Fn(usize) -> usize + Sync,
     threads: usize,
 ) -> SweepOutcome {
-    let variants = fig6b_variants();
-    let jobs: Vec<(&Variant, usize)> = variants
-        .iter()
-        .flat_map(|v| sizes.iter().map(move |&s| (v, s)))
-        .collect();
-    let results = runner::par_map(&jobs, threads, |_, &(v, s)| {
-        micro::bandwidth_with_stats(v, s, total(s))
-    });
-    assemble(&variants, sizes, results)
+    sweep(&fig6b_variants(), sizes, threads, |v, s| {
+        micro::bandwidth_traced(v, s, total(s), None)
+    })
 }

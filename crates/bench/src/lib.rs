@@ -10,11 +10,14 @@
 //!   2 KB copy threshold, the handler-thread penalty);
 //! * [`fault_sweep`] — TCP goodput and recovery latency vs frame loss on
 //!   a lossy Fast Ethernet link (the `simnic::faults` layer end to end);
-//! * [`micro`] — the underlying ping-pong / streaming measurement engine;
+//! * [`micro`] — the ping-pong / streaming workloads and [`micro::Variant`],
+//!   the one platform type (with one `boot`) every experiment runs on;
 //! * [`breakdown`] — per-layer decomposition of the end-to-end numbers
 //!   from `dsim::trace` spans (the `latency_breakdown` binary);
-//! * [`runner`] — the bounded parallel runner the sweeps go through
-//!   (every measurement point is a fresh, independent simulation);
+//! * [`runner`] — the one measurement path: `run_point` runs each point
+//!   in a fresh simulation and returns its [`runner::RunOutput`] (value,
+//!   counters, trace); [`runner::par_map`] and [`runner::par_grid`] run
+//!   many points on a bounded pool of host threads;
 //! * [`cli`] — the shared `--threads` / `--seed` / `--trace` parsing of
 //!   every bench binary.
 //!

@@ -1,26 +1,29 @@
 //! The microbenchmarks of Section 5.2: ping-pong latency and
-//! unidirectional bandwidth, for every transport variant in Figure 6.
+//! unidirectional bandwidth, for every transport variant in Figure 6,
+//! and [`Variant`], the platform type every experiment boots.
 //!
 //! Each measurement point runs in a **fresh simulation** (fully
-//! deterministic, no cross-talk between points). "TCP" means TCP over the
-//! LANE driver on cLAN, as in the paper's Figure 6.
+//! deterministic, no cross-talk between points) through
+//! `runner::run_point`. "TCP" means TCP over the LANE driver on
+//! cLAN, as in the paper's Figure 6.
 
 use std::sync::Arc;
 
-use dsim::{
-    ProcStats, SchedStats, SimDuration, Simulation, TraceConfig, TraceData, TraceKind, TraceLayer,
-    TraceTag,
-};
-use parking_lot::Mutex;
-use simos::HostId;
+use dsim::{SimCtx, SimDuration, Simulation, TraceConfig, TraceKind, TraceLayer, TraceTag};
+use simos::{HostId, Machine};
 use sockets::{api, SockAddr, SockOption, SockType};
 use sovia::SoviaConfig;
 use sovia_repro::testbed;
 use via::{Descriptor, MemRegion, ViAttributes, ViaNic, ViaNicId, WaitMode};
 
-/// The transport variants of Figure 6.
+use crate::runner::{run_point, Report, RunOutput};
+
+/// The platforms of the paper's testbeds: the transport variants of
+/// Figure 6 plus kernel TCP on Fast Ethernet (Table 1, Figure 7).
 #[derive(Debug, Clone)]
 pub enum Variant {
+    /// Kernel TCP/IP over Fast Ethernet.
+    TcpEth,
     /// TCP over the LANE kernel driver on cLAN (`TCP_NODELAY` for latency).
     TcpLane,
     /// Raw VIPL (no sockets layer at all).
@@ -34,6 +37,7 @@ impl Variant {
     /// Label used in the printed tables.
     pub fn label(&self) -> &'static str {
         match self {
+            Variant::TcpEth => "TCP_FASTETH",
             Variant::TcpLane => "TCP",
             Variant::NativeVia => "NATIVE_VIA",
             Variant::Sovia(c) => {
@@ -51,6 +55,36 @@ impl Variant {
             }
         }
     }
+
+    /// The platform's socket type: SOVIA's `SOCK_VIA`, else kernel
+    /// TCP's `SOCK_STREAM`.
+    pub(crate) fn sock_type(&self) -> SockType {
+        match self {
+            Variant::Sovia(_) => SockType::Via,
+            _ => SockType::Stream,
+        }
+    }
+
+    /// Build the platform's two machines on `sim` and call `run` from
+    /// the `"bootstrap"` process with the client (`m0`) and server (`m1`).
+    ///
+    /// # Panics
+    ///
+    /// For [`Variant::NativeVia`], which has no sockets layer to boot:
+    /// its workloads spawn their processes on a bare cLAN pair.
+    pub(crate) fn boot(
+        &self,
+        sim: &Simulation,
+        run: impl FnOnce(&SimCtx, Machine, Machine) + Send + 'static,
+    ) {
+        let (m0, m1) = match self {
+            Variant::TcpLane => return testbed::clan_dual_stack(sim, SoviaConfig::combine(), run),
+            Variant::NativeVia => panic!("NATIVE_VIA has no sockets platform to boot"),
+            Variant::TcpEth => testbed::tcp_ethernet_pair(&sim.handle()),
+            Variant::Sovia(config) => testbed::sovia_pair(&sim.handle(), config.clone()),
+        };
+        sim.spawn("bootstrap", move |ctx| run(ctx, m0, m1));
+    }
 }
 
 /// One measured series: `(message size, value)` points.
@@ -62,62 +96,33 @@ pub struct Series {
     pub points: Vec<(usize, f64)>,
 }
 
-const PORT: u16 = 9000;
-
-/// Everything one (optionally traced) measurement simulation reports.
-///
-/// The untraced entry points return `(value, stats)` tuples; the
-/// `*_traced` variants return this, adding per-process accounting and —
-/// when a [`TraceConfig`] was supplied — the drained trace. Tracing
-/// observes, never perturbs: `value` and `stats` are identical whether
-/// `trace` was `None` or `Some`.
-#[derive(Debug, Clone)]
-pub struct RunOutput {
-    /// The measured metric (µs for latency runs, Mb/s for bandwidth runs).
-    pub value: f64,
-    /// Whole-simulation scheduler counters.
-    pub stats: SchedStats,
-    /// Per-process virtual run-time / wakeup accounting, pid order.
-    pub procs: Vec<ProcStats>,
-    /// The recorded trace, when tracing was enabled.
-    pub trace: Option<TraceData>,
+impl Series {
+    /// The series `name` of `values` measured at `sizes`.
+    pub(crate) fn new(
+        name: impl Into<String>,
+        sizes: &[usize],
+        values: impl IntoIterator<Item = f64>,
+    ) -> Series {
+        Series {
+            name: name.into(),
+            points: sizes.iter().copied().zip(values).collect(),
+        }
+    }
 }
+
+const PORT: u16 = 9000;
 
 /// Emit a measurement-window marker (a zero-width instant: no virtual
 /// time passes, so marks never perturb a measurement).
-fn mark(ctx: &dsim::SimCtx, kind: TraceKind) {
+pub(crate) fn mark(ctx: &SimCtx, kind: TraceKind) {
     ctx.trace_instant(TraceLayer::App, kind, TraceTag::default());
 }
 
-/// Half mean round-trip time for `size`-byte messages, in µs.
-pub fn latency_us(variant: &Variant, size: usize, rounds: u32) -> f64 {
-    latency_with_stats(variant, size, rounds).0
-}
-
-/// Unidirectional bandwidth in Mb/s streaming `total` bytes in
-/// `size`-byte sends.
-pub fn bandwidth_mbps(variant: &Variant, size: usize, total: usize) -> f64 {
-    bandwidth_with_stats(variant, size, total).0
-}
-
-/// [`latency_us`], also returning the per-simulation scheduler counters
-/// (the parallel-suite determinism tests compare these across thread
-/// counts).
-pub fn latency_with_stats(variant: &Variant, size: usize, rounds: u32) -> (f64, SchedStats) {
-    let out = latency_traced(variant, size, rounds, None);
-    (out.value, out.stats)
-}
-
-/// [`bandwidth_mbps`], with the per-simulation scheduler counters.
-pub fn bandwidth_with_stats(variant: &Variant, size: usize, total: usize) -> (f64, SchedStats) {
-    let out = bandwidth_traced(variant, size, total, None);
-    (out.value, out.stats)
-}
-
-/// [`latency_with_stats`] with optional tracing. The measured rounds are
-/// bracketed by [`TraceKind::MarkStart`] / [`TraceKind::MarkEnd`] App
-/// instants, so the trace's measurement window is exactly the timed
-/// interval the latency number comes from.
+/// Half mean round-trip time for `size`-byte messages, in µs, traced
+/// when `trace` is `Some`. The measured rounds are bracketed by
+/// [`TraceKind::MarkStart`] / [`TraceKind::MarkEnd`] App instants, so
+/// the trace's measurement window is exactly the timed interval the
+/// latency number comes from.
 pub fn latency_traced(
     variant: &Variant,
     size: usize,
@@ -126,12 +131,12 @@ pub fn latency_traced(
 ) -> RunOutput {
     match variant {
         Variant::NativeVia => native_via_latency_traced(size, rounds, trace),
-        Variant::TcpLane => socket_latency_traced(None, size, rounds, trace),
-        Variant::Sovia(config) => socket_latency_traced(Some(config.clone()), size, rounds, trace),
+        v => socket_latency_traced(v, size, rounds, trace),
     }
 }
 
-/// [`bandwidth_with_stats`] with optional tracing; the steady-state
+/// Unidirectional bandwidth in Mb/s streaming `total` bytes in
+/// `size`-byte sends, traced when `trace` is `Some`; the steady-state
 /// measurement window is marked as in [`latency_traced`].
 pub fn bandwidth_traced(
     variant: &Variant,
@@ -141,58 +146,45 @@ pub fn bandwidth_traced(
 ) -> RunOutput {
     match variant {
         Variant::NativeVia => native_via_bandwidth_traced(size, total, trace),
-        Variant::TcpLane => socket_bandwidth_traced(None, size, total, trace),
-        Variant::Sovia(config) => socket_bandwidth_traced(Some(config.clone()), size, total, trace),
+        v => socket_bandwidth_traced(v, size, total, trace),
     }
 }
 
 // ----- sockets-based (TCP / SOVIA) ------------------------------------------
 
-/// The Figure 6(a) ping-pong workload over TCP (`config: None`) or
-/// SOVIA, with optional tracing (see [`latency_traced`]).
-pub fn socket_latency_traced(
-    config: Option<SoviaConfig>,
+/// The Figure 6(a) ping-pong workload over a sockets platform.
+fn socket_latency_traced(
+    variant: &Variant,
     size: usize,
     rounds: u32,
     trace: Option<TraceConfig>,
 ) -> RunOutput {
-    let out = Arc::new(Mutex::new(0f64));
-    let mut sim = Simulation::with_trace(trace);
-    let stype = if config.is_some() {
-        SockType::Via
-    } else {
-        SockType::Stream
-    };
-    let run = {
-        let out = Arc::clone(&out);
-        move |ctx: &dsim::SimCtx, m0: simos::Machine, m1: simos::Machine| {
+    let stype = variant.sock_type();
+    let setup = |sim: &Simulation, report: Report<f64>| {
+        variant.boot(sim, move |ctx, m0, m1| {
             let (cp, sp) = testbed::procs(&m0, &m1);
             // Server: echo `rounds + 1` messages (one warm-up).
-            {
-                let h = ctx.handle().clone();
-                h.spawn("pong", move |sctx| {
-                    let s = api::socket(sctx, &sp, stype).unwrap();
-                    api::bind(sctx, &sp, s, SockAddr::new(HostId(1), PORT)).unwrap();
-                    api::listen(sctx, &sp, s, 1).unwrap();
-                    let (c, _) = api::accept(sctx, &sp, s).unwrap();
-                    // The paper's latency figure runs TCP with TCP_NODELAY;
-                    // SOVIA variants keep their configured behavior (the
-                    // COMBINE series exists to show the timer cost).
-                    if stype == SockType::Stream {
-                        api::set_option(sctx, &sp, c, SockOption::NoDelay(true)).unwrap();
+            ctx.handle().spawn("pong", move |sctx| {
+                let s = api::socket(sctx, &sp, stype).unwrap();
+                api::bind(sctx, &sp, s, SockAddr::new(HostId(1), PORT)).unwrap();
+                api::listen(sctx, &sp, s, 1).unwrap();
+                let (c, _) = api::accept(sctx, &sp, s).unwrap();
+                // The paper's latency figure runs TCP with TCP_NODELAY;
+                // SOVIA variants keep their configured behavior (the
+                // COMBINE series exists to show the timer cost).
+                if stype == SockType::Stream {
+                    api::set_option(sctx, &sp, c, SockOption::NoDelay(true)).unwrap();
+                }
+                for _ in 0..=rounds {
+                    let msg = api::recv_exact(sctx, &sp, c, size).unwrap();
+                    if msg.len() < size {
+                        break;
                     }
-                    for _ in 0..=rounds {
-                        let msg = api::recv_exact(sctx, &sp, c, size).unwrap();
-                        if msg.len() < size {
-                            break;
-                        }
-                        api::send_all(sctx, &sp, c, &msg).unwrap();
-                    }
-                    api::close(sctx, &sp, c).unwrap();
-                    api::close(sctx, &sp, s).unwrap();
-                });
-            }
-            let out = Arc::clone(&out);
+                    api::send_all(sctx, &sp, c, &msg).unwrap();
+                }
+                api::close(sctx, &sp, c).unwrap();
+                api::close(sctx, &sp, s).unwrap();
+            });
             ctx.handle().spawn("ping", move |cctx| {
                 cctx.sleep(SimDuration::from_millis(1));
                 let s = api::socket(cctx, &cp, stype).unwrap();
@@ -212,96 +204,71 @@ pub fn socket_latency_traced(
                 }
                 mark(cctx, TraceKind::MarkEnd);
                 let rtt_us = cctx.now().since(t0).as_micros_f64() / f64::from(rounds);
-                *out.lock() = rtt_us / 2.0;
+                report.set(rtt_us / 2.0).expect("one report per run");
                 api::close(cctx, &cp, s).unwrap();
             });
-        }
+        })
     };
-    match config {
-        Some(cfg) => {
-            let (m0, m1) = testbed::sovia_pair(&sim.handle(), cfg);
-            sim.spawn("bootstrap", move |ctx| run(ctx, m0, m1));
-        }
-        None => testbed::clan_dual_stack(&sim, SoviaConfig::combine(), run),
-    }
-    sim.run().expect("latency simulation failed");
-    let v = *out.lock();
-    RunOutput {
-        value: v,
-        stats: sim.sched_stats(),
-        procs: sim.proc_stats(),
-        trace: sim.take_trace(),
-    }
+    run_point(trace, setup).0
 }
 
-/// The Figure 6(b) stream workload over TCP (`config: None`) or SOVIA,
-/// with optional tracing (see [`bandwidth_traced`]).
-pub fn socket_bandwidth_traced(
-    config: Option<SoviaConfig>,
+/// The Figure 6(b) stream workload over a sockets platform.
+fn socket_bandwidth_traced(
+    variant: &Variant,
     size: usize,
     total: usize,
     trace: Option<TraceConfig>,
 ) -> RunOutput {
-    let out = Arc::new(Mutex::new(0f64));
-    let mut sim = Simulation::with_trace(trace);
-    let stype = if config.is_some() {
-        SockType::Via
-    } else {
-        SockType::Stream
-    };
+    let stype = variant.sock_type();
     let msgs = total.div_ceil(size);
     let total = msgs * size;
-    let run = {
-        let out = Arc::clone(&out);
-        move |ctx: &dsim::SimCtx, m0: simos::Machine, m1: simos::Machine| {
+    let setup = |sim: &Simulation, report: Report<f64>| {
+        variant.boot(sim, move |ctx, m0, m1| {
             let (cp, sp) = testbed::procs(&m0, &m1);
-            {
-                // Steady-state bandwidth is measured at the sink, from the
-                // first to the last received byte. The paper streams "for
-                // a given time", amortizing TCP's Nagle/delayed-ACK tail
-                // stall; a finite transfer must exclude that tail instead.
-                let out = Arc::clone(&out);
-                let h = ctx.handle().clone();
-                h.spawn("sink", move |sctx| {
-                    let s = api::socket(sctx, &sp, stype).unwrap();
-                    api::bind(sctx, &sp, s, SockAddr::new(HostId(1), PORT)).unwrap();
-                    api::listen(sctx, &sp, s, 1).unwrap();
-                    let (c, _) = api::accept(sctx, &sp, s).unwrap();
-                    // The paper's footnote: socket buffer raised to the
-                    // maximum (131,170) for the bandwidth measurement.
-                    api::set_option(sctx, &sp, c, SockOption::RecvBuf(131_170)).unwrap();
-                    // Steady-state window: time the last 75% of the
-                    // bytes, skipping connection ramp (slow start, the
-                    // first Nagle/delayed-ACK interlock).
-                    let skip = total / 4;
-                    let mut got = 0usize;
-                    let mut mark: Option<(dsim::SimTime, usize)> = None;
-                    let mut t_last = sctx.now();
-                    while got < total {
-                        let d = api::recv(sctx, &sp, c, 16 * 1024).unwrap();
-                        if d.is_empty() {
-                            break;
-                        }
-                        got += d.len();
-                        t_last = sctx.now();
-                        if mark.is_none() && got >= skip {
-                            mark = Some((t_last, got));
-                            self::mark(sctx, TraceKind::MarkStart);
-                        }
+            // Steady-state bandwidth is measured at the sink, from the
+            // first to the last received byte. The paper streams "for a
+            // given time", amortizing TCP's Nagle/delayed-ACK tail stall;
+            // a finite transfer must exclude that tail instead.
+            ctx.handle().spawn("sink", move |sctx| {
+                let s = api::socket(sctx, &sp, stype).unwrap();
+                api::bind(sctx, &sp, s, SockAddr::new(HostId(1), PORT)).unwrap();
+                api::listen(sctx, &sp, s, 1).unwrap();
+                let (c, _) = api::accept(sctx, &sp, s).unwrap();
+                // The paper's footnote: socket buffer raised to the
+                // maximum (131,170) for the bandwidth measurement.
+                api::set_option(sctx, &sp, c, SockOption::RecvBuf(131_170)).unwrap();
+                // Steady-state window: time the last 75% of the bytes,
+                // skipping connection ramp (slow start, the first
+                // Nagle/delayed-ACK interlock).
+                let skip = total / 4;
+                let mut got = 0usize;
+                let mut mark: Option<(dsim::SimTime, usize)> = None;
+                let mut t_last = sctx.now();
+                while got < total {
+                    let d = api::recv(sctx, &sp, c, 16 * 1024).unwrap();
+                    if d.is_empty() {
+                        break;
                     }
-                    self::mark(sctx, TraceKind::MarkEnd);
-                    if let Some((t_mark, got_mark)) = mark {
-                        let secs = t_last.since(t_mark).as_secs_f64();
-                        if secs > 0.0 {
-                            *out.lock() = (got - got_mark) as f64 * 8.0 / secs / 1e6;
-                        }
+                    got += d.len();
+                    t_last = sctx.now();
+                    if mark.is_none() && got >= skip {
+                        mark = Some((t_last, got));
+                        self::mark(sctx, TraceKind::MarkStart);
                     }
-                    // The terminating application-level acknowledgment.
-                    api::send_all(sctx, &sp, c, b"A").unwrap();
-                    api::close(sctx, &sp, c).unwrap();
-                    api::close(sctx, &sp, s).unwrap();
-                });
-            }
+                }
+                self::mark(sctx, TraceKind::MarkEnd);
+                if let Some((t_mark, got_mark)) = mark {
+                    let secs = t_last.since(t_mark).as_secs_f64();
+                    if secs > 0.0 {
+                        let mbps = (got - got_mark) as f64 * 8.0 / secs / 1e6;
+                        report.set(mbps).expect("one report per run");
+                    }
+                }
+                // The terminating application-level acknowledgment.
+                api::send_all(sctx, &sp, c, b"A").unwrap();
+                api::close(sctx, &sp, c).unwrap();
+                api::close(sctx, &sp, s).unwrap();
+            });
             ctx.handle().spawn("source", move |cctx| {
                 cctx.sleep(SimDuration::from_millis(1));
                 let s = api::socket(cctx, &cp, stype).unwrap();
@@ -315,37 +282,19 @@ pub fn socket_bandwidth_traced(
                 let _ = api::recv_exact(cctx, &cp, s, 1).unwrap();
                 api::close(cctx, &cp, s).unwrap();
             });
-        }
+        })
     };
-    match config {
-        Some(cfg) => {
-            let (m0, m1) = testbed::sovia_pair(&sim.handle(), cfg);
-            sim.spawn("bootstrap", move |ctx| run(ctx, m0, m1));
-        }
-        None => testbed::clan_dual_stack(&sim, SoviaConfig::combine(), run),
-    }
-    sim.run().expect("bandwidth simulation failed");
-    let v = *out.lock();
-    RunOutput {
-        value: v,
-        stats: sim.sched_stats(),
-        procs: sim.proc_stats(),
-        trace: sim.take_trace(),
-    }
+    run_point(trace, setup).0
 }
 
 // ----- native VIA (raw VIPL) --------------------------------------------------
 
 fn native_via_latency_traced(size: usize, rounds: u32, trace: Option<TraceConfig>) -> RunOutput {
-    let mut sim = Simulation::with_trace(trace);
-    let (m0, m1) = testbed::clan_pair(&sim.handle());
-    let n0 = ViaNic::of(&m0);
-    let n1 = ViaNic::of(&m1);
-    let out = Arc::new(Mutex::new(0f64));
     let cap = size.max(64);
-    {
-        let n1 = Arc::clone(&n1);
-        let m1 = m1.clone();
+    let setup = |sim: &Simulation, report: Report<f64>| {
+        let (m0, m1) = testbed::clan_pair(&sim.handle());
+        let n0 = ViaNic::of(&m0);
+        let n1 = ViaNic::of(&m1);
         sim.spawn("pong", move |ctx| {
             let p = m1.spawn_process("pong");
             let vi = n1.create_vi(ViAttributes::default());
@@ -366,11 +315,6 @@ fn native_via_latency_traced(size: usize, rounds: u32, trace: Option<TraceConfig
                     .unwrap();
             }
         });
-    }
-    {
-        let n0 = Arc::clone(&n0);
-        let m0 = m0.clone();
-        let out = Arc::clone(&out);
         sim.spawn("ping", move |ctx| {
             let p = m0.spawn_process("ping");
             let vi = n0.create_vi(ViAttributes::default());
@@ -397,32 +341,21 @@ fn native_via_latency_traced(size: usize, rounds: u32, trace: Option<TraceConfig
             }
             mark(ctx, TraceKind::MarkEnd);
             let rtt_us = ctx.now().since(t0).as_micros_f64() / f64::from(rounds);
-            *out.lock() = rtt_us / 2.0;
+            report.set(rtt_us / 2.0).expect("one report per run");
         });
-    }
-    sim.run().expect("native VIA latency simulation failed");
-    let v = *out.lock();
-    RunOutput {
-        value: v,
-        stats: sim.sched_stats(),
-        procs: sim.proc_stats(),
-        trace: sim.take_trace(),
-    }
+    };
+    run_point(trace, setup).0
 }
 
 fn native_via_bandwidth_traced(size: usize, total: usize, trace: Option<TraceConfig>) -> RunOutput {
-    let mut sim = Simulation::with_trace(trace);
-    let (m0, m1) = testbed::clan_pair(&sim.handle());
-    let n0 = ViaNic::of(&m0);
-    let n1 = ViaNic::of(&m1);
-    let out = Arc::new(Mutex::new(0f64));
     let msgs = total.div_ceil(size);
     let total = msgs * size;
     // A descriptor ring deep enough to keep the NIC busy.
     let ring = 64usize.min(msgs + 1);
-    {
-        let n1 = Arc::clone(&n1);
-        let m1 = m1.clone();
+    let setup = |sim: &Simulation, report: Report<f64>| {
+        let (m0, m1) = testbed::clan_pair(&sim.handle());
+        let n0 = ViaNic::of(&m0);
+        let n1 = ViaNic::of(&m1);
         sim.spawn("sink", move |ctx| {
             let p = m1.spawn_process("sink");
             let vi = n1.create_vi(ViAttributes::default());
@@ -449,11 +382,6 @@ fn native_via_bandwidth_traced(size: usize, total: usize, trace: Option<TraceCon
                 vi.post_recv(ctx, fresh).unwrap();
             }
         });
-    }
-    {
-        let n0 = Arc::clone(&n0);
-        let m0 = m0.clone();
-        let out = Arc::clone(&out);
         sim.spawn("source", move |ctx| {
             let p = m0.spawn_process("source");
             let vi = n0.create_vi(ViAttributes::default());
@@ -481,17 +409,12 @@ fn native_via_bandwidth_traced(size: usize, total: usize, trace: Option<TraceCon
             }
             mark(ctx, TraceKind::MarkEnd);
             let secs = ctx.now().since(t0).as_secs_f64();
-            *out.lock() = total as f64 * 8.0 / secs / 1e6;
+            report
+                .set(total as f64 * 8.0 / secs / 1e6)
+                .expect("one report per run");
         });
-    }
-    sim.run().expect("native VIA bandwidth simulation failed");
-    let v = *out.lock();
-    RunOutput {
-        value: v,
-        stats: sim.sched_stats(),
-        procs: sim.proc_stats(),
-        trace: sim.take_trace(),
-    }
+    };
+    run_point(trace, setup).0
 }
 
 /// Render a figure-style table: one row per size, one column per series.

@@ -1,14 +1,17 @@
-//! A bounded, deterministic-ordering parallel runner for independent
-//! simulation jobs.
+//! The one measurement path of the experiment suite: `run_point` runs
+//! one experiment point in a fresh [`dsim::Simulation`] and collects what
+//! it reports; [`par_map`] and [`par_grid`] run many such points on a
+//! bounded pool of host threads.
 //!
 //! The experiment suite is embarrassingly parallel: every measurement
-//! point runs in a **fresh** [`dsim::Simulation`] (no cross-talk between
-//! points), so points can execute concurrently on host threads without
-//! changing anything simulated. [`par_map`] executes a slice of such jobs
-//! on a bounded pool of `std::thread::scope` workers and writes each
-//! result into its input-index slot, so the collected output is
-//! byte-identical to the sequential loop regardless of thread count or
-//! completion order.
+//! point runs in a **fresh** simulation (no cross-talk between points),
+//! so points can execute concurrently on host threads without changing
+//! anything simulated. [`par_map`] executes a slice of such jobs on a
+//! bounded pool of `std::thread::scope` workers and writes each result
+//! into its input-index slot, so the collected output is byte-identical
+//! to the sequential loop regardless of thread count or completion
+//! order. [`par_grid`] does the same for a rows × columns grid and hands
+//! the results back as rows.
 //!
 //! The concurrency cap counts **jobs in flight** (simulations): each
 //! `Simulation` runs all of its processes as coroutines on the worker
@@ -24,7 +27,62 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
+
+use dsim::{ProcStats, SchedStats, Simulation, TraceConfig, TraceData};
+
+/// Everything one measurement simulation reports.
+///
+/// `value` is what the point measures (µs for latency runs, Mb/s for
+/// bandwidth runs, a [`crate::table1::Cell`] for an FTP transfer, …).
+/// Tracing observes, never perturbs: `value`, `stats` and `procs` are
+/// identical whether the run was traced or not.
+#[derive(Debug, Clone)]
+pub struct RunOutput<T = f64> {
+    /// The measured value.
+    pub value: T,
+    /// Whole-simulation scheduler counters.
+    pub stats: SchedStats,
+    /// Per-process virtual run-time / wakeup accounting, pid order.
+    pub procs: Vec<ProcStats>,
+    /// The recorded trace, when tracing was enabled.
+    pub trace: Option<TraceData>,
+}
+
+/// Where a measurement's processes report its value: set at most once;
+/// a run that never sets it reports `T::default()`.
+pub(crate) type Report<T> = Arc<OnceLock<T>>;
+
+/// Run one experiment point in a fresh simulation, traced when `trace`
+/// is `Some`.
+///
+/// `setup` builds the platform and spawns the workload on the new
+/// simulation, handing its processes the [`Report`] slot. Whatever
+/// `setup` returns comes back beside the output, to be read after the
+/// run (the fault sweep reads its lossy lane's counters there).
+///
+/// # Panics
+///
+/// If the simulation fails (deadlock, a panicking process, …).
+pub(crate) fn run_point<T, A>(
+    trace: Option<TraceConfig>,
+    setup: impl FnOnce(&Simulation, Report<T>) -> A,
+) -> (RunOutput<T>, A)
+where
+    T: Clone + Default,
+{
+    let mut sim = Simulation::with_trace(trace);
+    let report = Report::default();
+    let after = setup(&sim, Arc::clone(&report));
+    sim.run().expect("measurement simulation failed");
+    let out = RunOutput {
+        value: report.get().cloned().unwrap_or_default(),
+        stats: sim.sched_stats(),
+        procs: sim.proc_stats(),
+        trace: sim.take_trace(),
+    };
+    (out, after)
+}
 
 /// Host parallelism as reported by the OS (1 when unknown).
 pub fn available_threads() -> usize {
@@ -109,5 +167,26 @@ where
                 .expect(UNPOISONED)
                 .expect("runner: job produced no result")
         })
+        .collect()
+}
+
+/// Run `f` over every `(row, column)` pair of a `rows × columns` grid on
+/// at most `threads` concurrent workers (row-major jobs, through
+/// [`par_map`]), handing the results back as rows: `out[r][c]` is
+/// `f(&rows[r], &cols[c])`.
+pub fn par_grid<R, C, T, F>(rows: &[R], cols: &[C], threads: usize, f: F) -> Vec<Vec<T>>
+where
+    R: Sync,
+    C: Sync,
+    T: Send,
+    F: Fn(&R, &C) -> T + Sync,
+{
+    let jobs: Vec<(&R, &C)> = rows
+        .iter()
+        .flat_map(|r| cols.iter().map(move |c| (r, c)))
+        .collect();
+    let mut flat = par_map(&jobs, threads, |_, &(r, c)| f(r, c)).into_iter();
+    rows.iter()
+        .map(|_| flat.by_ref().take(cols.len()).collect())
         .collect()
 }

@@ -4,21 +4,21 @@
 //! stored on ramdisks; rows: TCP/IP on Fast Ethernet, TCP/IP on cLAN
 //! (LANE), SOVIA on cLAN, and the local ramdisk-to-ramdisk copy bound.
 
-use std::sync::Arc;
-
 use apps::ftp::{spawn_ftp_server, FtpClient, FtpServerConfig, FtpTransports, FTP_PORT};
-use dsim::{SimDuration, Simulation};
-use parking_lot::Mutex;
+use dsim::{SimDuration, Simulation, TraceConfig};
 use simos::fs::OpenMode;
 use simos::HostId;
 use sovia::SoviaConfig;
 use sovia_repro::testbed;
 
+use crate::micro::Variant;
+use crate::runner::{self, run_point, Report, RunOutput};
+
 /// The paper's file sizes.
 pub const FILE_SIZES: [u64; 2] = [19_090_223, 145_864_380];
 
 /// One measured cell of Table 1.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Cell {
     /// Bandwidth, Mb/s.
     pub mbps: f64,
@@ -35,29 +35,19 @@ pub struct Row {
     pub cells: Vec<Cell>,
 }
 
-/// The Table 1 platforms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Platform {
-    /// TCP/IP on Fast Ethernet.
-    TcpFastEthernet,
-    /// TCP/IP on cLAN through the LANE driver.
-    TcpClan,
-    /// SOVIA on cLAN.
-    SoviaClan,
-    /// Local ramdisk-to-ramdisk copy (no network).
-    LocalCopy,
-}
-
-impl Platform {
-    /// Row label as in the paper.
-    pub fn label(self) -> &'static str {
-        match self {
-            Platform::TcpFastEthernet => "TCP/IP on Fast Ethernet",
-            Platform::TcpClan => "TCP/IP on cLAN",
-            Platform::SoviaClan => "SOVIA on cLAN",
-            Platform::LocalCopy => "Local copy (on ramdisks)",
-        }
-    }
+/// The rows of Table 1, labeled as in the paper: an FTP transfer over
+/// each network platform, then the local ramdisk-to-ramdisk copy
+/// (`None`: no network).
+pub fn table1_rows() -> [(&'static str, Option<Variant>); 4] {
+    [
+        ("TCP/IP on Fast Ethernet", Some(Variant::TcpEth)),
+        ("TCP/IP on cLAN", Some(Variant::TcpLane)),
+        (
+            "SOVIA on cLAN",
+            Some(Variant::Sovia(SoviaConfig::combine())),
+        ),
+        ("Local copy (on ramdisks)", None),
+    ]
 }
 
 /// A deterministic, cheap-to-generate file body (content never inspected
@@ -71,32 +61,21 @@ fn file_body(len: u64) -> Vec<u8> {
     v
 }
 
-/// Run one FTP transfer and report what the client reports.
-pub fn ftp_transfer(platform: Platform, file_len: u64) -> Cell {
-    ftp_transfer_traced(platform, file_len, None).0
-}
-
-/// [`ftp_transfer`] with optional tracing; returns the cell plus the
-/// captured trace (whole-run window — FTP has no warm-up phase to
-/// exclude).
+/// Run one FTP transfer of a `file_len`-byte file over `platform` and
+/// report what the client reports, traced when `trace` is `Some`
+/// (whole-run window — FTP has no warm-up phase to exclude).
 pub fn ftp_transfer_traced(
-    platform: Platform,
+    platform: &Variant,
     file_len: u64,
-    trace: Option<dsim::TraceConfig>,
-) -> (Cell, Option<dsim::TraceData>) {
-    assert_ne!(platform, Platform::LocalCopy);
-    let mut sim = Simulation::with_trace(trace);
-    let out = Arc::new(Mutex::new(Cell {
-        mbps: 0.0,
-        secs: 0.0,
-    }));
-    let transports = match platform {
-        Platform::SoviaClan => FtpTransports::sovia(),
-        _ => FtpTransports::tcp(),
+    trace: Option<TraceConfig>,
+) -> RunOutput<Cell> {
+    let stype = platform.sock_type();
+    let transports = FtpTransports {
+        control: stype,
+        data: stype,
     };
-    let run = {
-        let out = Arc::clone(&out);
-        move |ctx: &dsim::SimCtx, m0: simos::Machine, m1: simos::Machine| {
+    let setup = |sim: &Simulation, report: Report<Cell>| {
+        platform.boot(sim, move |ctx, m0, m1| {
             let (cp, sp) = testbed::procs(&m0, &m1);
             m1.fs().add_file("pub/file.bin", file_body(file_len));
             spawn_ftp_server(
@@ -109,50 +88,29 @@ pub fn ftp_transfer_traced(
                     ..Default::default()
                 },
             );
-            let out = Arc::clone(&out);
             ctx.handle().spawn("ftp-client", move |cctx| {
                 cctx.sleep(SimDuration::from_millis(1));
                 let mut ftp =
                     FtpClient::connect(cctx, &cp, HostId(1), FTP_PORT, transports).unwrap();
                 let stats = ftp.retr(cctx, "pub/file.bin", "file.bin").unwrap();
                 assert_eq!(stats.bytes, file_len);
-                *out.lock() = Cell {
+                let cell = Cell {
                     mbps: stats.mbps(),
                     secs: stats.elapsed.as_secs_f64(),
                 };
+                report.set(cell).expect("one report per run");
                 ftp.quit(cctx).unwrap();
             });
-        }
+        })
     };
-    match platform {
-        Platform::TcpFastEthernet => {
-            let (m0, m1) = testbed::tcp_ethernet_pair(&sim.handle());
-            sim.spawn("bootstrap", move |ctx| run(ctx, m0, m1));
-        }
-        Platform::TcpClan => testbed::clan_dual_stack(&sim, SoviaConfig::combine(), run),
-        Platform::SoviaClan => {
-            let (m0, m1) = testbed::sovia_pair(&sim.handle(), SoviaConfig::combine());
-            sim.spawn("bootstrap", move |ctx| run(ctx, m0, m1));
-        }
-        Platform::LocalCopy => unreachable!(),
-    }
-    sim.run().expect("FTP simulation failed");
-    let v = *out.lock();
-    (v, sim.take_trace())
+    run_point(trace, setup).0
 }
 
 /// The local ramdisk-to-ramdisk copy row (`cp src dst` on one host).
-pub fn local_copy(file_len: u64) -> Cell {
-    let mut sim = Simulation::new();
-    let (m0, _m1) = testbed::clan_pair(&sim.handle());
-    m0.fs().add_file("src.bin", file_body(file_len));
-    let out = Arc::new(Mutex::new(Cell {
-        mbps: 0.0,
-        secs: 0.0,
-    }));
-    {
-        let out = Arc::clone(&out);
-        let m0 = m0.clone();
+pub fn local_copy(file_len: u64) -> RunOutput<Cell> {
+    let setup = |sim: &Simulation, report: Report<Cell>| {
+        let (m0, _) = testbed::clan_pair(&sim.handle());
+        m0.fs().add_file("src.bin", file_body(file_len));
         sim.spawn("cp", move |ctx| {
             let p = m0.spawn_process("cp");
             let t0 = ctx.now();
@@ -168,40 +126,29 @@ pub fn local_copy(file_len: u64) -> Cell {
             p.close(ctx, src).unwrap();
             p.close(ctx, dst).unwrap();
             let secs = ctx.now().since(t0).as_secs_f64();
-            *out.lock() = Cell {
+            let cell = Cell {
                 mbps: file_len as f64 * 8.0 / secs / 1e6,
                 secs,
             };
+            report.set(cell).expect("one report per run");
         });
-    }
-    sim.run().expect("local copy simulation failed");
-    let v = *out.lock();
-    v
+    };
+    run_point(None, setup).0
 }
 
 /// Run the whole table on at most `threads` concurrent simulations:
-/// each platform × file cell is an independent simulation.
+/// each row × file cell is an independent simulation.
 pub fn run_table1_with(file_sizes: &[u64], threads: usize) -> Vec<Row> {
-    let platforms = [
-        Platform::TcpFastEthernet,
-        Platform::TcpClan,
-        Platform::SoviaClan,
-        Platform::LocalCopy,
-    ];
-    let jobs: Vec<(Platform, u64)> = platforms
-        .iter()
-        .flat_map(|&p| file_sizes.iter().map(move |&len| (p, len)))
-        .collect();
-    let cells = crate::runner::par_map(&jobs, threads, |_, &(p, len)| match p {
-        Platform::LocalCopy => local_copy(len),
-        _ => ftp_transfer(p, len),
+    let rows = table1_rows();
+    let cells = runner::par_grid(&rows, file_sizes, threads, |(_, p), &len| match p {
+        Some(p) => ftp_transfer_traced(p, len, None).value,
+        None => local_copy(len).value,
     });
-    platforms
-        .iter()
-        .enumerate()
-        .map(|(pi, &p)| Row {
-            name: p.label().to_string(),
-            cells: cells[pi * file_sizes.len()..(pi + 1) * file_sizes.len()].to_vec(),
+    rows.iter()
+        .zip(cells)
+        .map(|((name, _), cells)| Row {
+            name: (*name).to_string(),
+            cells,
         })
         .collect()
 }

@@ -10,7 +10,10 @@ use sovia::SoviaConfig;
 
 #[test]
 fn fig6a_pingpong_repeats_bit_identical() {
-    let run = || micro::latency_with_stats(&Variant::Sovia(SoviaConfig::single()), 64, 10);
+    let run = || {
+        let out = micro::latency_traced(&Variant::Sovia(SoviaConfig::single()), 64, 10, None);
+        (out.value, out.stats)
+    };
     let (lat_a, stats_a) = run();
     let (lat_b, stats_b) = run();
     assert!(lat_a > 0.0);
@@ -20,7 +23,8 @@ fn fig6a_pingpong_repeats_bit_identical() {
 
 #[test]
 fn fig6a_pingpong_matches_recorded_values() {
-    let (lat, stats) = micro::latency_with_stats(&Variant::Sovia(SoviaConfig::single()), 64, 10);
+    let out = micro::latency_traced(&Variant::Sovia(SoviaConfig::single()), 64, 10, None);
+    let (lat, stats) = (out.value, out.stats);
     assert_eq!(lat.to_bits(), 0x4029_970a_3d70_a3d7, "latency moved: {lat} µs (recorded 12.795)");
     assert_eq!(stats.events_processed, 740, "event count moved");
     assert_eq!(stats.wakeups, 688);
@@ -34,7 +38,9 @@ fn fig6a_pingpong_matches_recorded_values() {
 #[test]
 fn fig6b_stream_matches_recorded_values() {
     let run = || {
-        micro::bandwidth_with_stats(&Variant::Sovia(SoviaConfig::combine()), 4096, 256 * 1024)
+        let v = Variant::Sovia(SoviaConfig::combine());
+        let out = micro::bandwidth_traced(&v, 4096, 256 * 1024, None);
+        (out.value, out.stats)
     };
     let (bw, stats) = run();
     assert_eq!(bw.to_bits(), 0x4084_7962_de53_8ec0, "bandwidth moved: {bw} Mb/s");
@@ -107,6 +113,24 @@ fn fig6b_sweep_identical_across_thread_counts() {
     for threads in [2, 8] {
         assert_sweeps_identical("fig6b", &sizes, &base, &run(threads), threads);
     }
+}
+
+/// The fig7 grid (platforms × argument sizes) and the two ablation
+/// grids render identically at threads 1 and 8.
+#[test]
+fn fig7_and_ablation_grids_identical_across_thread_counts() {
+    use bench::{ablate, fig7};
+
+    let sizes = [0usize, 256];
+    let render = |threads| {
+        let mut series = fig7::run_fig7_with(&sizes, threads);
+        series.extend(ablate::handshake_comparison(&sizes[1..], threads));
+        series.push(ablate::handler_gap_us(&sizes[1..], threads));
+        format!("{series:?}")
+    };
+    let base = render(1);
+    assert!(base.contains("RPC/TCP(FastEth)") && base.contains("three-way (REQ/ACK)"));
+    assert_eq!(base, render(8), "grids drifted at threads=8");
 }
 
 // ----- fault layer -----------------------------------------------------
@@ -189,14 +213,14 @@ fn empty_fault_plan_is_bitwise_noop() {
 /// stall value, every fault counter, every per-point event count.
 #[test]
 fn fault_sweep_identical_across_thread_counts() {
-    use bench::fault_sweep::{render_fault_table, run_fault_sweep};
+    use bench::fault_sweep::{render_fault_table, run_fault_sweep_seeded, SWEEP_SEED};
 
-    let base = run_fault_sweep(1);
+    let base = run_fault_sweep_seeded(1, SWEEP_SEED);
     assert!(base.iter().all(|p| p.goodput_mbps > 0.0));
     // Losses actually fired on the lossy points.
     assert!(base.iter().any(|p| p.faults.dropped > 0));
     for threads in [2, 8] {
-        let other = run_fault_sweep(threads);
+        let other = run_fault_sweep_seeded(threads, SWEEP_SEED);
         assert_eq!(
             render_fault_table(&base),
             render_fault_table(&other),
@@ -218,7 +242,8 @@ fn fault_sweep_identical_across_thread_counts() {
 fn tcp_lane_stream_matches_recorded_values() {
     // The TCP-over-LANE variant exercises a different machine topology
     // (kernel stack + timer daemons); cover it too.
-    let (bw, stats) = micro::bandwidth_with_stats(&Variant::TcpLane, 4096, 128 * 1024);
+    let out = micro::bandwidth_traced(&Variant::TcpLane, 4096, 128 * 1024, None);
+    let (bw, stats) = (out.value, out.stats);
     assert_eq!(bw.to_bits(), 0x407c_57e6_ea16_1f9b, "bandwidth moved: {bw} Mb/s");
     assert_eq!(stats.events_processed, 4658, "event count moved");
     assert_eq!(stats.wakeups, 4321);

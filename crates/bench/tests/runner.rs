@@ -1,6 +1,7 @@
 //! Unit tests for the bounded parallel runner: the jobs-in-flight cap,
-//! input-order preservation under adversarial completion order, panic
-//! propagation, and the threads=1 sequential path.
+//! input-order preservation under adversarial completion order, the grid
+//! helper's row layout, panic propagation, and the threads=1 sequential
+//! path.
 
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -103,6 +104,27 @@ fn single_job_runs_on_caller() {
         j * 2
     });
     assert_eq!(results, vec![84]);
+}
+
+/// `par_grid` runs row-major jobs and hands back rows: `out[r][c]` is
+/// `f(rows[r], cols[c])` however unevenly the jobs take their time.
+#[test]
+fn grid_returns_rows_in_row_major_order() {
+    let rows: Vec<usize> = (0..5).collect();
+    let cols: Vec<usize> = (0..3).collect();
+    let grid = runner::par_grid(&rows, &cols, 4, |&r, &c| {
+        // Ragged cost: some early jobs take far longer than later ones.
+        std::thread::sleep(Duration::from_millis(((r * 7 + c * 3) % 5) as u64 * 2));
+        (r, c)
+    });
+    let expected: Vec<Vec<(usize, usize)>> = rows
+        .iter()
+        .map(|&r| cols.iter().map(|&c| (r, c)).collect())
+        .collect();
+    assert_eq!(grid, expected);
+    assert_eq!(runner::par_grid(&rows, &cols, 1, |&r, &c| (r, c)), expected);
+    let no_cols: Vec<Vec<u8>> = runner::par_grid(&rows, &[] as &[u8], 4, |_, &c| c);
+    assert_eq!(no_cols, vec![Vec::<u8>::new(); 5]);
 }
 
 /// Empty job lists are a no-op.

@@ -51,7 +51,8 @@ fn trace_json_identical_across_thread_counts() {
 #[test]
 fn tracing_enabled_is_a_virtual_time_noop_for_latency() {
     for v in &variants() {
-        let (plain, plain_stats) = micro::latency_with_stats(v, 64, 10);
+        let untraced = micro::latency_traced(v, 64, 10, None);
+        let (plain, plain_stats) = (untraced.value, untraced.stats);
         let traced = micro::latency_traced(v, 64, 10, Some(TraceConfig::default()));
         assert_eq!(
             plain.to_bits(),
@@ -77,7 +78,8 @@ fn tracing_enabled_is_a_virtual_time_noop_for_latency() {
 #[test]
 fn tracing_enabled_is_a_virtual_time_noop_for_bandwidth() {
     for v in &variants() {
-        let (plain, plain_stats) = micro::bandwidth_with_stats(v, 4096, 128 * 1024);
+        let untraced = micro::bandwidth_traced(v, 4096, 128 * 1024, None);
+        let (plain, plain_stats) = (untraced.value, untraced.stats);
         let traced = micro::bandwidth_traced(v, 4096, 128 * 1024, Some(TraceConfig::default()));
         assert_eq!(
             plain.to_bits(),

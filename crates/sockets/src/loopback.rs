@@ -1,8 +1,8 @@
 //! An in-memory loopback transport.
 //!
-//! Zero-cost, same-machine sockets used by unit tests (of this crate and
-//! of the applications) to exercise the API dispatch without bringing up a
-//! NIC and a protocol stack. Not registered by default.
+//! Zero-cost, same-machine sockets used by this crate's unit tests (in
+//! `lib.rs`) to exercise the API dispatch without bringing up a NIC and a
+//! protocol stack. Not registered by default.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -50,3 +50,5 @@ cargo test -q -p bench --test trace
 cargo test -q --release --manifest-path perfbench/Cargo.toml
 scripts/regen_results.sh
 echo "tier-1 OK"
+# Informational only: the non-test line count (scripts/loc.sh) gates nothing.
+echo "non-test lines: $(scripts/loc.sh | awk '$1 == "total" { print $2 }')"

@@ -127,6 +127,57 @@ fn small_sends_never_register() {
     );
 }
 
+/// A connection's pre-posted, registered receive pool costs host memory
+/// only once written: after one 4 B message each machine holds hundreds
+/// of frames, but only the few that were written are materialized.
+#[test]
+fn pre_posted_pool_costs_host_memory_only_once_written() {
+    let mut sim = Simulation::new();
+    let (m0, m1) = testbed::sovia_pair(&sim.handle(), SoviaConfig::combine());
+    let (cp, sp) = testbed::procs(&m0, &m1);
+    // (frames in use, frames materialized) per machine, read while the
+    // connection is open.
+    let frames = Arc::new(Mutex::new(Vec::new()));
+    {
+        let frames = Arc::clone(&frames);
+        sim.spawn("server", move |ctx| {
+            let s = api::socket(ctx, &sp, SockType::Via).unwrap();
+            api::bind(ctx, &sp, s, SockAddr::new(HostId(1), PORT)).unwrap();
+            api::listen(ctx, &sp, s, 1).unwrap();
+            let (c, _) = api::accept(ctx, &sp, s).unwrap();
+            assert_eq!(api::recv_exact(ctx, &sp, c, 4).unwrap().len(), 4);
+            *frames.lock() = [&m0, &m1]
+                .iter()
+                .map(|m| {
+                    let phys = m.phys();
+                    (phys.frames_in_use(), phys.frames_materialized())
+                })
+                .collect();
+            api::close(ctx, &sp, c).unwrap();
+            api::close(ctx, &sp, s).unwrap();
+        });
+    }
+    sim.spawn("client", move |ctx| {
+        ctx.sleep(SimDuration::from_micros(100));
+        let s = api::socket(ctx, &cp, SockType::Via).unwrap();
+        api::connect(ctx, &cp, s, SockAddr::new(HostId(1), PORT)).unwrap();
+        api::send_all(ctx, &cp, s, &[0x42u8; 4]).unwrap();
+        // Hold the connection open until the server has counted.
+        assert!(api::recv(ctx, &cp, s, 1).unwrap().is_empty());
+        api::close(ctx, &cp, s).unwrap();
+    });
+    sim.run().unwrap();
+    let frames = frames.lock().clone();
+    assert_eq!(frames.len(), 2);
+    for (host, (in_use, materialized)) in frames.into_iter().enumerate() {
+        assert!(in_use >= 500, "m{host}: only {in_use} frames in use");
+        assert!(
+            materialized <= 4,
+            "m{host}: {materialized} of {in_use} frames materialized"
+        );
+    }
+}
+
 #[test]
 fn combining_counts_combined_sends() {
     let mut sim = Simulation::new();
