@@ -15,6 +15,16 @@
 //! The sequence number breaks ties in schedule order, so same-instant
 //! events fire in a deterministic FIFO order.
 //!
+//! # Event queue
+//!
+//! The earliest queued event waits in a slot in front of a binary heap;
+//! every heap entry is later in `(time, sequence)` order. A new event has
+//! the largest sequence number so far, so it takes the slot (pushing the
+//! old occupant into the heap) only if its time is strictly earlier than
+//! the earliest queued event's; otherwise it goes into the heap. Popping
+//! takes the slot first, so the pop order is the heap-only order, while a
+//! self-wake due before anything else skips the heap's push and pop.
+//!
 //! A process gets its stack at its first dispatch, from [`crate::coro`],
 //! which also takes it back when the process finishes: the scheduler
 //! itself keeps no stacks.
@@ -249,6 +259,9 @@ pub struct ProcStats {
 struct SchedState {
     now: u64,
     seq: u64,
+    /// The earliest queued event: every entry in `heap` is later in
+    /// `(time, seq)` order. A self-wake goes in and out of here.
+    next: Option<EventEntry>,
     heap: BinaryHeap<EventEntry>,
     /// Indexed by pid (pids are allocated densely in spawn order).
     procs: Vec<ProcSlot>,
@@ -282,12 +295,25 @@ impl SchedState {
     /// Queue an event at virtual time `at`, after every event already
     /// queued for that instant.
     fn schedule(&mut self, at: u64, kind: EventKind) {
-        self.heap.push(EventEntry {
+        let e = EventEntry {
             time: at,
             seq: self.seq,
             kind,
-        });
+        };
         self.seq += 1;
+        // `e` has the largest seq so far: it comes first only if strictly
+        // earlier than the earliest queued event.
+        let earliest = self.next.as_ref().or(self.heap.peek());
+        if earliest.is_some_and(|n| n.time <= at) {
+            self.heap.push(e);
+        } else if let Some(old) = self.next.replace(e) {
+            self.heap.push(old);
+        }
+    }
+
+    /// Dequeue the earliest event.
+    fn pop(&mut self) -> Option<EventEntry> {
+        self.next.take().or_else(|| self.heap.pop())
     }
 }
 
@@ -618,10 +644,10 @@ impl SimCtx {
 /// whatever its result, unwinds every parked process with `Shutdown`
 /// (its stack goes back to the thread's cache, see [`crate::coro`]) and
 /// drops the bodies of processes that never started. Dropping the
-/// `Simulation` then drops the events still queued and any unstarted
-/// bodies (a simulation that never ran), outside the scheduler lock, and
-/// last runs the hooks registered with
-/// [`SimHandle::on_teardown`], in registration order. Upper layers use
+/// `Simulation` then drops the events still queued (with the one an
+/// exhausted budget refused) and any unstarted bodies (a simulation that
+/// never ran), outside the scheduler lock, and last runs the hooks
+/// registered with [`SimHandle::on_teardown`], in registration order. Upper layers use
 /// the hooks to cut the reference cycles that tie a host model to itself.
 pub struct Simulation {
     handle: SimHandle,
@@ -753,12 +779,12 @@ impl Drop for Simulation {
         let core = &self.handle.core;
         // Outside the lock: an event or body may own the last reference to
         // something whose drop uses the handle.
-        let (heap, bodies) = {
+        let (next, heap, bodies) = {
             let mut st = core.state.lock();
             let bodies: Vec<Body> = st.procs.iter_mut().filter_map(|s| s.body.take()).collect();
-            (std::mem::take(&mut st.heap), bodies)
+            (st.next.take(), std::mem::take(&mut st.heap), bodies)
         };
-        drop((heap, bodies));
+        drop((next, heap, bodies));
         let hooks = std::mem::take(&mut *core.teardown.lock());
         for hook in hooks {
             hook();
@@ -806,7 +832,7 @@ impl Coroutines {
                     if let Some((name, message)) = st.panic.take() {
                         return Err(SimError::ProcessPanicked { name, message });
                     }
-                    let Some(e) = st.heap.pop() else {
+                    let Some(e) = st.pop() else {
                         if st.live == 0 {
                             return Ok(SimTime(st.now));
                         }
@@ -824,6 +850,9 @@ impl Coroutines {
                     st.now = e.time;
                     st.events += 1;
                     if st.events > st.max_events {
+                        // Back in front (it is the earliest), so `Drop`
+                        // frees it outside the lock.
+                        st.next = Some(e);
                         return Err(SimError::EventLimit {
                             at: SimTime(st.now),
                             processed: st.events - 1,
@@ -1078,6 +1107,65 @@ mod tests {
         drop(sim);
         assert_eq!(*order.lock(), [0, 1, 2]);
         assert!(core.upgrade().is_none(), "the core outlived its simulation");
+    }
+
+    /// Owned by a queued callback: its drop reads the clock, which takes
+    /// the scheduler lock (and so deadlocks if dropped under it).
+    struct ReadsClockOnDrop(SimHandle, Arc<Mutex<Vec<String>>>);
+
+    impl Drop for ReadsClockOnDrop {
+        fn drop(&mut self) {
+            let now = self.0.now().as_nanos();
+            self.1.lock().push(format!("call dropped at {now}"));
+        }
+    }
+
+    #[test]
+    fn drop_frees_a_call_left_in_the_slot_before_the_hooks() {
+        for run in [false, true] {
+            let mut sim = Simulation::new();
+            let order = Arc::new(Mutex::new(Vec::new()));
+            let owned = ReadsClockOnDrop(sim.handle(), Arc::clone(&order));
+            let call = move |_| drop(owned);
+            let h = sim.handle();
+            if run {
+                // The budget of one event runs the process, which queues
+                // the call and finishes; the call is the event refused.
+                sim.spawn("queues", move |_| {
+                    h.schedule_in(SimDuration::from_micros(5), call);
+                });
+                match sim.run_with_limit(1) {
+                    Err(SimError::EventLimit { at, processed }) => {
+                        assert_eq!((at.as_nanos(), processed), (5_000, 1));
+                    }
+                    other => panic!("expected EventLimit, got {other:?}"),
+                }
+            } else {
+                h.schedule_in(SimDuration::from_micros(5), call);
+            }
+            {
+                let st = sim.handle.core.state.lock();
+                let in_slot =
+                    matches!(&st.next, Some(e) if matches!(e.kind, EventKind::Call { .. }));
+                assert!(
+                    in_slot && st.heap.is_empty(),
+                    "the call is not alone in the slot"
+                );
+            }
+            let o = Arc::clone(&order);
+            sim.handle()
+                .on_teardown(move || o.lock().push("hook".into()));
+            assert!(
+                order.lock().is_empty(),
+                "the call was dropped before the simulation"
+            );
+            drop(sim);
+            let at = if run { 5_000 } else { 0 };
+            assert_eq!(
+                *order.lock(),
+                [format!("call dropped at {at}"), "hook".into()]
+            );
+        }
     }
 
     #[test]

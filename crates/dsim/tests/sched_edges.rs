@@ -6,8 +6,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use dsim::rng::SimRng;
 use dsim::sync::{SimCondvar, SimQueue, TimedWait};
-use dsim::{ProcStats, SimDuration, SimError, SimTime, Simulation};
+use dsim::{ProcStats, SimCtx, SimDuration, SimError, SimHandle, SimTime, Simulation};
 use parking_lot::Mutex;
 
 /// Run `scenario` on a fresh simulation and check its event count.
@@ -494,4 +495,113 @@ fn trace_records_spans_and_names() {
     sleeps.run().unwrap();
     assert_eq!(sim.events_processed(), sleeps.events_processed());
     assert_eq!(plain.events_processed(), sleeps.events_processed());
+}
+
+/// The order test's record: every event it queues, by schedule index,
+/// and the events that fired, in firing order.
+#[derive(Default)]
+struct Ledger {
+    /// `(time, cancelled)` per schedule index.
+    queued: Vec<(u64, bool)>,
+    /// `(time, schedule index)` per fired event.
+    fired: Vec<(u64, usize)>,
+}
+
+type SharedLedger = Arc<Mutex<Ledger>>;
+
+/// Delays in ns: small and repeating, so new events often land at the
+/// instant of the earliest queued one, or before or after it.
+const DELAYS: [u64; 6] = [0, 1, 1, 2, 3, 5];
+
+fn draw_delay(rng: &mut SimRng) -> u64 {
+    DELAYS[rng.below(DELAYS.len() as u64) as usize]
+}
+
+/// Note an event about to be queued for `at`; returns its schedule index.
+fn note_queued(ledger: &SharedLedger, at: u64) -> usize {
+    let mut l = ledger.lock();
+    l.queued.push((at, false));
+    l.queued.len() - 1
+}
+
+fn note_fired(ledger: &SharedLedger, at: SimTime, idx: usize) {
+    ledger.lock().fired.push((at.as_nanos(), idx));
+}
+
+/// Queue a callback `delay` ns from now. One in four is cancelled at
+/// once; one in two that fire queues another from inside its `Call`.
+fn queue_timer(h: &SimHandle, ledger: &SharedLedger, delay: u64, rng: &mut SimRng) {
+    let idx = note_queued(ledger, h.now().as_nanos() + delay);
+    let (h2, l2) = (h.clone(), Arc::clone(ledger));
+    let mut child = SimRng::seed_from(rng.next_u64());
+    let guard = h.schedule_in(SimDuration::from_nanos(delay), move |now| {
+        note_fired(&l2, now, idx);
+        if child.below(2) == 0 {
+            let d = draw_delay(&mut child);
+            queue_timer(&h2, &l2, d, &mut child);
+        }
+    });
+    if rng.below(4) == 0 {
+        guard.cancel();
+        ledger.lock().queued[idx].1 = true;
+    }
+}
+
+/// A process that charges costs (a sleep, or a yield at delay 0) and
+/// queues timers.
+fn order_process(ctx: &SimCtx, ledger: &SharedLedger, rng: &mut SimRng, steps: u64) {
+    for _ in 0..steps {
+        let d = draw_delay(rng);
+        if rng.below(2) == 0 {
+            let idx = note_queued(ledger, ctx.now().as_nanos() + d);
+            if d == 0 {
+                ctx.yield_now();
+            } else {
+                ctx.sleep(SimDuration::from_nanos(d));
+            }
+            note_fired(ledger, ctx.now(), idx);
+        } else {
+            queue_timer(ctx.handle(), ledger, d, rng);
+        }
+    }
+}
+
+#[test]
+fn events_fire_in_time_then_schedule_order() {
+    // Every schedule path (spawn, sleep, yield, timers queued before the
+    // run, by processes and by callbacks, cancelled or not) into an
+    // empty queue, before, at and after the earliest queued event: the
+    // firing order is the `(time, schedule index)` sort of what was
+    // queued.
+    for seed in 0..64 {
+        let mut rng = SimRng::seed_from(seed);
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let ledger = SharedLedger::default();
+        for _ in 0..rng.range_inclusive(1, 3) {
+            let d = draw_delay(&mut rng);
+            queue_timer(&h, &ledger, d, &mut rng);
+        }
+        for p in 0..rng.range_inclusive(2, 4) {
+            let d = draw_delay(&mut rng);
+            let idx = note_queued(&ledger, d);
+            let (l, mut prng) = (Arc::clone(&ledger), SimRng::seed_from(rng.next_u64()));
+            let steps = rng.range_inclusive(40, 80);
+            h.spawn_delayed(format!("p{p}"), SimDuration::from_nanos(d), move |ctx| {
+                note_fired(&l, ctx.now(), idx);
+                order_process(ctx, &l, &mut prng, steps);
+            });
+        }
+        let end = sim.run().expect("the case finishes");
+        let l = ledger.lock();
+        let mut want: Vec<(u64, usize)> = (l.queued.iter().enumerate())
+            .filter(|(_, &(_, cancelled))| !cancelled)
+            .map(|(i, &(at, _))| (at, i))
+            .collect();
+        want.sort_unstable();
+        assert_eq!(l.fired, want, "seed {seed}: firing order");
+        assert_eq!(sim.events_processed(), l.queued.len() as u64, "seed {seed}");
+        let last = l.queued.iter().map(|&(at, _)| at).max();
+        assert_eq!(Some(end.as_nanos()), last, "seed {seed}: end time");
+    }
 }
