@@ -19,7 +19,7 @@ mod tcb;
 
 pub use costs::TcpCosts;
 pub use device::{EthDevice, LaneDevice, NetDevice};
-pub use packet::{IpPacket, TcpFlags, TcpSegment, IP_HDR, TCP_HDR};
+pub use packet::{IpPacket, PacketHeader, TcpFlags, IP_HDR, TCP_HDR};
 pub use socket::{TcpProvider, TcpSocket};
 pub use stack::TcpStack;
 pub use tcb::{mss_for, Tcb, TcpState, DEFAULT_SOCKBUF};
@@ -404,7 +404,7 @@ mod tests {
         fn send(&self, ctx: &dsim::SimCtx, dst: HostId, packet: dsim::Payload) {
             use std::sync::atomic::Ordering;
             let has_payload = IpPacket::decode(&packet)
-                .map(|p| !p.tcp.payload.is_empty())
+                .map(|p| !p.payload.is_empty())
                 .unwrap_or(false);
             if dst == self.victim_dst && has_payload {
                 let k = self.count.fetch_add(1, Ordering::Relaxed) + 1;

@@ -12,7 +12,7 @@ use sockets::{SockAddr, SockError, SockResult};
 
 use crate::costs::TcpCosts;
 use crate::device::{IpRxHandler, NetDevice};
-use crate::packet::{IpPacket, TcpFlags, TcpSegment};
+use crate::packet::{IpPacket, PacketHeader, TcpFlags};
 use crate::tcb::{Tcb, TcpState, TimerEvent};
 
 type ConnKey = (u16, HostId, u16); // (local port, remote host, remote port)
@@ -159,18 +159,17 @@ impl TcpStack {
 
     /// The device receive path (runs on the device's service thread).
     fn on_packet(self: &Arc<Self>, ctx: &SimCtx, bytes: Payload) {
-        let Some(packet) = IpPacket::decode(&bytes) else {
+        let Some(IpPacket { hdr: seg, payload }) = IpPacket::decode(&bytes) else {
             return;
         };
-        if packet.dst != self.machine.id() {
+        if seg.dst != self.machine.id() {
             return;
         }
-        let src_host = packet.src;
-        let seg = packet.tcp;
+        let src_host = seg.src;
         let key = (seg.dst_port, src_host, seg.src_port);
         let existing = self.conns.lock().get(&key).cloned();
         if let Some(tcb) = existing {
-            tcb.on_segment(ctx, seg);
+            tcb.on_segment(ctx, seg, payload);
             return;
         }
         // New connection?
@@ -202,7 +201,7 @@ impl TcpStack {
         // void until its retry cap fires. Pure ACKs stay unanswered — the
         // final ACK of an orderly close routinely lands after the TCB has
         // been reaped, and answering it would be noise.
-        let pure_ack = seg.payload.is_empty()
+        let pure_ack = payload.is_empty()
             && !seg.flags.contains(TcpFlags::SYN)
             && !seg.flags.contains(TcpFlags::FIN)
             && !seg.flags.contains(TcpFlags::RST);
@@ -211,7 +210,7 @@ impl TcpStack {
         }
     }
 
-    fn send_rst(&self, ctx: &SimCtx, src_host: HostId, seg: &TcpSegment) {
+    fn send_rst(&self, ctx: &SimCtx, src_host: HostId, seg: &PacketHeader) {
         KernelCpu::of(&self.machine).charge(
             ctx,
             dsim::TraceLayer::Kernel,
@@ -219,19 +218,16 @@ impl TcpStack {
             self.costs.tx_ack + self.costs.ip,
             dsim::TraceTag::on_conn(seg.dst_port as u32),
         );
-        let rst = IpPacket {
+        let rst = PacketHeader {
             src: self.machine.id(),
             dst: src_host,
-            tcp: TcpSegment {
-                src_port: seg.dst_port,
-                dst_port: seg.src_port,
-                seq: 0,
-                ack: 0,
-                flags: TcpFlags::RST,
-                wnd: 0,
-                payload: Payload::empty(),
-            },
+            src_port: seg.dst_port,
+            dst_port: seg.src_port,
+            seq: 0,
+            ack: 0,
+            flags: TcpFlags::RST,
+            wnd: 0,
         };
-        self.device.send(ctx, src_host, rst.encode());
+        self.device.send(ctx, src_host, rst.encode(PacketHeader::wire_buf(0)));
     }
 }

@@ -20,11 +20,11 @@ use sockets::{SockAddr, SockError, SockResult};
 
 use crate::costs::TcpCosts;
 use crate::device::NetDevice;
-use crate::packet::{IpPacket, TcpFlags, TcpSegment};
+use crate::packet::{PacketHeader, TcpFlags, IP_HDR, TCP_HDR};
 
 /// Maximum segment size: device MTU minus the 40-byte header pair.
 pub fn mss_for(mtu: usize) -> usize {
-    mtu - crate::packet::IP_HDR - crate::packet::TCP_HDR
+    mtu - IP_HDR - TCP_HDR
 }
 
 /// Default socket buffer size (Linux 2.2 default-ish).
@@ -49,6 +49,7 @@ pub enum TcpState {
     Closed,
 }
 
+#[derive(Default)]
 struct Snd {
     /// Oldest unacknowledged sequence number (= seq of `buf` front).
     una: u32,
@@ -77,6 +78,58 @@ struct Snd {
     /// variant: only hold small data while a *small* segment is unacked,
     /// so a full-segment stream's tail never trips the delayed-ACK stall).
     small_limit: u32,
+}
+
+impl Snd {
+    fn new(cwnd: u32) -> Snd {
+        let (una, peer_wnd) = (1, DEFAULT_SOCKBUF as u32);
+        Snd { una, nxt: una, high: una, peer_wnd, cwnd, small_limit: una, ..Snd::default() }
+    }
+
+    /// Take a cumulative ACK of the data `local` sends `remote`: drop the
+    /// acked bytes from `buf`, advance `una` (and a rewound `nxt`). False,
+    /// changing nothing, if the ACK covers nothing new or more than was
+    /// ever sent (judged against `high`, not a rewound `nxt`).
+    fn take_ack(&mut self, ack: u32, (local, remote): (SockAddr, SockAddr)) -> bool {
+        let acked = seq_diff(ack, self.una) as usize;
+        if acked == 0 || acked > seq_diff(self.high, self.una) as usize {
+            return false;
+        }
+        // The FIN is the one sequence number past the data. It counts as
+        // acked even if an RTO rewound it (clearing `fin_sent`) after it
+        // was sent, so the engine does not send it again.
+        let fin_in_window = acked > self.buf.len();
+        let data_acked = acked - usize::from(fin_in_window);
+        assert!(
+            data_acked <= self.buf.len(),
+            "tcp {local}->{remote}: ACK {ack} covers {data_acked} data bytes, only {} are buffered",
+            self.buf.len()
+        );
+        self.buf.drain(..data_acked);
+        self.una = ack;
+        // If the cumulative ACK overtook a rewound nxt, the covered data
+        // needs no retransmission.
+        if seq_diff(self.una, self.nxt) > 0 && seq_diff(self.una, self.nxt) < 1 << 31 {
+            self.nxt = self.una;
+        }
+        self.fin_sent |= fin_in_window;
+        self.fin_acked |= fin_in_window;
+        true
+    }
+}
+
+/// Append `buf[start..start + len]` to `out`: one slice copy per half of
+/// the ring (`range(..).as_slices()` is unstable; `make_contiguous` would
+/// rotate the ring).
+pub(crate) fn extend_from_ring(out: &mut Vec<u8>, buf: &VecDeque<u8>, start: usize, len: usize) {
+    let (a, b) = buf.as_slices();
+    let end = start + len;
+    if start < a.len() {
+        out.extend_from_slice(&a[start..end.min(a.len())]);
+    }
+    if end > a.len() {
+        out.extend_from_slice(&b[start.saturating_sub(a.len())..end - a.len()]);
+    }
 }
 
 /// The receive-side socket buffer: a FIFO of payload *windows* rather
@@ -211,21 +264,7 @@ impl Tcb {
             timer_q,
             mss,
             state: Mutex::new(initial_state),
-            snd: Mutex::new(Snd {
-                una: 1,
-                nxt: 1,
-                high: 1,
-                buf: VecDeque::new(),
-                peer_wnd: DEFAULT_SOCKBUF as u32,
-                cwnd: (4 * mss) as u32,
-                fin_queued: false,
-                fin_sent: false,
-                fin_acked: false,
-                rto_gen: 0,
-                rto_armed: false,
-                rto_retries: 0,
-                small_limit: 1,
-            }),
+            snd: Mutex::new(Snd::new((4 * mss) as u32)),
             rcv: Mutex::new(Rcv {
                 nxt: 1,
                 buf: SegQueue::default(),
@@ -290,9 +329,19 @@ impl Tcb {
 
     // ----- segment emission ------------------------------------------------
 
-    /// Build+send one segment, charging kernel costs. Runs on the tx
-    /// engine or (for control segments) the caller's thread.
-    fn emit(&self, ctx: &SimCtx, seq: u32, flags: TcpFlags, payload: Payload) {
+    /// The headers of a packet on this connection.
+    fn header(&self, seq: u32, ack: u32, flags: TcpFlags, wnd: u32) -> PacketHeader {
+        let (l, r) = (self.local, self.remote);
+        let (src, dst, src_port, dst_port) = (l.host, r.host, l.port, r.port);
+        PacketHeader { src, dst, src_port, dst_port, seq, ack, flags, wnd }
+    }
+
+    /// Send one segment, charging kernel costs. `wire` is a
+    /// [`PacketHeader::wire_buf`] holding the payload; the headers are
+    /// written into it here, since `ack` and `wnd` are only known now.
+    /// Runs on the tx engine or (for control segments) the caller's thread.
+    fn emit(&self, ctx: &SimCtx, seq: u32, flags: TcpFlags, wire: Vec<u8>) {
+        let payload_len = wire.len() - IP_HDR - TCP_HDR;
         let (ack, wnd) = {
             let mut rcv = self.rcv.lock();
             rcv.unacked_segments = 0;
@@ -300,7 +349,7 @@ impl Tcb {
             rcv.dack_gen += 1; // cancel any pending delayed-ack
             (rcv.nxt, self.advertised_window(&rcv))
         };
-        let pure_ack = payload.is_empty() && !flags.contains(TcpFlags::SYN);
+        let pure_ack = payload_len == 0 && !flags.contains(TcpFlags::SYN);
         let (kind, cost) = if pure_ack {
             (dsim::TraceKind::AckTx, self.costs.tx_ack)
         } else {
@@ -310,25 +359,13 @@ impl Tcb {
             ctx,
             dsim::TraceLayer::Kernel,
             kind,
-            cost + self.costs.ip + self.costs.checksum(payload.len()),
+            cost + self.costs.ip + self.costs.checksum(payload_len),
             dsim::TraceTag::on_conn(self.local.port as u32)
                 .msg(seq as u64)
-                .value(payload.len() as u64),
+                .value(payload_len as u64),
         );
-        let packet = IpPacket {
-            src: self.local.host,
-            dst: self.remote.host,
-            tcp: TcpSegment {
-                src_port: self.local.port,
-                dst_port: self.remote.port,
-                seq,
-                ack,
-                flags: flags | TcpFlags::ACK,
-                wnd,
-                payload,
-            },
-        };
-        self.device.send(ctx, self.remote.host, packet.encode());
+        let hdr = self.header(seq, ack, flags | TcpFlags::ACK, wnd);
+        self.device.send(ctx, self.remote.host, hdr.encode(wire));
     }
 
     /// Send the initial SYN (no ACK flag; nothing to acknowledge yet).
@@ -345,25 +382,14 @@ impl Tcb {
             dsim::TraceKind::HandshakeReq,
             dsim::TraceTag::on_conn(self.local.port as u32),
         );
-        let packet = IpPacket {
-            src: self.local.host,
-            dst: self.remote.host,
-            tcp: TcpSegment {
-                src_port: self.local.port,
-                dst_port: self.remote.port,
-                seq: 0,
-                ack: 0,
-                flags: TcpFlags::SYN,
-                wnd: self.rcv_cap.load(Ordering::Relaxed) as u32,
-                payload: Payload::empty(),
-            },
-        };
-        self.device.send(ctx, self.remote.host, packet.encode());
+        let wnd = self.rcv_cap.load(Ordering::Relaxed) as u32;
+        let hdr = self.header(0, 0, TcpFlags::SYN, wnd);
+        self.device.send(ctx, self.remote.host, hdr.encode(PacketHeader::wire_buf(0)));
         self.arm_rto();
     }
 
     pub(crate) fn send_syn_ack(&self, ctx: &SimCtx) {
-        self.emit(ctx, 0, TcpFlags::SYN, Payload::empty());
+        self.emit(ctx, 0, TcpFlags::SYN, PacketHeader::wire_buf(0));
     }
 
     // ----- the transmit engine ---------------------------------------------
@@ -374,7 +400,7 @@ impl Tcb {
                 return;
             }
             enum Job {
-                Data { seq: u32, payload: Payload },
+                Data { seq: u32, wire: Vec<u8> },
                 Fin { seq: u32 },
                 PureAck,
                 Idle,
@@ -402,13 +428,11 @@ impl Tcb {
                         && small_unacked
                         && seg == avail; // only the true tail is held
                     if seg > 0 && !nagle_holds {
+                        // One allocation and one host copy per segment:
+                        // the bytes land right behind the header space.
                         let start = seq_diff(snd.nxt, snd.una) as usize;
-                        // The one sender-side packet allocation: segment
-                        // bytes leave the socket buffer into a shared
-                        // Payload that no later layer copies.
-                        let payload = Payload::new(
-                            snd.buf.iter().skip(start).take(seg as usize).copied().collect(),
-                        );
+                        let mut wire = PacketHeader::wire_buf(seg as usize);
+                        extend_from_ring(&mut wire, &snd.buf, start, seg as usize);
                         let seq = snd.nxt;
                         snd.nxt = snd.nxt.wrapping_add(seg);
                         if seq_diff(snd.nxt, snd.high) < 1 << 31 && snd.nxt != snd.high {
@@ -417,7 +441,7 @@ impl Tcb {
                         if (seg as usize) < self.mss {
                             snd.small_limit = snd.nxt;
                         }
-                        Job::Data { seq, payload }
+                        Job::Data { seq, wire }
                     } else if snd.fin_queued
                         && !snd.fin_sent
                         && avail == 0
@@ -438,19 +462,19 @@ impl Tcb {
                 }
             };
             match job {
-                Job::Data { seq, payload } => {
-                    self.emit(ctx, seq, TcpFlags::PSH, payload);
+                Job::Data { seq, wire } => {
+                    self.emit(ctx, seq, TcpFlags::PSH, wire);
                     self.arm_rto();
                 }
                 Job::Fin { seq } => {
-                    self.emit(ctx, seq, TcpFlags::FIN, Payload::empty());
+                    self.emit(ctx, seq, TcpFlags::FIN, PacketHeader::wire_buf(0));
                     self.arm_rto();
                 }
                 Job::PureAck => {
                     // Read nxt into a local: emit() advances virtual time
                     // and must never run under the snd lock.
                     let seq = self.snd.lock().nxt;
-                    self.emit(ctx, seq, TcpFlags::empty(), Payload::empty());
+                    self.emit(ctx, seq, TcpFlags::empty(), PacketHeader::wire_buf(0));
                 }
                 Job::Idle => {
                     self.cv_tx.wait(ctx);
@@ -586,15 +610,15 @@ impl Tcb {
 
     // ----- the receive path (device service thread) -------------------------
 
-    pub(crate) fn on_segment(self: &Arc<Self>, ctx: &SimCtx, seg: TcpSegment) {
+    pub(crate) fn on_segment(self: &Arc<Self>, ctx: &SimCtx, seg: PacketHeader, payload: Payload) {
         self.kcpu.charge(
             ctx,
             dsim::TraceLayer::Kernel,
             dsim::TraceKind::RxSegment,
-            self.costs.rx_segment + self.costs.ip + self.costs.checksum(seg.payload.len()),
+            self.costs.rx_segment + self.costs.ip + self.costs.checksum(payload.len()),
             dsim::TraceTag::on_conn(self.local.port as u32)
                 .msg(seg.seq as u64)
-                .value(seg.payload.len() as u64),
+                .value(payload.len() as u64),
         );
         if seg.flags.contains(TcpFlags::RST) {
             self.do_reset();
@@ -630,15 +654,15 @@ impl Tcb {
                     *self.state.lock() = TcpState::Established;
                     self.cv_est.notify_all();
                     // Fall through to normal processing of any payload.
-                    self.process_established(ctx, seg);
+                    self.process_established(ctx, seg, payload);
                 }
             }
-            TcpState::Established => self.process_established(ctx, seg),
+            TcpState::Established => self.process_established(ctx, seg, payload),
             TcpState::Closed => {}
         }
     }
 
-    fn process_established(self: &Arc<Self>, ctx: &SimCtx, seg: TcpSegment) {
+    fn process_established(self: &Arc<Self>, ctx: &SimCtx, seg: PacketHeader, payload: Payload) {
         let mut wake_send = false;
         // Window/ack news always interests the tx engine.
         let wake_tx = true;
@@ -648,44 +672,26 @@ impl Tcb {
         {
             let mut snd = self.snd.lock();
             snd.peer_wnd = seg.wnd;
-            if seg.flags.contains(TcpFlags::ACK) {
-                let acked = seq_diff(seg.ack, snd.una);
-                // Validity is judged against the highest sequence ever
-                // sent, not the (possibly rewound) nxt.
-                let outstanding = seq_diff(snd.high, snd.una);
-                if acked > 0 && acked <= outstanding {
-                    let fin_in_window = snd.fin_sent && seg.ack == snd.high;
-                    let data_acked = if fin_in_window { acked - 1 } else { acked };
-                    for _ in 0..data_acked {
-                        snd.buf.pop_front();
-                    }
-                    snd.una = seg.ack;
-                    // If the cumulative ACK overtook a rewound nxt, the
-                    // covered data needs no retransmission.
-                    if seq_diff(snd.una, snd.nxt) > 0 && seq_diff(snd.una, snd.nxt) < 1 << 31 {
-                        snd.nxt = snd.una;
-                    }
-                    if fin_in_window {
-                        snd.fin_acked = true;
-                        check_closed = true;
-                    }
-                    snd.rto_retries = 0;
-                    // Slow-start growth, capped generously (no losses on
-                    // the SAN; it simply ramps and saturates).
-                    snd.cwnd = (snd.cwnd + self.mss as u32).min(1 << 20);
-                    if seq_diff(snd.nxt, snd.una) > 0 {
-                        drop(snd);
-                        self.arm_rto();
-                    } else {
-                        snd.rto_armed = false;
-                        drop(snd);
-                    }
-                    wake_send = true;
+            let conn = (self.local, self.remote);
+            if seg.flags.contains(TcpFlags::ACK) && snd.take_ack(seg.ack, conn) {
+                // Once the FIN is acked, no later ACK is new.
+                check_closed = snd.fin_acked;
+                snd.rto_retries = 0;
+                // Slow-start growth, capped generously (no losses on the
+                // SAN; it simply ramps and saturates).
+                snd.cwnd = (snd.cwnd + self.mss as u32).min(1 << 20);
+                if seq_diff(snd.nxt, snd.una) > 0 {
+                    drop(snd);
+                    self.arm_rto();
+                } else {
+                    snd.rto_armed = false;
+                    drop(snd);
                 }
+                wake_send = true;
             }
         }
         // --- data side ---
-        let payload_len = seg.payload.len();
+        let payload_len = payload.len();
         if payload_len > 0 {
             let mut rcv = self.rcv.lock();
             if seg.seq == rcv.nxt {
@@ -695,7 +701,7 @@ impl Tcb {
                     .saturating_sub(rcv.buf.len());
                 let take = payload_len.min(room);
                 // Queue a window of the wire bytes — no copy until recv().
-                rcv.buf.push(seg.payload.slice(..take));
+                rcv.buf.push(payload.slice(..take));
                 rcv.nxt = rcv.nxt.wrapping_add(take as u32);
                 if take < payload_len {
                     rcv.window_was_closed = true;
@@ -754,7 +760,7 @@ impl Tcb {
             let need_final_ack = self.rcv.lock().ack_now;
             if need_final_ack {
                 let seq = self.snd.lock().nxt;
-                self.emit(ctx, seq, TcpFlags::empty(), Payload::empty());
+                self.emit(ctx, seq, TcpFlags::empty(), PacketHeader::wire_buf(0));
             }
             let mut st = self.state.lock();
             if *st != TcpState::Closed {
@@ -930,7 +936,7 @@ impl Tcb {
             && *self.state.lock() != TcpState::Closed
         {
             let seq = self.snd.lock().nxt;
-            self.emit(ctx, seq, TcpFlags::RST.union(TcpFlags::ACK), Payload::empty());
+            self.emit(ctx, seq, TcpFlags::RST.union(TcpFlags::ACK), PacketHeader::wire_buf(0));
             self.do_reset();
             return;
         }
@@ -943,5 +949,117 @@ impl Tcb {
 impl Tcb {
     pub(crate) fn install_self_ref(me: &Arc<Tcb>) {
         *me.self_ref.lock() = Some(Arc::downgrade(me));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn conn() -> (SockAddr, SockAddr) {
+        (
+            SockAddr::new(simos::HostId(1), 4000),
+            SockAddr::new(simos::HostId(2), 21),
+        )
+    }
+
+    /// 14 bytes in a 16-byte ring that wraps: pushed, drained from the
+    /// front, pushed again.
+    fn wrapped_ring() -> VecDeque<u8> {
+        let mut ring = VecDeque::with_capacity(16);
+        ring.extend(200..210u8);
+        ring.drain(..8);
+        ring.extend(0..12u8);
+        let (a, b) = ring.as_slices();
+        assert!(!a.is_empty() && !b.is_empty(), "the ring must wrap");
+        ring
+    }
+
+    /// A sender whose buffer is `wrapped_ring()`, with `sent` bytes sent.
+    fn sender(sent: u32) -> Snd {
+        let mut snd = Snd::new(1 << 20);
+        snd.buf = wrapped_ring();
+        snd.nxt = snd.una + sent;
+        snd.high = snd.nxt;
+        snd
+    }
+
+    fn segment(snd: &Snd, len: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        extend_from_ring(&mut out, &snd.buf, seq_diff(snd.nxt, snd.una) as usize, len);
+        out
+    }
+
+    #[test]
+    fn ring_slices_match_byte_iteration_at_the_wrap_point() {
+        let ring = wrapped_ring();
+        for start in 0..=ring.len() {
+            for len in 0..=ring.len() - start {
+                let mut out = vec![0xAA];
+                extend_from_ring(&mut out, &ring, start, len);
+                let old: Vec<u8> = ring.iter().skip(start).take(len).copied().collect();
+                assert_eq!(out[1..], old[..], "start {start} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn partial_ack_trims_only_the_acked_bytes() {
+        let all: Vec<u8> = wrapped_ring().into();
+        let mut snd = sender(10);
+        assert!(snd.take_ack(snd.una + 4, conn()));
+        assert_eq!((snd.una, snd.nxt), (5, 11));
+        assert_eq!(Vec::from(snd.buf.clone()), all[4..]);
+        assert_eq!(segment(&snd, 4), all[10..]);
+        assert!(!snd.fin_acked);
+    }
+
+    #[test]
+    fn stale_or_unsent_acks_change_nothing() {
+        let mut snd = sender(10);
+        assert!(!snd.take_ack(snd.una, conn()));
+        assert!(!snd.take_ack(snd.high + 1, conn()));
+        assert!(!snd.take_ack(snd.una.wrapping_sub(1), conn()));
+        assert_eq!((snd.una, snd.buf.len()), (1, 14));
+    }
+
+    #[test]
+    fn ack_covering_the_fin_trims_one_byte_less() {
+        let mut snd = sender(15); // 14 data bytes and the FIN
+        snd.fin_queued = true;
+        snd.fin_sent = true;
+        assert!(snd.take_ack(snd.high, conn()));
+        assert!(snd.buf.is_empty() && snd.fin_acked);
+        assert_eq!((snd.una, snd.nxt), (16, 16));
+    }
+
+    #[test]
+    fn ack_of_a_fin_an_rto_rewound_still_acks_it() {
+        let mut snd = Snd::new(1 << 20);
+        snd.fin_queued = true;
+        (snd.nxt, snd.high) = (1, 2); // the FIN went out, then the RTO rewound it
+        assert!(snd.take_ack(2, conn()));
+        assert!(
+            snd.fin_acked && snd.fin_sent,
+            "the engine must not send the FIN again"
+        );
+        assert_eq!((snd.una, snd.nxt), (2, 2));
+    }
+
+    #[test]
+    fn ack_overtaking_a_rewound_nxt_moves_nxt_up() {
+        let all: Vec<u8> = wrapped_ring().into();
+        let mut snd = sender(14);
+        snd.nxt = snd.una; // go-back-N rewind
+        assert!(snd.take_ack(snd.una + 6, conn()));
+        assert_eq!((snd.una, snd.nxt, snd.high), (7, 7, 15));
+        assert_eq!(segment(&snd, 8), all[6..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "tcp host1:4000->host2:21: ACK 21 covers 19 data bytes, only 14")]
+    fn ack_beyond_the_buffered_data_names_the_connection() {
+        let mut snd = sender(20); // claims more sent than was ever buffered
+        snd.take_ack(snd.high, conn());
     }
 }

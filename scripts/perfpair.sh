@@ -14,6 +14,13 @@
 # its BENCHMARK.json bound is flagged, and the script exits 1 if any run
 # is not correct.
 #
+# A run's peak_rss_mb grows with its round count, and a faster side runs
+# more rounds in the same seconds. So the script also fits each side's
+# peak_rss_mb against its round count (least squares: slope and
+# intercept) and prints the change's difference from the revision at
+# the pooled median round count: a memory rise that only follows the
+# round count shows up as a small difference there.
+#
 # Nothing under perfbench/ changes: cargo rewrites perfbench/Cargo.lock
 # on every build, so the script saves that file and restores it.
 set -euo pipefail
@@ -102,6 +109,27 @@ for m in bench["end_to_end"]:
     base_s, change_s = f"{bm:.6g} ({bq1:.6g}-{bq3:.6g})", f"{cm:.6g} ({cq1:.6g}-{cq3:.6g})"
     print(f"{name:<16} {base_s:>36} {change_s:>36} "
           f"{ratio:>7.3f} {wins:>3}/{pairs}  {', '.join(verdict)}")
+
+def fit(xs, ys):
+    """Least-squares (intercept, slope) of ys against xs."""
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    sxx = sum((x - mx) ** 2 for x in xs)
+    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx if sxx else 0.0
+    return my - slope * mx, slope
+
+if all("peak_rss_mb" in r["metrics"] for rs in runs.values() for r in rs):
+    pooled = statistics.median(r["rounds"] for rs in runs.values() for r in rs)
+    print(f"peak_rss_mb against rounds (least squares), compared at the pooled "
+          f"median of {pooled:g} rounds:")
+    at = {}
+    for side, rs in runs.items():
+        a, b = fit([r["rounds"] for r in rs], [r["metrics"]["peak_rss_mb"]["value"] for r in rs])
+        at[side] = a + b * pooled
+        print(f"{side:<6} intercept {a:.4g} MB, slope {b:.4g} MB/round, "
+              f"{at[side]:.4g} MB at {pooled:g} rounds")
+    d = at["change"] - at["base"]
+    pct = 100 * d / at["base"] if at["base"] else float("nan")
+    print(f"change - base at {pooled:g} rounds: {d:+.4g} MB ({pct:+.2f}%)")
 print(f"all runs correct: {ok}")
 sys.exit(0 if ok else 1)
 EOF

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use sovia_repro::simos::mem::{
     dma_read, dma_write, unpin, AddressSpace, PhysMem, PinnedRegion, VAddr, PAGE_SIZE,
 };
-use sovia_repro::tcpip::{IpPacket, TcpFlags, TcpSegment};
+use sovia_repro::tcpip::{IpPacket, PacketHeader, TcpFlags};
 
 use common::{check, range, rng_for};
 
@@ -579,20 +579,20 @@ fn ip_packets_roundtrip() {
             Some((src, dst, sport, dport, seq, ack, flags, wnd, payload))
         },
         |(src, dst, sport, dport, seq, ack, flags, wnd, payload)| {
-            let p = IpPacket {
+            let hdr = PacketHeader {
                 src: simos::HostId(src),
                 dst: simos::HostId(dst),
-                tcp: TcpSegment {
-                    src_port: sport,
-                    dst_port: dport,
-                    seq,
-                    ack,
-                    flags: TcpFlags(flags),
-                    wnd,
-                    payload: payload.into(),
-                },
+                src_port: sport,
+                dst_port: dport,
+                seq,
+                ack,
+                flags: TcpFlags(flags),
+                wnd,
             };
-            assert_eq!(IpPacket::decode(&p.encode()), Some(p));
+            let mut wire = PacketHeader::wire_buf(payload.len());
+            wire.extend_from_slice(&payload);
+            let payload = payload.into();
+            assert_eq!(IpPacket::decode(&hdr.encode(wire)), Some(IpPacket { hdr, payload }));
         },
     );
 }
