@@ -12,26 +12,10 @@
 //! sequential and deterministic: all output — including the trace file —
 //! is byte-identical at any `--threads` value.
 
-use bench::{breakdown, cli, figures};
-
-/// Peak-bandwidth message size (the top of the Figure 6(b) sweep).
-const BW_SIZE: usize = 32 * 1024;
+use bench::{cli, report};
 
 fn main() {
     let args = cli::BenchCli::parse_env();
     args.reject_seed("latency_breakdown");
-
-    let lat = breakdown::latency_breakdown(4, figures::LATENCY_ROUNDS);
-    print!("{}", breakdown::render_latency(4, figures::LATENCY_ROUNDS, &lat));
-    println!();
-    let bw = breakdown::bandwidth_breakdown(BW_SIZE, figures::bandwidth_total(BW_SIZE));
-    print!("{}", breakdown::render_bandwidth(BW_SIZE, &bw));
-    println!();
-    print!("{}", breakdown::render_procs(&lat));
-
-    if let Some(path) = &args.trace {
-        let mut parts = breakdown::trace_parts("latency 4B", &lat);
-        parts.extend(breakdown::trace_parts("bandwidth 32KB", &bw));
-        cli::write_trace(path, &parts);
-    }
+    args.emit(report::latency_breakdown(args.trace.is_some()));
 }

@@ -7,30 +7,10 @@
 //! File 1 transfer with tracing enabled and writes a Chrome trace-event
 //! (Perfetto) JSON file.
 
-use bench::{cli, table1};
-use dsim::TraceConfig;
+use bench::{cli, report};
 
 fn main() {
     let args = cli::BenchCli::parse_env();
     args.reject_seed("table1");
-    let sizes = table1::FILE_SIZES;
-    let rows = table1::run_table1_with(&sizes, args.threads());
-    print!("{}", table1::render(&rows, &sizes));
-    if let Some(path) = &args.trace {
-        let parts: Vec<_> = table1::table1_rows()
-            .iter()
-            .filter_map(|(label, p)| {
-                let out = table1::ftp_transfer_traced(
-                    p.as_ref()?,
-                    sizes[0],
-                    Some(TraceConfig::default()),
-                );
-                Some((
-                    format!("{label} file1 FTP"),
-                    out.trace.expect("tracing was enabled"),
-                ))
-            })
-            .collect();
-        cli::write_trace(path, &parts);
-    }
+    args.emit(report::table1(args.threads(), args.trace.is_some()));
 }

@@ -18,6 +18,7 @@
 //!
 //! Any other argument is a usage error (exit status 2).
 
+use crate::report::Report;
 use crate::runner;
 
 /// Parsed shared flags of a bench binary invocation.
@@ -73,6 +74,15 @@ impl BenchCli {
     /// parallelism).
     pub fn threads(&self) -> usize {
         runner::resolve_threads(self.threads)
+    }
+
+    /// Print a binary's report, and write its trace to the `--trace` path
+    /// if one was given (the report must then be built traced).
+    pub fn emit(&self, report: Report) {
+        print!("{}", report.text);
+        if let Some(path) = &self.trace {
+            write_trace(path, &report.trace.expect("a report built traced"));
+        }
     }
 
     /// Exit with a usage error if `--seed` was passed to a binary whose

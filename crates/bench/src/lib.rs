@@ -18,6 +18,9 @@
 //!   in a fresh simulation and returns its [`runner::RunOutput`] (value,
 //!   counters, trace); [`runner::par_map`] and [`runner::par_grid`] run
 //!   many points on a bounded pool of host threads;
+//! * [`report`] — what each binary prints and traces, as one function per
+//!   binary (the root package's `tests/goldens.rs` checks the fast ones
+//!   against `results/`);
 //! * [`cli`] — the shared `--threads` / `--seed` / `--trace` parsing of
 //!   every bench binary.
 //!
@@ -37,5 +40,6 @@ pub mod fault_sweep;
 pub mod fig7;
 pub mod figures;
 pub mod micro;
+pub mod report;
 pub mod runner;
 pub mod table1;

@@ -13,12 +13,13 @@
 //!   application, paying `thread_wake` on every message.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::convert::Infallible;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dsim::sync::{SimCondvar, SimQueue};
-use dsim::{SimCtx, SimHandle, TimerGuard};
+use dsim::{Shutdown, SimCtx, SimHandle, TimerGuard};
 use parking_lot::Mutex;
 use simos::{HostCosts, Process};
 use sockets::{SockError, SockResult};
@@ -158,7 +159,7 @@ impl SoviaLib {
                 let lib = Arc::clone(self);
                 self.sim
                     .spawn_daemon(format!("sovia-close-{}", self.process.pid()), move |ctx| {
-                        lib.close_thread_main(ctx);
+                        let Err(Shutdown) = lib.close_thread_main(ctx);
                     });
             }
             ReceiveMode::HandlerThread => {
@@ -296,12 +297,25 @@ impl SoviaLib {
     /// Block until progress might have been made; in single-threaded mode
     /// the caller itself services the completion queue.
     pub(crate) fn wait_progress(&self, ctx: &SimCtx) {
+        let Ok(()) = self.wait_progress_with(ctx, |cv| {
+            cv.wait(ctx);
+            Ok::<_, Infallible>(())
+        });
+    }
+
+    /// [`SoviaLib::wait_progress`], blocking on the progress condvar with
+    /// `wait`.
+    fn wait_progress_with<E>(
+        &self,
+        ctx: &SimCtx,
+        wait: impl FnOnce(&SimCondvar) -> Result<(), E>,
+    ) -> Result<(), E> {
         match self.config.mode {
             ReceiveMode::SingleThreaded => {
                 if self.service_one(ctx) {
-                    return;
+                    return Ok(());
                 }
-                self.progress_cv.wait(ctx);
+                wait(&self.progress_cv)?;
                 ctx.charge(
                     dsim::TraceLayer::Sovia,
                     dsim::TraceKind::Poll,
@@ -309,15 +323,14 @@ impl SoviaLib {
                     dsim::TraceTag::default(),
                 );
             }
-            ReceiveMode::HandlerThread => {
-                self.progress_cv.wait(ctx);
-            }
+            ReceiveMode::HandlerThread => wait(&self.progress_cv)?,
         }
+        Ok(())
     }
 
     // ----- service threads --------------------------------------------------
 
-    fn close_thread_main(&self, ctx: &SimCtx) {
+    fn close_thread_main(&self, ctx: &SimCtx) -> Result<Infallible, Shutdown> {
         loop {
             // Suspended while the application holds open sockets (a WAKEUP
             // means a live connection, so the close thread stands down).
@@ -327,16 +340,15 @@ impl SoviaLib {
                 if active == 0 && open > 0 {
                     break;
                 }
-                self.activation_cv.wait(ctx);
+                self.activation_cv.wait_idle(ctx)?;
             }
             // Drive the remaining FIN/FINACK exchanges.
-            self.wait_progress(ctx);
+            self.wait_progress_with(ctx, |cv| cv.wait_idle(ctx))?;
         }
     }
 
     fn handler_thread_main(&self, ctx: &SimCtx) {
-        loop {
-            let entry = self.cq.wait(ctx, &self.costs, WaitMode::Block);
+        while let Ok(entry) = self.cq.wait(ctx, &self.costs, WaitMode::Block) {
             let conn = self.conns.lock().get(&entry.vi_id).cloned();
             if let Some(conn) = conn {
                 conn.process_completion(ctx, self);
@@ -345,8 +357,7 @@ impl SoviaLib {
     }
 
     fn timer_thread_main(self: &Arc<Self>, ctx: &SimCtx) {
-        loop {
-            let (conn, epoch) = self.timer_q.pop(ctx);
+        while let Ok((conn, epoch)) = self.timer_q.pop_idle(ctx) {
             let _ = conn.flush_if_epoch(ctx, self, Some(epoch));
         }
     }

@@ -115,7 +115,7 @@ impl Socket for SovSocket {
         let accept_q: Arc<SimQueue<Arc<SovConn>>> = SimQueue::new(self.lib.sim());
         // Register the VIA listener *before* the connection thread runs so
         // an immediate client request is never refused. The thread pops
-        // this queue directly; after unlisten() it parks forever.
+        // this queue directly; after unlisten() it idles until teardown.
         let Some(pending_q) = self.lib.nic().listen_exclusive(discriminator(addr.port)) else {
             return Err(SockError::AddrInUse);
         };
@@ -315,9 +315,8 @@ fn connection_thread(
     pending_q: Arc<SimQueue<via::PendingConn>>,
     accept_q: Arc<SimQueue<Arc<SovConn>>>,
 ) {
-    loop {
-        // VipConnectWait: block for a request, pay the kernel wakeup.
-        let pending = pending_q.pop(ctx);
+    // VipConnectWait: block for a request, pay the kernel wakeup.
+    while let Ok(pending) = pending_q.pop_idle(ctx) {
         ctx.charge(
             dsim::TraceLayer::Sovia,
             dsim::TraceKind::ContextSwitch,

@@ -16,12 +16,14 @@
 //! short of the guard page becomes a typed [`Resumed::Overflowed`] rather
 //! than silent memory corruption.
 //!
-//! A coroutine that finishes (returns, panics or is unwound by teardown)
-//! leaves its stack, pages still committed, in a cache of its OS thread,
-//! where the next coroutine, of this simulation or a later one, takes it
-//! before mapping a fresh one. The cache holds at most [`CACHE_CAP`]
-//! stacks (8 KiB committed for a short process; 2 MiB at most) until the
-//! thread exits. An overflowed stack is unmapped, never cached; a
+//! A coroutine that finishes (returns, panics, or is unwound by teardown:
+//! [`crate::sched`] says which processes return at teardown and which are
+//! unwound) leaves its stack, pages still committed, in a cache of its OS
+//! thread, where the next coroutine, of this simulation or a later one,
+//! takes it before mapping a fresh one. Returning is the cheap way out: an
+//! unwind walks the stack twice in the DWARF unwinder. The cache holds at
+//! most [`CACHE_CAP`] stacks (8 KiB committed for a short process; 2 MiB
+//! at most) until the thread exits. An overflowed stack is unmapped, never cached; a
 //! coroutine dropped unfinished leaks its stack, live frames and all.
 
 use std::any::Any;

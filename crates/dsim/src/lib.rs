@@ -55,7 +55,7 @@ pub mod trace;
 
 pub use buf::Payload;
 pub use sched::{
-    ProcId, ProcStats, SchedConfig, SchedStats, SimCtx, SimError, SimHandle, Simulation,
+    ProcId, ProcStats, SchedConfig, SchedStats, Shutdown, SimCtx, SimError, SimHandle, Simulation,
     TimerGuard, WakeReason,
 };
 pub use time::{SimDuration, SimTime};

@@ -38,6 +38,15 @@
 //! Blocking primitives therefore follow the usual condition-variable rule:
 //! *mutate shared state first, then wake; waiters re-check predicates in a
 //! loop*.
+//!
+//! # Teardown
+//!
+//! The end of `run` resumes every parked process with `Shutdown`. A daemon
+//! in an idle wait ([`crate::sync`]) gets `Err(`[`Shutdown`]`)` and returns;
+//! any other process, and one that parks again after `Shutdown` (it would
+//! never be resumed), is unwound, silently. An unwind walks the stack
+//! twice in the DWARF unwinder, so a clean run should have none
+//! ([`Simulation::teardown_unwinds`]).
 
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -74,9 +83,16 @@ pub enum WakeReason {
     Timeout,
     /// First scheduling of a newly spawned process.
     Start,
-    /// The simulation is being torn down; the process must unwind.
+    /// The simulation is being torn down: an idle wait reports it as
+    /// [`Shutdown`]; any other park unwinds the process.
     Shutdown,
 }
+
+/// The simulation is being torn down. Returned by the idle waits
+/// ([`crate::sync::SimQueue::pop_idle`], [`crate::sync::SimCondvar::wait_idle`])
+/// a daemon blocks in between jobs, so its loop ends by returning.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Shutdown;
 
 impl WakeReason {
     /// Every reason, indexed by discriminant (how the dispatch loop passes
@@ -267,8 +283,6 @@ struct SchedState {
     procs: Vec<ProcSlot>,
     /// Number of processes not yet Done.
     live: usize,
-    /// Set when `run` starts tearing everything down.
-    shutting_down: bool,
     /// Panic captured from a process, reported by `run`.
     panic: Option<(String, String)>,
     /// Heap entries popped so far.
@@ -282,7 +296,8 @@ struct SchedState {
 pub(crate) struct SimCore {
     state: Mutex<SchedState>,
     /// Pid of the process the dispatch loop resumed last (the running one,
-    /// while any process runs).
+    /// while any process runs), with [`SHUT_DOWN`] set if that resume
+    /// delivered `Shutdown`.
     running: AtomicU64,
     /// Event recorder; `None` (the default) makes every emission site a
     /// single predictable branch.
@@ -616,34 +631,67 @@ impl SimCtx {
         self.park()
     }
 
-    /// Park until some event wakes us. Returns the delivered reason.
+    /// Park until some event wakes us. Returns the delivered reason; a
+    /// `Shutdown` wake unwinds the process instead.
     ///
     /// This is the low-level primitive behind the sync types; application
     /// code should prefer [`crate::sync`] primitives.
     pub(crate) fn park(&self) -> WakeReason {
-        let core = &self.handle.core;
-        assert_eq!(
-            core.running.load(Ordering::Relaxed),
-            self.pid.0,
-            "park() called from outside the running process"
-        );
+        let running = self.handle.core.running.load(Ordering::Relaxed);
+        if running != self.pid.0 {
+            self.refuse_park(running);
+        }
         // The dispatch loop marks us Parked when the switch returns to it,
         // and passes the wake reason in when it switches back.
         let reason = WakeReason::ALL[coro::suspend()];
         if reason == WakeReason::Shutdown {
-            // resume_unwind skips the panic hook: teardown is silent.
-            panic::resume_unwind(Box::new(ShutdownToken));
+            unwind();
         }
         reason
     }
+
+    /// [`SimCtx::park`] for a process idle between jobs: a `Shutdown` wake
+    /// comes back as `Err(Shutdown)`, for the caller to return on.
+    pub(crate) fn park_idle(&self) -> Result<WakeReason, Shutdown> {
+        let running = self.handle.core.running.load(Ordering::Relaxed);
+        if running != self.pid.0 {
+            self.refuse_park(running);
+        }
+        match WakeReason::ALL[coro::suspend()] {
+            WakeReason::Shutdown => Err(Shutdown),
+            reason => Ok(reason),
+        }
+    }
+
+    /// A park by a process other than the running one is a bug, unless it
+    /// is one already handed `Shutdown`: that one is unwound on the spot.
+    #[cold]
+    fn refuse_park(&self, running: u64) -> ! {
+        assert_eq!(
+            running,
+            self.pid.0 | SHUT_DOWN,
+            "park() called from outside the running process"
+        );
+        unwind()
+    }
+}
+
+/// Set in [`SimCore::running`] while teardown runs a process.
+const SHUT_DOWN: u64 = 1 << 63;
+
+/// Unwind the running process out of teardown. `resume_unwind` skips the
+/// panic hook: teardown is silent.
+fn unwind() -> ! {
+    panic::resume_unwind(Box::new(ShutdownToken))
 }
 
 /// A whole simulation: owns the event queue, clock, and processes.
 ///
 /// Teardown frees the simulated world in a fixed order. The end of `run`,
-/// whatever its result, unwinds every parked process with `Shutdown`
-/// (its stack goes back to the thread's cache, see [`crate::coro`]) and
-/// drops the bodies of processes that never started. Dropping the
+/// whatever its result, resumes every parked process with `Shutdown` (a
+/// daemon in an idle wait returns; any other process is unwound; either
+/// way its stack goes back to the thread's cache, see [`crate::coro`])
+/// and drops the bodies of processes that never started. Dropping the
 /// `Simulation` then drops the events still queued (with the one an
 /// exhausted budget refused) and any unstarted bodies (a simulation that
 /// never ran), outside the scheduler lock, and last runs the hooks
@@ -652,6 +700,8 @@ impl SimCtx {
 pub struct Simulation {
     handle: SimHandle,
     ran: bool,
+    /// See [`Simulation::teardown_unwinds`].
+    teardown_unwinds: u64,
 }
 
 impl Default for Simulation {
@@ -679,6 +729,7 @@ impl Simulation {
         Simulation {
             handle: SimHandle { core },
             ran: false,
+            teardown_unwinds: 0,
         }
     }
 
@@ -700,6 +751,13 @@ impl Simulation {
             events_processed: st.events,
             ..st.stats
         }
+    }
+
+    /// Processes the end of `run` had to unwind: those parked anywhere but
+    /// an idle wait (mid-charge, or a non-daemon left blocked by a
+    /// `SimError`). A clean run has none.
+    pub fn teardown_unwinds(&self) -> u64 {
+        self.teardown_unwinds
     }
 
     /// Per-process run-time and wakeup accounting, ordered by pid
@@ -770,6 +828,7 @@ impl Simulation {
         // before the panic propagates.
         let result = panic::catch_unwind(AssertUnwindSafe(|| procs.dispatch(&core)));
         procs.teardown(&core);
+        self.teardown_unwinds = procs.unwinds;
         result.unwrap_or_else(|payload| panic::resume_unwind(payload))
     }
 }
@@ -801,10 +860,11 @@ enum Step {
 }
 
 /// The dispatch loop's side of the processes: the coroutines of parked
-/// processes, by pid.
+/// processes, by pid, and how many of them teardown unwound.
 #[derive(Default)]
 struct Coroutines {
     parked: Vec<Option<Coroutine>>,
+    unwinds: u64,
 }
 
 impl Coroutines {
@@ -909,7 +969,12 @@ impl Coroutines {
         body: Option<Body>,
     ) -> bool {
         let i = pid.0 as usize;
-        core.running.store(pid.0, Ordering::Relaxed);
+        let shut_down = if reason == WakeReason::Shutdown {
+            SHUT_DOWN
+        } else {
+            0
+        };
+        core.running.store(pid.0 | shut_down, Ordering::Relaxed);
         let co = match body {
             Some(body) => {
                 let ctx = SimCtx {
@@ -940,7 +1005,7 @@ impl Coroutines {
                 true
             }
             Resumed::Finished(outcome) => {
-                finish(core, pid, outcome);
+                self.unwinds += u64::from(finish(core, pid, outcome));
                 false
             }
             Resumed::Overflowed => {
@@ -954,10 +1019,9 @@ impl Coroutines {
         }
     }
 
-    /// Unwind every parked process with `Shutdown`, and drop the bodies of
+    /// Resume every parked process with `Shutdown`, and drop the bodies of
     /// processes that never started (they are never entered).
     fn teardown(&mut self, core: &Arc<SimCore>) {
-        core.state.lock().shutting_down = true;
         // Processes below `next` are Done: tear down in pid order.
         let mut next = 0;
         loop {
@@ -988,9 +1052,11 @@ impl Coroutines {
     }
 }
 
-/// Mark `pid` Done. A panic other than teardown's becomes the run's
-/// error (the first one wins).
-fn finish(core: &SimCore, pid: ProcId, outcome: coro::Outcome) {
+/// Mark `pid` Done. A panic becomes the run's error (the first one wins)
+/// unless teardown was running the process. Returns whether teardown
+/// unwound it.
+fn finish(core: &SimCore, pid: ProcId, outcome: coro::Outcome) -> bool {
+    let torn_down = core.running.load(Ordering::Relaxed) & SHUT_DOWN != 0;
     let mut st = core.state.lock();
     let st = &mut *st;
     let slot = &mut st.procs[pid.0 as usize];
@@ -998,11 +1064,16 @@ fn finish(core: &SimCore, pid: ProcId, outcome: coro::Outcome) {
     if !slot.daemon {
         st.live -= 1;
     }
-    if let Err(payload) = outcome {
-        if !payload.is::<ShutdownToken>() && !st.shutting_down && st.panic.is_none() {
-            st.panic = Some((slot.name.clone(), panic_message(&*payload)));
-        }
+    let Err(payload) = outcome else {
+        return false;
+    };
+    if payload.is::<ShutdownToken>() {
+        return true;
     }
+    if !torn_down && st.panic.is_none() {
+        st.panic = Some((slot.name.clone(), panic_message(&*payload)));
+    }
+    false
 }
 
 /// Unwind payload used to silently tear a process down at end of simulation.
@@ -1021,6 +1092,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::SimQueue;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -1189,6 +1261,129 @@ mod tests {
         let end = sim.run().unwrap();
         assert_eq!(end.as_nanos(), 10_000);
         assert_eq!(served.load(Ordering::Relaxed), 2);
+    }
+
+    /// A daemon that serves `q` from an idle wait, counting the items it
+    /// handled.
+    fn spawn_engine(sim: &Simulation, q: &Arc<SimQueue<u32>>) -> Arc<AtomicU64> {
+        let (q, handled) = (Arc::clone(q), Arc::new(AtomicU64::new(0)));
+        let count = Arc::clone(&handled);
+        sim.spawn_daemon("engine", move |ctx| {
+            while q.pop_idle(ctx).is_ok() {
+                count.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        handled
+    }
+
+    #[test]
+    fn a_daemon_woken_with_items_queued_returns_without_handling_them() {
+        let mut sim = Simulation::new();
+        let q = SimQueue::new(&sim.handle());
+        let handled = spawn_engine(&sim, &q);
+        let producer_q = Arc::clone(&q);
+        sim.spawn("producer", move |_| {
+            producer_q.push_wake_after(7, SimDuration::from_micros(10));
+        });
+        // Two starts; the engine's wake for the item is the event refused.
+        match sim.run_with_limit(2) {
+            Err(SimError::EventLimit { processed: 2, .. }) => {}
+            other => panic!("expected EventLimit after 2 events, got {other:?}"),
+        }
+        assert_eq!(handled.load(Ordering::Relaxed), 0);
+        assert_eq!(q.len(), 1, "teardown popped the queued item");
+        assert_eq!(sim.teardown_unwinds(), 0);
+    }
+
+    thread_local! {
+        static HOOK_CALLS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+
+    #[test]
+    fn a_non_daemon_blocked_in_a_plain_pop_is_unwound_silently() {
+        // Count panic-hook calls on this thread (the simulation's only
+        // one); other threads' panics go to the previous hook as before.
+        let prev = Arc::new(panic::take_hook());
+        let chained = Arc::clone(&prev);
+        panic::set_hook(Box::new(move |info| {
+            HOOK_CALLS.with(|n| n.set(n.get() + 1));
+            chained(info);
+        }));
+        let mut sim = Simulation::new();
+        let q = SimQueue::new(&sim.handle());
+        spawn_engine(&sim, &q);
+        let stuck_q = Arc::clone(&q);
+        sim.spawn("stuck", move |ctx| {
+            stuck_q.pop(ctx);
+            unreachable!("nothing is ever pushed");
+        });
+        let r = sim.run();
+        panic::set_hook(Box::new(move |info| prev(info)));
+        match r {
+            Err(SimError::Deadlock { parked, .. }) => assert_eq!(parked, ["stuck"]),
+            other => panic!("expected deadlock, got {other:?}"),
+        }
+        // The engine returned; only the blocked worker was unwound.
+        assert_eq!(sim.teardown_unwinds(), 1);
+        assert_eq!(
+            HOOK_CALLS.with(std::cell::Cell::get),
+            0,
+            "teardown ran the panic hook"
+        );
+    }
+
+    /// Logs its drop.
+    struct LogsDrop(Arc<Mutex<Vec<&'static str>>>);
+
+    impl Drop for LogsDrop {
+        fn drop(&mut self) {
+            self.0.lock().push("daemon state dropped");
+        }
+    }
+
+    #[test]
+    fn a_returning_daemons_state_is_dropped_before_the_teardown_hooks() {
+        let mut sim = Simulation::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let q = SimQueue::<u32>::new(&sim.handle());
+        let state = LogsDrop(Arc::clone(&log));
+        sim.spawn_daemon("engine", move |ctx| {
+            let _state = state;
+            while q.pop_idle(ctx).is_ok() {}
+        });
+        let hook_log = Arc::clone(&log);
+        sim.handle()
+            .on_teardown(move || hook_log.lock().push("hook"));
+        sim.spawn("worker", |ctx| ctx.sleep(SimDuration::from_micros(1)));
+        sim.run().expect("the worker finishes");
+        assert_eq!(sim.teardown_unwinds(), 0);
+        drop(sim);
+        assert_eq!(*log.lock(), ["daemon state dropped", "hook"]);
+    }
+
+    #[test]
+    fn a_park_after_shutdown_unwinds_on_the_spot() {
+        let mut sim = Simulation::new();
+        let q = SimQueue::<u32>::new(&sim.handle());
+        let reached = Arc::new(AtomicU64::new(0));
+        // One daemon sleeps after being told to shut down, one waits idle
+        // again: neither may be suspended a second time.
+        for name in ["sleeps", "waits-again"] {
+            let (q, reached) = (Arc::clone(&q), Arc::clone(&reached));
+            sim.spawn_daemon(name, move |ctx| {
+                assert_eq!(q.pop_idle(ctx), Err(Shutdown));
+                if name == "sleeps" {
+                    ctx.sleep(SimDuration::from_micros(1));
+                } else {
+                    let _ = q.pop_idle(ctx);
+                }
+                reached.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        sim.spawn("worker", |ctx| ctx.sleep(SimDuration::from_micros(1)));
+        sim.run().expect("the worker finishes");
+        assert_eq!(sim.teardown_unwinds(), 2);
+        assert_eq!(reached.load(Ordering::Relaxed), 0);
     }
 
     #[test]

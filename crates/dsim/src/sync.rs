@@ -15,13 +15,17 @@
 //! dropped (the waiter re-checks state anyway), so code that mixes
 //! `notify_one` with timeouts on the same condvar should prefer
 //! [`SimCondvar::notify_all`].
+//!
+//! A daemon blocks between jobs in an *idle wait* ([`SimQueue::pop_idle`],
+//! [`SimCondvar::wait_idle`]): at teardown it returns [`Shutdown`], for the
+//! daemon's loop to end on, where any other wait unwinds the process.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::sched::{ProcId, SimCtx, SimHandle, WakeReason};
+use crate::sched::{ProcId, Shutdown, SimCtx, SimHandle, WakeReason};
 use crate::time::SimDuration;
 
 /// Result of a timed wait.
@@ -54,6 +58,16 @@ impl SimCondvar {
         self.waiters.lock().push_back(token);
         let r = ctx.park();
         debug_assert_eq!(r, WakeReason::Notify);
+    }
+
+    /// [`SimCondvar::wait`] as an idle wait (see the module docs):
+    /// `Err(Shutdown)` when the simulation is torn down.
+    pub fn wait_idle(&self, ctx: &SimCtx) -> Result<(), Shutdown> {
+        let token = self.handle.park_token(ctx);
+        self.waiters.lock().push_back(token);
+        let r = ctx.park_idle()?;
+        debug_assert_eq!(r, WakeReason::Notify);
+        Ok(())
     }
 
     /// Block until notified or until `timeout` elapses, whichever is first.
@@ -159,6 +173,18 @@ impl<T> SimQueue<T> {
                 return item;
             }
             self.cv.wait(ctx);
+        }
+    }
+
+    /// [`SimQueue::pop`] as an idle wait (see the module docs):
+    /// `Err(Shutdown)` when the simulation is torn down, even with items
+    /// still queued.
+    pub fn pop_idle(&self, ctx: &SimCtx) -> Result<T, Shutdown> {
+        loop {
+            if let Some(item) = self.items.lock().pop_front() {
+                return Ok(item);
+            }
+            self.cv.wait_idle(ctx)?;
         }
     }
 

@@ -120,39 +120,42 @@ impl EthPort {
         // TX engine.
         {
             let port = Arc::clone(self);
-            sim.spawn_daemon(format!("ethtx-{}", self.host), move |ctx| loop {
-                let frame = port.tx_queue.pop(ctx);
-                ctx.charge(
-                    dsim::TraceLayer::Nic,
-                    dsim::TraceKind::TxDesc,
-                    port.costs.tx_frame,
-                    dsim::TraceTag::bytes(frame.payload.len()),
-                );
-                ctx.charge(
-                    dsim::TraceLayer::Link,
-                    dsim::TraceKind::Serialize,
-                    port.link_params.serialize(frame.payload.len() + ETH_OVERHEAD),
-                    dsim::TraceTag::bytes(frame.payload.len()),
-                );
-                out.transmit(frame);
+            sim.spawn_daemon(format!("ethtx-{}", self.host), move |ctx| {
+                while let Ok(frame) = port.tx_queue.pop_idle(ctx) {
+                    ctx.charge(
+                        dsim::TraceLayer::Nic,
+                        dsim::TraceKind::TxDesc,
+                        port.costs.tx_frame,
+                        dsim::TraceTag::bytes(frame.payload.len()),
+                    );
+                    ctx.charge(
+                        dsim::TraceLayer::Link,
+                        dsim::TraceKind::Serialize,
+                        port.link_params
+                            .serialize(frame.payload.len() + ETH_OVERHEAD),
+                        dsim::TraceTag::bytes(frame.payload.len()),
+                    );
+                    out.transmit(frame);
+                }
             });
         }
         // RX engine ("interrupt" context).
         {
             let port = Arc::clone(self);
-            sim.spawn_daemon(format!("ethrx-{}", self.host), move |ctx| loop {
-                let frame = port.rx_queue.pop(ctx);
-                ctx.charge(
-                    dsim::TraceLayer::Nic,
-                    dsim::TraceKind::RxDesc,
-                    port.costs.rx_frame,
-                    dsim::TraceTag::bytes(frame.payload.len()),
-                );
-                // The handler charges kernel costs, so it runs outside the
-                // lock.
-                let handler = port.handler.lock().clone();
-                if let Some(h) = handler {
-                    h(ctx, frame);
+            sim.spawn_daemon(format!("ethrx-{}", self.host), move |ctx| {
+                while let Ok(frame) = port.rx_queue.pop_idle(ctx) {
+                    ctx.charge(
+                        dsim::TraceLayer::Nic,
+                        dsim::TraceKind::RxDesc,
+                        port.costs.rx_frame,
+                        dsim::TraceTag::bytes(frame.payload.len()),
+                    );
+                    // The handler charges kernel costs, so it runs outside
+                    // the lock.
+                    let handler = port.handler.lock().clone();
+                    if let Some(h) = handler {
+                        h(ctx, frame);
+                    }
                 }
             });
         }

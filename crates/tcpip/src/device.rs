@@ -186,8 +186,8 @@ impl LaneDevice {
         sim.spawn_daemon(
             format!("lane-rx-{}-from-{}", self.host, peer.host),
             move |ctx| loop {
-                let Ok(desc) = peer.vi.recv_wait(ctx, WaitMode::Block) else {
-                    return; // VI torn down
+                let Ok(Ok(desc)) = peer.vi.recv_wait_idle(ctx, WaitMode::Block) else {
+                    return; // simulation or VI torn down
                 };
                 let st = desc.status();
                 let bytes = Payload::new(desc.region.dma_read(desc.offset, st.xfer_len));

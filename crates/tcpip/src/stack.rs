@@ -70,10 +70,12 @@ impl TcpStack {
         // Timer service thread.
         {
             let tstack = Arc::clone(&stack);
-            sim.spawn_daemon(format!("tcp-timers-{}", machine.id()), move |ctx| loop {
-                match tstack.timer_q.pop(ctx) {
-                    TimerEvent::Rto(tcb, gen) => tcb.handle_rto(ctx, gen),
-                    TimerEvent::DelayedAck(tcb, gen) => tcb.handle_delayed_ack(ctx, gen),
+            sim.spawn_daemon(format!("tcp-timers-{}", machine.id()), move |ctx| {
+                while let Ok(timer) = tstack.timer_q.pop_idle(ctx) {
+                    match timer {
+                        TimerEvent::Rto(tcb, gen) => tcb.handle_rto(ctx, gen),
+                        TimerEvent::DelayedAck(tcb, gen) => tcb.handle_delayed_ack(ctx, gen),
+                    }
                 }
             });
         }

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use dsim::sync::{SimCondvar, SimQueue};
-use dsim::{Payload, SimCtx, SimHandle};
+use dsim::{Payload, Shutdown, SimCtx, SimHandle};
 use parking_lot::Mutex;
 use simos::{HostCosts, KernelCpu};
 use sockets::{SockAddr, SockError, SockResult};
@@ -291,7 +291,9 @@ impl Tcb {
         let engine = Arc::clone(&tcb);
         sim.spawn_daemon(
             format!("tcp-tx-{}:{}", local.host, local.port),
-            move |ctx| engine.tx_engine(ctx),
+            move |ctx| {
+                let _ = engine.tx_engine(ctx);
+            },
         );
         tcb
     }
@@ -394,10 +396,10 @@ impl Tcb {
 
     // ----- the transmit engine ---------------------------------------------
 
-    fn tx_engine(self: &Arc<Self>, ctx: &SimCtx) {
+    fn tx_engine(self: &Arc<Self>, ctx: &SimCtx) -> Result<(), Shutdown> {
         loop {
             if *self.state.lock() == TcpState::Closed {
-                return;
+                return Ok(());
             }
             enum Job {
                 Data { seq: u32, wire: Vec<u8> },
@@ -476,9 +478,7 @@ impl Tcb {
                     let seq = self.snd.lock().nxt;
                     self.emit(ctx, seq, TcpFlags::empty(), PacketHeader::wire_buf(0));
                 }
-                Job::Idle => {
-                    self.cv_tx.wait(ctx);
-                }
+                Job::Idle => self.cv_tx.wait_idle(ctx)?,
             }
         }
     }

@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use dsim::sync::SimCondvar;
-use dsim::{SimCtx, SimHandle};
+use dsim::{Shutdown, SimCtx, SimHandle};
 use parking_lot::Mutex;
 use simos::HostCosts;
 
@@ -80,13 +80,19 @@ impl CompletionQueue {
         self.entries.lock().pop_front()
     }
 
-    /// `VipCQWait`: block until a completion is available.
-    pub fn wait(&self, ctx: &SimCtx, costs: &HostCosts, mode: WaitMode) -> CqEntry {
+    /// `VipCQWait`: block until a completion is available. An idle wait
+    /// (see `dsim::sync`): `Err(Shutdown)` at teardown.
+    pub fn wait(
+        &self,
+        ctx: &SimCtx,
+        costs: &HostCosts,
+        mode: WaitMode,
+    ) -> Result<CqEntry, Shutdown> {
         loop {
             if let Some(e) = self.entries.lock().pop_front() {
-                return e;
+                return Ok(e);
             }
-            self.cv.wait(ctx);
+            self.cv.wait_idle(ctx)?;
             match mode {
                 WaitMode::Poll => ctx.sleep(costs.poll_check),
                 WaitMode::Block => ctx.sleep(costs.context_switch),
@@ -121,7 +127,7 @@ mod tests {
             let costs = costs.clone();
             sim.spawn("consumer", move |ctx| {
                 assert!(cq.poll(ctx, &costs).is_none());
-                let e = cq.wait(ctx, &costs, WaitMode::Block);
+                let e = cq.wait(ctx, &costs, WaitMode::Block).expect("a completion");
                 assert_eq!(e.vi_id, 3);
                 assert_eq!(e.kind, WqKind::Recv);
                 // Waking from a blocking wait costs a context switch; the

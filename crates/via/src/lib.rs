@@ -345,7 +345,9 @@ mod tests {
                     vis.push(vi);
                 }
                 for _ in 0..2 {
-                    let e = cq.wait(ctx, m1.costs(), WaitMode::Block);
+                    let e = cq
+                        .wait(ctx, m1.costs(), WaitMode::Block)
+                        .expect("a completion");
                     assert_eq!(e.kind, WqKind::Recv);
                     seen.lock().push(e.vi_id);
                 }

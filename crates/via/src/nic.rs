@@ -330,8 +330,8 @@ impl ViaNic {
     // ----- the engine -------------------------------------------------
 
     fn run_engine(self: &Arc<Self>, ctx: &SimCtx) {
-        loop {
-            match self.jobs.pop(ctx) {
+        while let Ok(job) = self.jobs.pop_idle(ctx) {
+            match job {
                 NicJob::Doorbell { vi_id } => self.process_tx(ctx, vi_id),
                 NicJob::Rx(frame) => self.process_rx(ctx, frame),
             }

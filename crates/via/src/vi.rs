@@ -1,10 +1,11 @@
 //! Virtual Interfaces: the communication endpoints of VIA.
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use dsim::sync::SimCondvar;
-use dsim::{SimCtx, SimHandle};
+use dsim::{Shutdown, SimCtx, SimHandle};
 use parking_lot::Mutex;
 use simos::HostCosts;
 
@@ -305,28 +306,52 @@ impl Vi {
 
     /// `VipSendWait`: block until a send descriptor completes.
     pub fn send_wait(&self, ctx: &SimCtx, mode: WaitMode) -> VipResult<Arc<Descriptor>> {
-        self.wait_on(ctx, mode, /*send=*/ true)
+        let Ok(r) = self.wait_on(ctx, mode, &self.sq, |cv| {
+            cv.wait(ctx);
+            Ok::<_, Infallible>(())
+        });
+        r
     }
 
     /// `VipRecvWait`: block until a receive descriptor completes.
     pub fn recv_wait(&self, ctx: &SimCtx, mode: WaitMode) -> VipResult<Arc<Descriptor>> {
-        self.wait_on(ctx, mode, /*send=*/ false)
+        let Ok(r) = self.wait_on(ctx, mode, &self.rq, |cv| {
+            cv.wait(ctx);
+            Ok::<_, Infallible>(())
+        });
+        r
     }
 
-    fn wait_on(&self, ctx: &SimCtx, mode: WaitMode, send: bool) -> VipResult<Arc<Descriptor>> {
-        let wq = if send { &self.sq } else { &self.rq };
+    /// [`Vi::recv_wait`] for a receive engine idle between frames (an idle
+    /// wait, see `dsim::sync`): `Err(Shutdown)` at teardown.
+    pub fn recv_wait_idle(
+        &self,
+        ctx: &SimCtx,
+        mode: WaitMode,
+    ) -> Result<VipResult<Arc<Descriptor>>, Shutdown> {
+        self.wait_on(ctx, mode, &self.rq, |cv| cv.wait_idle(ctx))
+    }
+
+    /// Wait for the next completion on `wq`, blocking in `wait`.
+    fn wait_on<E>(
+        &self,
+        ctx: &SimCtx,
+        mode: WaitMode,
+        wq: &WorkQueue,
+        wait: impl Fn(&SimCondvar) -> Result<(), E>,
+    ) -> Result<VipResult<Arc<Descriptor>>, E> {
         loop {
             if let Some(d) = wq.completed.lock().pop_front() {
-                return match d.status().state {
+                return Ok(match d.status().state {
                     DescState::Done => Ok(d),
                     DescState::Error(e) => Err(e),
                     DescState::Pending => unreachable!("pending descriptor in completed list"),
-                };
+                });
             }
             if let ViState::Error(e) = *self.state.lock() {
-                return Err(e);
+                return Ok(Err(e));
             }
-            wq.cv.wait(ctx);
+            wait(&wq.cv)?;
             match mode {
                 WaitMode::Poll => {
                     ctx.charge(

@@ -18,7 +18,12 @@
 #     a per-page model, wire codecs
 # the teardown gate (DESIGN.md §7):
 #   - tests/teardown.rs               dropping a Simulation frees every
-#     Machine, after clean, lossy and failed runs and without a run
+#     Machine, after clean, lossy and failed runs and without a run, and
+#     a clean run's teardown unwinds no process
+# the fast goldens (tier-1 sees simulated output):
+#   - tests/goldens.rs                fig6a, fig7, ablations, fault_sweep
+#     and latency_breakdown regenerated in-process, tables and trace
+#     digests byte-identical to results/
 # the scheduler suites (DESIGN.md §7):
 #   - crates/dsim/tests/sched_edges.rs   event order and counts match the
 #     values recorded from the OS-thread scheduler
@@ -40,7 +45,7 @@ scripts/lint.sh
 cargo test -q
 cargo test --workspace -q
 cargo test -q --test proptest_faults --test proptest_stream --test proptest_substrate --test half_close
-cargo test -q --test teardown
+cargo test -q --test teardown --test goldens
 cargo test -q -p dsim --test many_procs --test sched_edges
 cargo test -q -p via --test error_paths
 cargo test -q -p bench --test determinism

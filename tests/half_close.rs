@@ -276,6 +276,72 @@ fn tcp_disconnect_during_blocking_send() {
     assert_eq!(*seen.lock(), Some(Err(SockError::ConnectionReset)));
 }
 
+// ----- close with unread data ------------------------------------------
+//
+// The server closes with the client's 100 bytes unread. TCP follows BSD:
+// the close aborts with RST and the client's later calls fail. SOVIA
+// departs from it (DESIGN.md §8): the close sends FIN, the client's later
+// sends succeed and their bytes vanish, and its recv sees EOF.
+
+/// What the client sees after the server's close: three 10-byte sends,
+/// then a recv.
+type Transcript = (Vec<Result<usize, SockError>>, Result<Vec<u8>, SockError>);
+
+fn close_with_unread_data(stype: SockType) -> Transcript {
+    let mut sim = Simulation::new();
+    let (m0, m1) = match stype {
+        SockType::Via => testbed::sovia_pair(&sim.handle(), SoviaConfig::default()),
+        SockType::Stream => testbed::tcp_ethernet_pair(&sim.handle()),
+    };
+    let (cp, sp) = testbed::procs(&m0, &m1);
+    sim.spawn("server", move |sctx| {
+        let s = api::socket(sctx, &sp, stype).unwrap();
+        api::bind(sctx, &sp, s, SockAddr::new(HostId(1), PORT)).unwrap();
+        api::listen(sctx, &sp, s, 1).unwrap();
+        let (c, _) = api::accept(sctx, &sp, s).unwrap();
+        // Let the client's bytes arrive, then close without reading them.
+        sctx.sleep(SimDuration::from_millis(5));
+        api::close(sctx, &sp, c).unwrap();
+        api::close(sctx, &sp, s).unwrap();
+    });
+    let seen = Arc::new(Mutex::new(None));
+    let seen2 = Arc::clone(&seen);
+    sim.spawn("client", move |cctx| {
+        cctx.sleep(SimDuration::from_millis(1));
+        let s = api::socket(cctx, &cp, stype).unwrap();
+        api::connect(cctx, &cp, s, SockAddr::new(HostId(1), PORT)).unwrap();
+        api::send_all(cctx, &cp, s, &[3u8; 100]).unwrap();
+        // Well after the server's close has reached us.
+        cctx.sleep(SimDuration::from_millis(20));
+        let sends = (0..3)
+            .map(|_| api::send(cctx, &cp, s, &[4u8; 10]))
+            .collect();
+        let recv = api::recv(cctx, &cp, s, 10);
+        *seen2.lock() = Some((sends, recv));
+        let _ = api::close(cctx, &cp, s);
+    });
+    sim.run().unwrap();
+    let transcript = seen.lock().take().expect("the client finished");
+    transcript
+}
+
+#[test]
+fn close_with_unread_data_resets_tcp() {
+    let reset = SockError::ConnectionReset;
+    assert_eq!(
+        close_with_unread_data(SockType::Stream),
+        (vec![Err(reset); 3], Err(reset))
+    );
+}
+
+#[test]
+fn close_with_unread_data_is_eof_over_sovia() {
+    assert_eq!(
+        close_with_unread_data(SockType::Via),
+        (vec![Ok(10), Ok(10), Ok(10)], Ok(Vec::new()))
+    );
+}
+
 #[test]
 fn sovia_listen_port_conflict_is_addrinuse() {
     let mut sim = Simulation::new();

@@ -4,7 +4,10 @@
 //!
 //! Each case builds a platform, optionally drives traffic over it, keeps
 //! only weak handles to the machines, drops the simulation and checks
-//! that no machine survived.
+//! that no machine survived. It also checks how many processes teardown
+//! had to unwind (`Simulation::teardown_unwinds`): none after a run whose
+//! every non-daemon finished (each daemon leaves its loop from an idle
+//! wait), at least one after a deadlock, a panic or the event limit.
 
 use std::sync::Arc;
 
@@ -47,14 +50,33 @@ impl Census {
     }
 }
 
+/// How many processes a case's teardown may unwind.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Unwinds {
+    /// None: every process finished or left an idle wait.
+    None,
+    /// At least one: the run was cut with processes mid-work.
+    Some,
+}
+
 /// The cases of one test; every failing case is reported, not just the
 /// first.
-#[derive(Default)]
-struct Cases(Vec<String>);
+struct Cases {
+    unwinds: Unwinds,
+    failures: Vec<String>,
+}
 
 impl Cases {
+    fn new(unwinds: Unwinds) -> Cases {
+        Cases {
+            unwinds,
+            failures: Vec::new(),
+        }
+    }
+
     /// Build with `build`, run with `run` (which may choose not to), drop
-    /// the simulation, and check that all `expected` machines are gone.
+    /// the simulation, and check that all `expected` machines are gone
+    /// and that teardown unwound as many processes as expected.
     fn check(
         &mut self,
         case: &str,
@@ -63,17 +85,36 @@ impl Cases {
         run: impl FnOnce(&mut Simulation),
     ) {
         let census = Census::default();
-        {
+        let unwound = {
             let mut sim = Simulation::new();
             build(&sim, &census);
             run(&mut sim);
+            sim.teardown_unwinds()
+        };
+        self.failures.extend(census.verdict(case, expected));
+        if (unwound > 0) != (self.unwinds == Unwinds::Some) {
+            let want = self.unwinds;
+            self.failures.push(format!(
+                "{case}: teardown unwound {unwound} process(es), expected {want:?}"
+            ));
         }
-        self.0.extend(census.verdict(case, expected));
     }
 
     fn assert_none_leaked(self) {
-        assert!(self.0.is_empty(), "leaked: {:#?}", self.0);
+        assert!(self.failures.is_empty(), "failed: {:#?}", self.failures);
     }
+}
+
+/// Every SOVIA configuration the paper names.
+fn every_config() -> [SoviaConfig; 6] {
+    [
+        SoviaConfig::single(),
+        SoviaConfig::reqack(),
+        SoviaConfig::handler(),
+        SoviaConfig::flowctrl(),
+        SoviaConfig::dacks(),
+        SoviaConfig::combine(),
+    ]
 }
 
 fn run_ok(sim: &mut Simulation) {
@@ -83,7 +124,7 @@ fn run_ok(sim: &mut Simulation) {
 /// Every builder, with only the platform itself (and the dual stack's
 /// bootstrap process) in the simulation, which is run only if `ran`.
 fn each_builder(ran: bool) {
-    let mut cases = Cases::default();
+    let mut cases = Cases::new(Unwinds::None);
     let run = move |sim: &mut Simulation| {
         if ran {
             run_ok(sim);
@@ -194,18 +235,20 @@ fn spawn_rpc(h: &dsim::SimHandle, cp: Process, sp: Process, transport: Transport
 
 #[test]
 fn platforms_are_freed_after_rpc() {
-    let mut cases = Cases::default();
-    cases.check(
-        "rpc over sovia_pair",
-        2,
-        |sim, c| {
-            let (m0, m1) = testbed::sovia_pair(&sim.handle(), SoviaConfig::combine());
-            c.add(&[&m0, &m1]);
-            let (cp, sp) = testbed::procs(&m0, &m1);
-            spawn_rpc(&sim.handle(), cp, sp, Transport::Via);
-        },
-        run_ok,
-    );
+    let mut cases = Cases::new(Unwinds::None);
+    for config in every_config() {
+        cases.check(
+            "rpc over sovia_pair",
+            2,
+            |sim, c| {
+                let (m0, m1) = testbed::sovia_pair(&sim.handle(), config);
+                c.add(&[&m0, &m1]);
+                let (cp, sp) = testbed::procs(&m0, &m1);
+                spawn_rpc(&sim.handle(), cp, sp, Transport::Via);
+            },
+            run_ok,
+        );
+    }
     cases.check(
         "rpc over tcp_ethernet_pair",
         2,
@@ -266,12 +309,8 @@ fn spawn_stream(h: &dsim::SimHandle, stype: SockType, cp: Process, sp: Process, 
 
 #[test]
 fn platforms_are_freed_after_a_stream() {
-    let mut cases = Cases::default();
-    for config in [
-        SoviaConfig::default(),
-        SoviaConfig::combine(),
-        SoviaConfig::dacks(),
-    ] {
+    let mut cases = Cases::new(Unwinds::None);
+    for config in every_config() {
         cases.check(
             "sovia stream",
             2,
@@ -295,12 +334,25 @@ fn platforms_are_freed_after_a_stream() {
         },
         run_ok,
     );
+    cases.check(
+        "tcp stream over clan_dual_stack",
+        2,
+        |sim, c| {
+            let c = c.clone();
+            testbed::clan_dual_stack(sim, SoviaConfig::combine(), move |ctx, m0, m1| {
+                c.add(&[&m0, &m1]);
+                let (cp, sp) = testbed::procs(&m0, &m1);
+                spawn_stream(ctx.handle(), SockType::Stream, cp, sp, 200_000);
+            });
+        },
+        run_ok,
+    );
     cases.assert_none_leaked();
 }
 
 #[test]
 fn platforms_are_freed_after_a_lossy_run() {
-    let mut cases = Cases::default();
+    let mut cases = Cases::new(Unwinds::None);
     // Outcome does not matter (a typed error is fine); the run must end.
     let settle = |sim: &mut Simulation| {
         let _ = sim.run();
@@ -344,7 +396,7 @@ fn platforms_are_freed_after_a_lossy_run() {
 /// FTP `dir` (the server forks a child for the listing) then `get`.
 #[test]
 fn platforms_are_freed_after_ftp_with_fork() {
-    let mut cases = Cases::default();
+    let mut cases = Cases::new(Unwinds::None);
     cases.check(
         "ftp dir+get over sovia_pair",
         2,
@@ -383,7 +435,7 @@ fn platforms_are_freed_after_ftp_with_fork() {
 
 #[test]
 fn platforms_are_freed_after_a_deadlock() {
-    let mut cases = Cases::default();
+    let mut cases = Cases::new(Unwinds::Some);
     for stype in [SockType::Via, SockType::Stream] {
         cases.check(
             &format!("deadlock over {stype:?}"),
@@ -423,7 +475,7 @@ fn platforms_are_freed_after_a_deadlock() {
 
 #[test]
 fn platforms_are_freed_after_a_panic() {
-    let mut cases = Cases::default();
+    let mut cases = Cases::new(Unwinds::Some);
     for stype in [SockType::Via, SockType::Stream] {
         cases.check(
             &format!("panic mid-stream over {stype:?}"),
@@ -455,7 +507,7 @@ fn platforms_are_freed_after_a_panic() {
 /// some cut lands with timers queued but not yet served.
 #[test]
 fn platforms_are_freed_after_the_event_limit() {
-    let mut cases = Cases::default();
+    let mut cases = Cases::new(Unwinds::Some);
     for stype in [SockType::Via, SockType::Stream] {
         for limit in 300..400 {
             cases.check(
