@@ -29,6 +29,9 @@ pub const SIM_CRATES: &[&str] = &[
     "dsim", "simnic", "simos", "via", "tcpip", "sockets", "core", "apps",
 ];
 pub const HOST_CRATES: &[&str] = &["bench", "analyzer"];
+/// Deliberately bad inputs, not linted: the rule fixtures of this crate's
+/// own tests.
+const FIXTURES: &str = "crates/analyzer/tests/fixtures";
 
 /// Classify a workspace crate directory name.
 pub fn class_of(crate_name: &str) -> Option<CrateClass> {
@@ -92,8 +95,8 @@ pub fn lint_source(
 }
 
 /// Walk the workspace at `root` and lint every classified crate's `src/`
-/// tree (test directories and `compat/` shims are host-side by
-/// construction and carry no rules).
+/// tree, and every crate's `tests/` plus the root `tests/` and `examples/`
+/// for R7 only ([`CrateClass::Test`]). `compat/` shims carry no rules.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     let mut report = Report::default();
     let mut graph = LockGraph::default();
@@ -114,6 +117,10 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
                     targets.insert(format!("crates/{name}"), (src, class));
                 }
             }
+            let tests = entry.join("tests");
+            if tests.is_dir() {
+                targets.insert(format!("crates/{name}/tests"), (tests, CrateClass::Test));
+            }
         }
     }
     // The umbrella crate (testbed builders) is sim-facing.
@@ -121,9 +128,17 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     if root_src.is_dir() {
         targets.insert("src".to_string(), (root_src, CrateClass::Sim));
     }
+    for dir in ["tests", "examples"] {
+        if root.join(dir).is_dir() {
+            targets.insert(dir.to_string(), (root.join(dir), CrateClass::Test));
+        }
+    }
 
     for (prefix, (dir, class)) in &targets {
         for file in rust_files(dir)? {
+            if file.starts_with(root.join(FIXTURES)) {
+                continue;
+            }
             let rel = format!(
                 "{prefix}/{}",
                 file.strip_prefix(dir).unwrap_or(&file).display()

@@ -10,6 +10,10 @@ pub enum CrateClass {
     /// Host-side tooling (bench harness, this linter): may touch the
     /// wall clock and OS threads; still participates in the lock graph.
     Host,
+    /// Integration tests and examples: they run simulations too, so R7
+    /// applies to them, and nothing else does. Their locks stay out of the
+    /// workspace lock graph (R6).
+    Test,
 }
 
 impl CrateClass {
@@ -17,6 +21,7 @@ impl CrateClass {
         match self {
             CrateClass::Sim => "sim",
             CrateClass::Host => "host",
+            CrateClass::Test => "test",
         }
     }
 }

@@ -10,6 +10,9 @@
 //! | R6   | all       | nested `lock()` acquisition cycles (workspace graph) |
 //! | R7   | yes       | a lock guard alive across a call that may park (`SimCtx` blocking methods, any call handed the context) |
 //!
+//! Integration tests and examples ([`CrateClass::Test`]) run simulations
+//! too, so R7 covers them as well; R1–R6 do not.
+//!
 //! Detection is import-driven: a banned item reaches code either through a
 //! `use` (flagged at the import, however renamed) or as an inline
 //! qualified path (flagged at the mention). A suppression on a `use` line
@@ -97,7 +100,14 @@ pub fn lint_tokens(
         check_hash_iteration(rel, tokens, &use_ranges, &uses, &mut findings);
         check_unwraps(rel, tokens, &mut findings);
     }
-    let r7 = (class == CrateClass::Sim).then_some(&mut findings);
+    let r7 = (class != CrateClass::Host).then_some(&mut findings);
+    // Test code's locks add no edges to the workspace graph (R6).
+    let mut own_graph = LockGraph::default();
+    let graph = if class == CrateClass::Test {
+        &mut own_graph
+    } else {
+        graph
+    };
     collect_locks(rel, tokens, graph, r7);
     findings
 }

@@ -138,6 +138,57 @@ fn r7_fires_on_any_call_handed_the_context() {
 }
 
 #[test]
+fn tests_and_examples_get_r7_alone() {
+    let src = include_str!("fixtures/r7_test_guard_across_send.rs");
+    let rules = |f: &[Finding], r: &str| f.iter().filter(|f| f.rule == r).count();
+    // As sim code, the fixture breaks R1, R5 and R6 besides R7...
+    let (sim, sim_graph) = lint(CrateClass::Sim, src);
+    assert!(rules(&sim, "R1") > 0 && rules(&sim, "R5") > 0, "{sim:?}");
+    assert_eq!(sim_graph.cycles().len(), 1);
+    // ...as a test, it breaks R7 on the marked line and nothing else, and
+    // its locks add no edge to the lock graph.
+    let (test, test_graph) = lint(CrateClass::Test, src);
+    let marked = src.lines().position(|l| l.contains("// R7")).unwrap() as u32 + 1;
+    let lines: Vec<(&str, u32)> = test.iter().map(|f| (f.rule.as_str(), f.line)).collect();
+    assert_eq!(lines, [("R7", marked)], "{test:?}");
+    assert!(test[0].message.contains("`log` lock guard") && test[0].message.contains("`send(…)`"));
+    assert!(test_graph.cycles().is_empty());
+}
+
+#[test]
+fn workspace_walk_covers_tests_and_examples_but_not_fixtures() {
+    let src = include_str!("fixtures/r7_test_guard_across_send.rs");
+    let root = std::env::temp_dir().join(format!("sovia-lint-walk-{}", std::process::id()));
+    let dirs = [
+        "tests",
+        "examples",
+        "crates/apps/tests",
+        "crates/analyzer/tests/fixtures",
+    ];
+    for dir in dirs {
+        std::fs::create_dir_all(root.join(dir)).unwrap();
+        std::fs::write(root.join(dir).join("probe.rs"), src).unwrap();
+    }
+    let report = analyzer::lint_workspace(&root);
+    std::fs::remove_dir_all(&root).unwrap();
+    let report = report.unwrap();
+    let hits: Vec<(&str, &str)> = report
+        .findings
+        .iter()
+        .map(|f| (f.file.as_str(), f.rule.as_str()))
+        .collect();
+    assert_eq!(
+        hits,
+        [
+            ("crates/apps/tests/probe.rs", "R7"),
+            ("examples/probe.rs", "R7"),
+            ("tests/probe.rs", "R7"),
+        ]
+    );
+    assert_eq!(report.files, 3);
+}
+
+#[test]
 fn host_class_is_exempt_from_sim_rules() {
     // The same wall-clock fixture produces nothing when classified as
     // host-side code (bench/analyzer are allowed to time the host).

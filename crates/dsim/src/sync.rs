@@ -188,26 +188,6 @@ impl<T> SimQueue<T> {
         }
     }
 
-    /// Blocking pop with a deadline; `None` on timeout.
-    pub fn pop_timeout(&self, ctx: &SimCtx, timeout: SimDuration) -> Option<T> {
-        let deadline = ctx.now() + timeout;
-        loop {
-            if let Some(item) = self.items.lock().pop_front() {
-                return Some(item);
-            }
-            let now = ctx.now();
-            if now >= deadline {
-                return None;
-            }
-            let remaining = deadline.since(now);
-            if self.cv.wait_timeout(ctx, remaining) == TimedWait::TimedOut
-                && self.items.lock().is_empty()
-            {
-                return None;
-            }
-        }
-    }
-
     /// Current queue length.
     pub fn len(&self) -> usize {
         self.items.lock().len()
@@ -494,33 +474,5 @@ mod tests {
         sim.run().unwrap();
         assert_eq!(done.load(Ordering::Relaxed), 3);
         assert!(flag.is_set());
-    }
-
-    #[test]
-    fn queue_pop_timeout() {
-        let mut sim = Simulation::new();
-        let h = sim.handle();
-        let q = SimQueue::<u32>::new(&h);
-        let got = Arc::new(Mutex::new(Vec::new()));
-        {
-            let q = Arc::clone(&q);
-            let got = Arc::clone(&got);
-            sim.spawn("consumer", move |ctx| {
-                // First pop times out, second succeeds.
-                got.lock()
-                    .push(q.pop_timeout(ctx, SimDuration::from_micros(50)));
-                got.lock()
-                    .push(q.pop_timeout(ctx, SimDuration::from_millis(10)));
-            });
-        }
-        {
-            let q = Arc::clone(&q);
-            sim.spawn("producer", move |ctx| {
-                ctx.sleep(SimDuration::from_micros(200));
-                q.push(42);
-            });
-        }
-        sim.run().unwrap();
-        assert_eq!(got.lock().clone(), vec![None, Some(42)]);
     }
 }

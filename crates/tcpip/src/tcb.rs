@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use dsim::sync::{SimCondvar, SimQueue};
 use dsim::{Payload, Shutdown, SimCtx, SimHandle};
@@ -232,7 +232,7 @@ pub struct Tcb {
     /// Called once on full close so the stack can drop its table entry.
     on_closed: Mutex<Option<Box<dyn FnOnce() + Send>>>,
     /// Weak self-reference so timer closures can recover an `Arc`.
-    self_ref: Mutex<Option<std::sync::Weak<Tcb>>>,
+    self_ref: Weak<Tcb>,
 }
 
 fn seq_diff(a: u32, b: u32) -> u32 {
@@ -253,7 +253,7 @@ impl Tcb {
         initial_state: TcpState,
     ) -> Arc<Tcb> {
         let mss = mss_for(device.mtu());
-        let tcb = Arc::new(Tcb {
+        let tcb = Arc::new_cyclic(|self_ref| Tcb {
             local,
             remote,
             device,
@@ -284,9 +284,8 @@ impl Tcb {
             rcv_cap: AtomicUsize::new(DEFAULT_SOCKBUF),
             reset: AtomicBool::new(false),
             on_closed: Mutex::new(None),
-            self_ref: Mutex::new(None),
+            self_ref: self_ref.clone(),
         });
-        Tcb::install_self_ref(&tcb);
         // The transmit engine.
         let engine = Arc::clone(&tcb);
         sim.spawn_daemon(
@@ -499,14 +498,12 @@ impl Tcb {
         });
     }
 
-    /// `Arc<Self>` recovery for timer closures: the stack keeps connections
-    /// in its table, and hands us a weak handle at creation time.
+    /// `Arc<Self>` recovery for timer closures. Timers are armed only from
+    /// a method running on a live TCB, so the upgrade cannot fail.
     fn self_arc(&self) -> Arc<Tcb> {
         self.self_ref
-            .lock()
-            .as_ref()
-            .and_then(|w| w.upgrade())
-            .expect("TCB self reference not set")
+            .upgrade()
+            .expect("TCB armed a timer while being dropped")
     }
 
     pub(crate) fn handle_rto(self: &Arc<Self>, ctx: &SimCtx, gen: u64) {
@@ -941,14 +938,6 @@ impl Tcb {
             return;
         }
         self.close(ctx);
-    }
-}
-
-// Self-reference plumbing: the stack sets this right after creation so
-// timer closures can recover an Arc.
-impl Tcb {
-    pub(crate) fn install_self_ref(me: &Arc<Tcb>) {
-        *me.self_ref.lock() = Some(Arc::downgrade(me));
     }
 }
 

@@ -241,19 +241,6 @@ impl ViaNic {
         conn
     }
 
-    /// `VipConnectWait` with a deadline.
-    pub fn connect_wait_timeout(
-        self: &Arc<Self>,
-        ctx: &SimCtx,
-        discriminator: u64,
-        timeout: SimDuration,
-    ) -> Option<PendingConn> {
-        let q = self.listen(discriminator);
-        let conn = q.pop_timeout(ctx, timeout)?;
-        ctx.sleep(self.machine().costs().context_switch);
-        Some(conn)
-    }
-
     /// `VipConnectAccept`: bind the pending request to a local VI and tell
     /// the requester.
     pub fn connect_accept(
@@ -289,22 +276,6 @@ impl ViaNic {
             },
         );
         Ok(())
-    }
-
-    /// `VipConnectReject`.
-    pub fn connect_reject(self: &Arc<Self>, ctx: &SimCtx, pending: &PendingConn) {
-        ctx.charge(
-            dsim::TraceLayer::Via,
-            dsim::TraceKind::Syscall,
-            self.machine().costs().syscall,
-            dsim::TraceTag::default(),
-        );
-        self.send_mgmt(
-            pending.from_nic,
-            MgmtMsg::ConnReject {
-                req_id: pending.req_id,
-            },
-        );
     }
 
     /// `VipDisconnect`: break the connection on both ends. Pending

@@ -258,28 +258,6 @@ impl Vi {
         Ok(())
     }
 
-    /// `VipSendDone`: poll for the next completed send descriptor.
-    pub fn send_done(&self, ctx: &SimCtx) -> Option<Arc<Descriptor>> {
-        ctx.charge(
-            dsim::TraceLayer::Via,
-            dsim::TraceKind::Poll,
-            self.costs.poll_check,
-            dsim::TraceTag::on_conn(self.id),
-        );
-        self.sq.completed.lock().pop_front()
-    }
-
-    /// `VipRecvDone`: poll for the next completed receive descriptor.
-    pub fn recv_done(&self, ctx: &SimCtx) -> Option<Arc<Descriptor>> {
-        ctx.charge(
-            dsim::TraceLayer::Via,
-            dsim::TraceKind::Poll,
-            self.costs.poll_check,
-            dsim::TraceTag::on_conn(self.id),
-        );
-        self.rq.completed.lock().pop_front()
-    }
-
     /// Pop a completed send descriptor without charging a poll (layered
     /// protocols charge their own costs and need the pop to compose
     /// atomically with their bookkeeping locks).
@@ -297,11 +275,6 @@ impl Vi {
     /// loop; no cost is charged here.
     pub fn wait_send_event(&self, ctx: &SimCtx) {
         self.sq.cv.wait(ctx);
-    }
-
-    /// Park until something happens on the receive queue.
-    pub fn wait_recv_event(&self, ctx: &SimCtx) {
-        self.rq.cv.wait(ctx);
     }
 
     /// `VipSendWait`: block until a send descriptor completes.
@@ -376,10 +349,5 @@ impl Vi {
     /// Number of pre-posted (not yet consumed) receive descriptors.
     pub fn recv_pending(&self) -> usize {
         self.rq.pending.lock().len()
-    }
-
-    /// Number of posted but incomplete send descriptors.
-    pub fn send_pending(&self) -> usize {
-        self.sq.pending.lock().len()
     }
 }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Static-analysis gate (DESIGN.md §10): sovia-lint enforces the
 # determinism & virtual-time discipline (wall-clock, OS threads, hash
-# iteration, host randomness, unwrap-on-error-path, lock ordering), then
+# iteration, host randomness, unwrap-on-error-path, lock ordering, lock
+# guards held across a park) in sim crates, and the last of those (R7) in
+# every tests/ and examples/ file too, since they run simulations; then
 # clippy runs with -D warnings over every target of every workspace
 # crate.
 #

@@ -20,6 +20,12 @@
 #   - tests/teardown.rs               dropping a Simulation frees every
 #     Machine, after clean, lossy and failed runs and without a run, and
 #     a clean run's teardown unwinds no process
+# the socket-API and application suites (root tests/, on src/testbed.rs):
+#   - tests/sockets_api.rs            the sockets front-end's contract over
+#     TCP/Ethernet and SOVIA, and Figure 4's descriptor routing on the
+#     dual-stack cLAN platform
+#   - tests/ftp_tests.rs, tests/rpc_tests.rs, tests/inetd_pfs_tests.rs
+#     FTP, SunRPC, inetd and the striped file store over both transports
 # the fast goldens (tier-1 sees simulated output):
 #   - tests/goldens.rs                fig6a, fig7, ablations, fault_sweep
 #     and latency_breakdown regenerated in-process, tables and trace
@@ -46,6 +52,7 @@ cargo test -q
 cargo test --workspace -q
 cargo test -q --test proptest_faults --test proptest_stream --test proptest_substrate --test half_close
 cargo test -q --test teardown --test goldens
+cargo test -q --test sockets_api --test ftp_tests --test rpc_tests --test inetd_pfs_tests
 cargo test -q -p dsim --test many_procs --test sched_edges
 cargo test -q -p via --test error_paths
 cargo test -q -p bench --test determinism

@@ -129,7 +129,8 @@ fn sovia_disconnect_during_blocking_recv() {
                 api::listen(sctx, &sp, s, 1).unwrap();
                 let (c, _) = api::accept(sctx, &sp, s).unwrap();
                 // Nothing ever arrives: parked here when the VI breaks.
-                *seen.lock() = Some(api::recv(sctx, &sp, c, 1024));
+                let r = api::recv(sctx, &sp, c, 1024);
+                *seen.lock() = Some(r);
                 let _ = api::close(sctx, &sp, c);
                 let _ = api::close(sctx, &sp, s);
             });
@@ -186,7 +187,8 @@ fn sovia_disconnect_during_blocking_send() {
             let data = vec![7u8; 4096];
             api::send(cctx, &cp, s, &data).unwrap();
             // Credit exhausted: this one blocks, then the VI breaks.
-            *seen.lock() = Some(api::send(cctx, &cp, s, &data));
+            let r = api::send(cctx, &cp, s, &data);
+            *seen.lock() = Some(r);
             let _ = api::close(cctx, &cp, s);
         });
     });
@@ -217,7 +219,8 @@ fn tcp_disconnect_during_blocking_recv() {
                 // A greeting the client will never read...
                 api::send_all(sctx, &sp, c, &[1u8; 1024]).unwrap();
                 // ...then block for a request that never comes.
-                *seen.lock() = Some(api::recv(sctx, &sp, c, 1024));
+                let r = api::recv(sctx, &sp, c, 1024);
+                *seen.lock() = Some(r);
                 let _ = api::close(sctx, &sp, c);
                 let _ = api::close(sctx, &sp, s);
             });
@@ -268,7 +271,8 @@ fn tcp_disconnect_during_blocking_send() {
             api::set_option(cctx, &cp, s, SockOption::SendBuf(8192)).unwrap();
             // Far more than peer window + send buffer: send() must park.
             let data = vec![9u8; 200 * 1024];
-            *seen.lock() = Some(api::send_all(cctx, &cp, s, &data));
+            let r = api::send_all(cctx, &cp, s, &data);
+            *seen.lock() = Some(r);
             let _ = api::close(cctx, &cp, s);
         });
     });
