@@ -19,9 +19,7 @@ use crate::runner;
 pub fn window_sweep(msg_size: usize, windows: &[u32], threads: usize) -> Series {
     let points = runner::par_map(windows, threads, |_, &w| {
         let config = SoviaConfig {
-            flow_control: true,
             window: w,
-            delayed_acks: w > 1,
             ack_threshold: (w / 2).max(1),
             ..SoviaConfig::single()
         };
@@ -39,7 +37,6 @@ pub fn window_sweep(msg_size: usize, windows: &[u32], threads: usize) -> Series 
 pub fn ack_threshold_sweep(msg_size: usize, thresholds: &[u32], threads: usize) -> Series {
     let points = runner::par_map(thresholds, threads, |_, &t| {
         let config = SoviaConfig {
-            delayed_acks: true,
             ack_threshold: t,
             ..SoviaConfig::flowctrl()
         };

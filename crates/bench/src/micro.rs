@@ -45,9 +45,9 @@ impl Variant {
                     "SOVIA_HANDLER"
                 } else if c.combine_small {
                     "SOVIA_COMBINE"
-                } else if c.delayed_acks {
+                } else if c.ack_threshold > 1 {
                     "SOVIA_DACKS"
-                } else if c.flow_control {
+                } else if c.window > 1 {
                     "SOVIA_FLOWCTRL"
                 } else {
                     "SOVIA_SINGLE"

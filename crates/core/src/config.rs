@@ -1,5 +1,6 @@
-//! SOVIA configuration: every optimization of Section 3 is a toggle, so
-//! the microbenchmarks can measure exactly the series of Figure 6.
+//! SOVIA configuration: every optimization of Section 3 is a parameter,
+//! so the microbenchmarks can measure exactly the series of Figure 6; the
+//! values the paper never varies are constants.
 
 use dsim::SimDuration;
 
@@ -16,37 +17,39 @@ pub enum ReceiveMode {
     HandlerThread,
 }
 
-/// Tunable parameters of the SOVIA layer.
+/// Message chunk size: sends are fragmented to this, and it bounds how
+/// much combining may accumulate (the paper: 32 KB).
+pub(crate) const CHUNK_SIZE: usize = 32 * 1024;
+
+/// Timer after which a partially filled combine buffer is flushed (the
+/// paper: 100 ms).
+pub const COMBINE_TIMEOUT: SimDuration = SimDuration::from_millis(100);
+
+/// CPU cost of arming/managing the combine software timer (the paper's
+/// "1–2 µsec to manage a software timer").
+pub(crate) const COMBINE_TIMER_COST: SimDuration = SimDuration::from_nanos(1_500);
+
+/// Tunable parameters of the SOVIA layer: one value per parameter the
+/// paper varies.
 #[derive(Debug, Clone)]
 pub struct SoviaConfig {
     /// Completion servicing mode.
     pub mode: ReceiveMode,
-    /// Sliding-window flow control (Section 3.2). When off, the sender
-    /// stops and waits for an ACK after every DATA packet (window = 1).
-    pub flow_control: bool,
-    /// Window size `w`: DATA packets in flight without an acknowledgment.
+    /// Window size `w` of the sliding-window flow control (Section 3.2):
+    /// DATA packets in flight without an acknowledgment. `w = 1` is
+    /// stop-and-wait: the sender waits for an ACK after every DATA packet.
     pub window: u32,
-    /// Delayed acknowledgments: coalesce up to `ack_threshold` ACKs and
-    /// piggyback on reverse-direction DATA.
-    pub delayed_acks: bool,
-    /// Threshold `t` (< `window`): send an ACK once `t` acknowledgments
-    /// are pending.
+    /// Delayed-acknowledgment threshold `t` (< `w`): send an ACK once `t`
+    /// acknowledgments are pending, piggybacking fewer on reverse-direction
+    /// DATA. `t = 1` acknowledges every packet.
     pub ack_threshold: u32,
     /// Combine consecutive small sends into one packet (the Nagle-like
     /// algorithm of Section 3.2).
     pub combine_small: bool,
-    /// Timer after which a partially filled combine buffer is flushed.
-    pub combine_timeout: SimDuration,
-    /// CPU cost of arming/managing the combine software timer (the paper's
-    /// "1–2 µsec to manage a software timer").
-    pub combine_timer_cost: SimDuration,
     /// Messages up to this size are copied into a pre-registered buffer;
     /// larger ones are registered and sent zero-copy (Section 3.1,
     /// "Memory registration vs. copying"; the paper picks 2 KB).
     pub copy_threshold: usize,
-    /// Message chunk size: sends are fragmented to this, and it bounds how
-    /// much combining may accumulate (the paper: 32 KB).
-    pub chunk_size: usize,
     /// Allocate descriptors and bounce buffers on shared-memory segments
     /// so fork() does not un-map them from under the NIC (Section 4.3).
     /// Turn off to reproduce the Figure 5 corruption.
@@ -61,19 +64,14 @@ pub struct SoviaConfig {
 
 impl SoviaConfig {
     /// SOVIA_SINGLE: single-threaded, conditional sender-side buffering,
-    /// stop-and-wait (no window), per-packet ACKs, no combining.
+    /// stop-and-wait (w = 1), per-packet ACKs (t = 1), no combining.
     pub fn single() -> SoviaConfig {
         SoviaConfig {
             mode: ReceiveMode::SingleThreaded,
-            flow_control: false,
             window: 1,
-            delayed_acks: false,
             ack_threshold: 1,
             combine_small: false,
-            combine_timeout: SimDuration::from_millis(100),
-            combine_timer_cost: SimDuration::from_micros_f64(1.5),
             copy_threshold: 2048,
-            chunk_size: 32 * 1024,
             use_shared_segments: true,
             explicit_handshake: false,
         }
@@ -100,7 +98,6 @@ impl SoviaConfig {
     /// SOVIA_FLOWCTRL: `single` + sliding-window flow control (w = 32).
     pub fn flowctrl() -> SoviaConfig {
         SoviaConfig {
-            flow_control: true,
             window: 32,
             ..SoviaConfig::single()
         }
@@ -109,7 +106,6 @@ impl SoviaConfig {
     /// SOVIA_DACKS: `flowctrl` + delayed acknowledgments (t = 16).
     pub fn dacks() -> SoviaConfig {
         SoviaConfig {
-            delayed_acks: true,
             ack_threshold: 16,
             ..SoviaConfig::flowctrl()
         }
@@ -124,36 +120,28 @@ impl SoviaConfig {
         }
     }
 
-    /// Effective window (1 when flow control is off).
-    pub fn effective_window(&self) -> u32 {
-        if self.flow_control {
-            self.window.max(1)
-        } else {
-            1
-        }
-    }
-
     /// Receive descriptors pre-posted per VI: the data window plus a pool
     /// for control packets (ACK/WAKEUP/FIN/FINACK), which are re-posted as
     /// soon as they are processed. Worst case in flight toward one end:
     /// `w` DATA + `w` ACKs + connection control.
     pub fn prepost_count(&self) -> usize {
-        (2 * self.effective_window() as usize) + 4
+        (2 * self.window as usize) + 4
     }
 
-    /// Sanity-check invariants (t < w, threshold <= chunk).
+    /// Sanity-check invariants (w > 0, t < w when delaying, threshold
+    /// <= chunk).
     pub fn validate(&self) -> Result<(), String> {
-        if self.flow_control && self.delayed_acks && self.ack_threshold >= self.window {
+        if self.window == 0 {
+            return Err("zero window".into());
+        }
+        if self.ack_threshold > 1 && self.ack_threshold >= self.window {
             return Err(format!(
                 "ack_threshold ({}) must be < window ({})",
                 self.ack_threshold, self.window
             ));
         }
-        if self.copy_threshold > self.chunk_size {
-            return Err("copy_threshold exceeds chunk_size".into());
-        }
-        if self.chunk_size == 0 || self.window == 0 {
-            return Err("zero chunk_size or window".into());
+        if self.copy_threshold > CHUNK_SIZE {
+            return Err("copy_threshold exceeds the chunk size".into());
         }
         Ok(())
     }
@@ -172,19 +160,19 @@ mod tests {
     #[test]
     fn presets_form_the_figure6_ladder() {
         let single = SoviaConfig::single();
-        assert_eq!(single.effective_window(), 1);
-        assert!(!single.delayed_acks && !single.combine_small);
+        assert_eq!((single.window, single.ack_threshold), (1, 1));
+        assert!(!single.combine_small);
 
         let fc = SoviaConfig::flowctrl();
-        assert_eq!(fc.effective_window(), 32);
-        assert!(!fc.delayed_acks);
+        assert_eq!((fc.window, fc.ack_threshold), (32, 1));
 
         let da = SoviaConfig::dacks();
-        assert!(da.flow_control && da.delayed_acks && !da.combine_small);
-        assert_eq!(da.ack_threshold, 16);
+        assert_eq!((da.window, da.ack_threshold), (32, 16));
+        assert!(!da.combine_small);
 
         let co = SoviaConfig::combine();
-        assert!(co.combine_small && co.delayed_acks && co.flow_control);
+        assert!(co.combine_small);
+        assert_eq!((co.window, co.ack_threshold), (32, 16));
 
         for c in [single, fc, da, co, SoviaConfig::handler()] {
             c.validate().unwrap();
@@ -195,10 +183,11 @@ mod tests {
     fn paper_constants() {
         let c = SoviaConfig::default();
         assert_eq!(c.copy_threshold, 2048);
-        assert_eq!(c.chunk_size, 32 * 1024);
+        assert_eq!(CHUNK_SIZE, 32 * 1024);
         assert_eq!(c.window, 32);
         assert_eq!(c.ack_threshold, 16);
-        assert_eq!(c.combine_timeout, SimDuration::from_millis(100));
+        assert_eq!(COMBINE_TIMEOUT, SimDuration::from_millis(100));
+        assert_eq!(COMBINE_TIMER_COST, SimDuration::from_micros_f64(1.5));
     }
 
     #[test]
@@ -208,6 +197,11 @@ mod tests {
             ..SoviaConfig::dacks()
         };
         assert!(c.validate().is_err());
+        let zero = SoviaConfig {
+            window: 0,
+            ..SoviaConfig::single()
+        };
+        assert!(zero.validate().is_err());
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dsim::{SimCtx, TimerGuard};
+use dsim::SimCtx;
 use parking_lot::Mutex;
 use simos::mem::{charge_cow_faults, VAddr};
 use simos::{HostCosts, Process};
@@ -43,7 +43,7 @@ use sockets::{SockAddr, SockError, SockResult};
 use via::{DescState, Descriptor, MemRegion, VipError, ViaNic, Vi};
 
 use crate::buffers::SlotPool;
-use crate::config::SoviaConfig;
+use crate::config::{SoviaConfig, CHUNK_SIZE, COMBINE_TIMER_COST};
 use crate::library::SoviaLib;
 use crate::packet::{decode, encode, PacketType, WakeupInfo};
 
@@ -84,7 +84,6 @@ struct Combine {
     slot: usize,
     filled: usize,
     epoch: u64,
-    timer: TimerGuard,
 }
 
 /// Per-connection protocol counters (tests and the harness read these).
@@ -169,16 +168,10 @@ impl SovConn {
         let costs = process.costs().clone();
         let shared = config.use_shared_segments;
         let prepost = config.prepost_count();
-        let recv_pool = SlotPool::new(ctx, &process, prepost, config.chunk_size, shared);
-        let send_pool = SlotPool::new(
-            ctx,
-            &process,
-            config.effective_window() as usize,
-            config.chunk_size,
-            shared,
-        );
+        let recv_pool = SlotPool::new(ctx, &process, prepost, CHUNK_SIZE, shared);
+        let send_pool = SlotPool::new(ctx, &process, config.window as usize, CHUNK_SIZE, shared);
         let ctrl_pool = SlotPool::new(ctx, &process, CTRL_SLOTS, CTRL_SLOT, shared);
-        let staging = process.alloc(ctx, config.chunk_size);
+        let staging = process.alloc(ctx, CHUNK_SIZE);
 
         let conn = Arc::new(SovConn {
             vi,
@@ -201,7 +194,7 @@ impl SovConn {
                 credits: if config.explicit_handshake {
                     0
                 } else {
-                    config.effective_window()
+                    config.window
                 },
                 inflight: VecDeque::new(),
                 combine: None,
@@ -299,7 +292,6 @@ impl SovConn {
             VipError::Disconnected => SockError::ConnectionReset,
             VipError::ConnectionRefused => SockError::ConnectionRefused,
             VipError::NotConnected => SockError::NotConnected,
-            VipError::Timeout => SockError::TimedOut,
             _ => SockError::ConnectionReset,
         }
     }
@@ -410,7 +402,7 @@ impl SovConn {
         let to_ack = {
             let mut d = self.dacks.lock();
             *d += 1;
-            if !self.config.delayed_acks || *d >= self.config.ack_threshold {
+            if *d >= self.config.ack_threshold {
                 std::mem::take(&mut *d)
             } else {
                 0
@@ -591,7 +583,7 @@ impl SovConn {
     }
 
     fn send_zero_copy(&self, ctx: &SimCtx, lib: &SoviaLib, data: &[u8]) -> SockResult<usize> {
-        for chunk in data.chunks(self.config.chunk_size) {
+        for chunk in data.chunks(CHUNK_SIZE) {
             // The bytes already exist in user memory; staging them into the
             // simulated buffer is a modeling artifact and charges nothing.
             self.process.write_mem(ctx, self.staging, chunk);
@@ -638,17 +630,16 @@ impl SovConn {
     /// Reap completed sends and append `data` to the combine buffer: with
     /// a pending buffer that has room, one send-lock round trip does both.
     fn combine_send(&self, ctx: &SimCtx, lib: &SoviaLib, data: &[u8]) -> SockResult<usize> {
-        let chunk = self.config.chunk_size;
         let mut ss = self.send_state.lock();
         while self.reap_one(&mut ss) {}
         loop {
             match ss.combine.as_mut() {
-                Some(st) if st.filled + data.len() <= chunk => {
+                Some(st) if st.filled + data.len() <= CHUNK_SIZE => {
                     // The store is uncharged; its COW faults are charged
                     // once the guard is gone.
                     let faults = self.send_pool.store_slot(st.slot, st.filled, data);
                     st.filled += data.len();
-                    let full = st.filled >= chunk;
+                    let full = st.filled >= CHUNK_SIZE;
                     ss.stats.combined_sends += 1;
                     drop(ss);
                     charge_cow_faults(ctx, &self.costs, faults);
@@ -678,7 +669,8 @@ impl SovConn {
         }
     }
 
-    /// Install a fresh combine buffer: take a slot and arm the timer.
+    /// Install a fresh combine buffer: take a slot, install it, then arm
+    /// the timer for it.
     fn start_combine(&self, ctx: &SimCtx, lib: &SoviaLib) -> SockResult<()> {
         let slot = self.acquire_data_slot(ctx)?;
         // "the sender starts a timer": 1-2 us of software-timer
@@ -686,25 +678,33 @@ impl SovConn {
         ctx.charge(
             dsim::TraceLayer::Sovia,
             dsim::TraceKind::Timer,
-            self.config.combine_timer_cost,
+            COMBINE_TIMER_COST,
             dsim::TraceTag::on_conn(self.vi.id()),
         );
-        let epoch = self.combine_epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let timer = lib.arm_combine_timer(self, epoch);
         let mut ss = self.send_state.lock();
-        if ss.combine.is_none() {
-            ss.combine = Some(Combine {
-                slot,
-                filled: 0,
-                epoch,
-                timer,
-            });
-            lib.mark_combining(self.vi_id(), true);
-        } else {
+        if ss.combine.is_some() {
+            // Another thread installed one while this one charged.
             drop(ss);
             self.send_pool.release(slot);
+            return Ok(());
         }
+        let epoch = self.combine_epoch.fetch_add(1, Ordering::Relaxed) + 1;
+        ss.combine = Some(Combine {
+            slot,
+            filled: 0,
+            epoch,
+        });
+        lib.mark_combining(self.vi_id(), true);
+        drop(ss);
+        lib.arm_combine_timer(self, epoch);
         Ok(())
+    }
+
+    /// Whether the combine buffer installed at `epoch` is still pending
+    /// (no flush has taken it yet).
+    pub(crate) fn holds_combine_epoch(&self, epoch: u64) -> bool {
+        let ss = self.send_state.lock();
+        ss.combine.as_ref().is_some_and(|st| st.epoch == epoch)
     }
 
     /// Charge a memcpy of `len` bytes.
@@ -730,8 +730,10 @@ impl SovConn {
     }
 
     /// Like [`SovConn::flush_combine`], but with `Some(epoch)` (the timer
-    /// thread's path) only if that armed epoch is still current. Taking
-    /// the buffer drops this connection from the library's dirty list.
+    /// thread's path) only if that armed epoch is still current: another
+    /// flush may run between the timer's expiry and the timer thread's
+    /// turn. Taking the buffer drops this connection from the library's
+    /// dirty list.
     pub(crate) fn flush_if_epoch(
         &self,
         ctx: &SimCtx,
@@ -743,7 +745,6 @@ impl SovConn {
             return Ok(());
         };
         lib.mark_combining(self.vi_id(), false);
-        st.timer.cancel();
         if st.filled == 0 {
             self.send_pool.release(st.slot);
             return Ok(());
@@ -945,7 +946,7 @@ impl SovConn {
         self.recv_pool.deregister(ctx);
         self.send_pool.deregister(ctx);
         self.ctrl_pool.deregister(ctx);
-        self.process.free(self.staging, self.config.chunk_size);
+        self.process.free(self.staging, CHUNK_SIZE);
         lib.conn_finalized();
     }
 }

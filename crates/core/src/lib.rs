@@ -31,7 +31,7 @@
 #![warn(missing_docs)]
 
 mod buffers;
-mod config;
+pub mod config;
 mod conn;
 mod library;
 mod packet;

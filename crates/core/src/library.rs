@@ -19,13 +19,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dsim::sync::{SimCondvar, SimQueue};
-use dsim::{Shutdown, SimCtx, SimHandle, TimerGuard};
+use dsim::{Shutdown, SimCtx, SimHandle};
 use parking_lot::Mutex;
 use simos::{HostCosts, Process};
 use sockets::{SockError, SockResult};
 use via::{CompletionQueue, ViaNic, WaitMode};
 
-use crate::config::{ReceiveMode, SoviaConfig};
+use crate::config::{ReceiveMode, SoviaConfig, COMBINE_TIMEOUT};
 use crate::conn::SovConn;
 
 /// [`SoviaLib::lone_holder`] of an empty dirty list.
@@ -362,8 +362,10 @@ impl SoviaLib {
         }
     }
 
-    /// Arm the combine timer for `conn` (condition (1) of Section 3.2).
-    pub(crate) fn arm_combine_timer(&self, conn: &SovConn, epoch: u64) -> TimerGuard {
+    /// Arm the combine timer for the buffer `conn` installed at `epoch`
+    /// (condition (1) of Section 3.2). A flush before the timeout supersedes
+    /// the timer: it expires without waking the timer thread.
+    pub(crate) fn arm_combine_timer(&self, conn: &SovConn, epoch: u64) {
         // Find our own Arc via the conns table to avoid an Arc<Self> param
         // threading through the send path.
         let conn = self
@@ -373,8 +375,10 @@ impl SoviaLib {
             .cloned()
             .expect("arming timer for unregistered connection");
         let q = Arc::clone(&self.timer_q);
-        self.sim.schedule_in(self.config.combine_timeout, move |_| {
-            q.push((conn, epoch));
-        })
+        self.sim.schedule_in(COMBINE_TIMEOUT, move |_| {
+            if conn.holds_combine_epoch(epoch) {
+                q.push((conn, epoch));
+            }
+        });
     }
 }

@@ -56,7 +56,7 @@ pub mod trace;
 pub use buf::Payload;
 pub use sched::{
     ProcId, ProcStats, SchedConfig, SchedStats, Shutdown, SimCtx, SimError, SimHandle, Simulation,
-    TimerGuard, WakeReason,
+    WakeReason,
 };
 pub use time::{SimDuration, SimTime};
 pub use trace::{

@@ -34,7 +34,8 @@
 //! Every process has an *epoch* counter. A parked process is woken by an
 //! event that carries the epoch observed when the process parked; delivering
 //! a wake bumps the epoch, so any other pending wake for the same park
-//! (e.g. a timeout racing with a notification) becomes stale and is dropped.
+//! would be stale and is dropped. No primitive in [`crate::sync`] queues a
+//! second wake for one park; the check is a guard.
 //! Blocking primitives therefore follow the usual condition-variable rule:
 //! *mutate shared state first, then wake; waiters re-check predicates in a
 //! loop*.
@@ -51,7 +52,7 @@
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -79,8 +80,6 @@ pub enum WakeReason {
     Sleep,
     /// A notification was delivered (condvar/queue/semaphore).
     Notify,
-    /// A `wait_timeout` deadline fired before any notification.
-    Timeout,
     /// First scheduling of a newly spawned process.
     Start,
     /// The simulation is being torn down: an idle wait reports it as
@@ -97,10 +96,9 @@ pub struct Shutdown;
 impl WakeReason {
     /// Every reason, indexed by discriminant (how the dispatch loop passes
     /// a reason through a coroutine switch).
-    const ALL: [WakeReason; 5] = [
+    const ALL: [WakeReason; 4] = [
         WakeReason::Sleep,
         WakeReason::Notify,
-        WakeReason::Timeout,
         WakeReason::Start,
         WakeReason::Shutdown,
     ];
@@ -158,10 +156,7 @@ enum EventKind {
         epoch: u64,
         reason: WakeReason,
     },
-    Call {
-        cancelled: Arc<AtomicBool>,
-        f: Box<dyn FnOnce(SimTime) + Send>,
-    },
+    Call(Box<dyn FnOnce(SimTime) + Send>),
 }
 
 struct EventEntry {
@@ -360,22 +355,16 @@ impl SimHandle {
     /// Schedule `f` to run on the coordinator at `now + delay`.
     ///
     /// The callback must not block; it may mutate shared state and notify
-    /// condition variables. Returns a guard that can cancel the timer.
-    pub fn schedule_in<F>(&self, delay: SimDuration, f: F) -> TimerGuard
+    /// condition variables. It cannot be cancelled: a callback whose work
+    /// may be overtaken checks, when it runs, whether the work is still
+    /// due.
+    pub fn schedule_in<F>(&self, delay: SimDuration, f: F)
     where
         F: FnOnce(SimTime) + Send + 'static,
     {
-        let cancelled = Arc::new(AtomicBool::new(false));
         let mut st = self.core.state.lock();
         let at = st.now + delay.as_nanos();
-        st.schedule(
-            at,
-            EventKind::Call {
-                cancelled: Arc::clone(&cancelled),
-                f: Box::new(f),
-            },
-        );
-        TimerGuard { cancelled }
+        st.schedule(at, EventKind::Call(Box::new(f)));
     }
 
     /// Register `f` to run when the [`Simulation`] is dropped, after its
@@ -494,26 +483,6 @@ impl SimHandle {
         let st = self.core.state.lock();
         let slot = &st.procs[token.0 .0 as usize];
         slot.state == ProcState::Parked && slot.epoch == token.1
-    }
-}
-
-/// Cancellation guard for a scheduled callback.
-///
-/// Dropping the guard does **not** cancel the timer; call
-/// [`TimerGuard::cancel`] explicitly.
-pub struct TimerGuard {
-    cancelled: Arc<AtomicBool>,
-}
-
-impl TimerGuard {
-    /// Prevent the callback from running if it has not fired yet.
-    pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether `cancel` was called (the callback may still have fired first).
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
     }
 }
 
@@ -637,17 +606,7 @@ impl SimCtx {
     /// This is the low-level primitive behind the sync types; application
     /// code should prefer [`crate::sync`] primitives.
     pub(crate) fn park(&self) -> WakeReason {
-        let running = self.handle.core.running.load(Ordering::Relaxed);
-        if running != self.pid.0 {
-            self.refuse_park(running);
-        }
-        // The dispatch loop marks us Parked when the switch returns to it,
-        // and passes the wake reason in when it switches back.
-        let reason = WakeReason::ALL[coro::suspend()];
-        if reason == WakeReason::Shutdown {
-            unwind();
-        }
-        reason
+        self.park_idle().unwrap_or_else(|Shutdown| unwind())
     }
 
     /// [`SimCtx::park`] for a process idle between jobs: a `Shutdown` wake
@@ -657,6 +616,8 @@ impl SimCtx {
         if running != self.pid.0 {
             self.refuse_park(running);
         }
+        // The dispatch loop marks us Parked when the switch returns to it,
+        // and passes the wake reason in when it switches back.
         match WakeReason::ALL[coro::suspend()] {
             WakeReason::Shutdown => Err(Shutdown),
             reason => Ok(reason),
@@ -681,7 +642,7 @@ const SHUT_DOWN: u64 = 1 << 63;
 
 /// Unwind the running process out of teardown. `resume_unwind` skips the
 /// panic hook: teardown is silent.
-fn unwind() -> ! {
+pub(crate) fn unwind() -> ! {
     panic::resume_unwind(Box::new(ShutdownToken))
 }
 
@@ -690,7 +651,7 @@ fn unwind() -> ! {
 /// Teardown frees the simulated world in a fixed order. The end of `run`,
 /// whatever its result, resumes every parked process with `Shutdown` (a
 /// daemon in an idle wait returns; any other process is unwound; either
-/// way its stack goes back to the thread's cache, see [`crate::coro`])
+/// way its stack goes back to the thread's cache, see the `coro` module)
 /// and drops the bodies of processes that never started. Dropping the
 /// `Simulation` then drops the events still queued (with the one an
 /// exhausted budget refused) and any unstarted bodies (a simulation that
@@ -879,7 +840,7 @@ impl Coroutines {
         let mut suspended: Option<ProcId> = None;
         loop {
             // One lock per step: record the park, then pop until an event
-            // needs running (stale wakes and cancelled calls are dropped).
+            // needs running (stale wakes are dropped).
             let step = {
                 let mut st = core.state.lock();
                 let st = &mut *st;
@@ -919,11 +880,9 @@ impl Coroutines {
                         });
                     }
                     match e.kind {
-                        EventKind::Call { cancelled, f } => {
+                        EventKind::Call(f) => {
                             last_parked = None;
-                            if !cancelled.load(Ordering::Relaxed) {
-                                break Step::Call(f, SimTime(e.time));
-                            }
+                            break Step::Call(f, SimTime(e.time));
                         }
                         EventKind::Wake { pid, epoch, reason } => {
                             let slot = &mut st.procs[pid.0 as usize];
@@ -1217,8 +1176,7 @@ mod tests {
             }
             {
                 let st = sim.handle.core.state.lock();
-                let in_slot =
-                    matches!(&st.next, Some(e) if matches!(e.kind, EventKind::Call { .. }));
+                let in_slot = matches!(&st.next, Some(e) if matches!(e.kind, EventKind::Call(_)));
                 assert!(
                     in_slot && st.heap.is_empty(),
                     "the call is not alone in the slot"

@@ -10,11 +10,7 @@
 //! # Discipline
 //!
 //! As with real condition variables: **mutate shared state first, then
-//! notify; waiters must re-check their predicate in a loop.** A notification
-//! whose delayed wake loses a race against a `wait_timeout` deadline is
-//! dropped (the waiter re-checks state anyway), so code that mixes
-//! `notify_one` with timeouts on the same condvar should prefer
-//! [`SimCondvar::notify_all`].
+//! notify; waiters must re-check their predicate in a loop.**
 //!
 //! A daemon blocks between jobs in an *idle wait* ([`SimQueue::pop_idle`],
 //! [`SimCondvar::wait_idle`]): at teardown it returns [`Shutdown`], for the
@@ -25,17 +21,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::sched::{ProcId, Shutdown, SimCtx, SimHandle, WakeReason};
+use crate::sched::{unwind, ProcId, Shutdown, SimCtx, SimHandle, WakeReason};
 use crate::time::SimDuration;
-
-/// Result of a timed wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimedWait {
-    /// A notification arrived first.
-    Notified,
-    /// The deadline fired first.
-    TimedOut,
-}
 
 /// A condition variable on the virtual clock.
 pub struct SimCondvar {
@@ -54,10 +41,7 @@ impl SimCondvar {
 
     /// Block the calling process until notified.
     pub fn wait(&self, ctx: &SimCtx) {
-        let token = self.handle.park_token(ctx);
-        self.waiters.lock().push_back(token);
-        let r = ctx.park();
-        debug_assert_eq!(r, WakeReason::Notify);
+        self.wait_idle(ctx).unwrap_or_else(|Shutdown| unwind())
     }
 
     /// [`SimCondvar::wait`] as an idle wait (see the module docs):
@@ -68,24 +52,6 @@ impl SimCondvar {
         let r = ctx.park_idle()?;
         debug_assert_eq!(r, WakeReason::Notify);
         Ok(())
-    }
-
-    /// Block until notified or until `timeout` elapses, whichever is first.
-    pub fn wait_timeout(&self, ctx: &SimCtx, timeout: SimDuration) -> TimedWait {
-        let token = self.handle.park_token(ctx);
-        self.waiters.lock().push_back(token);
-        self.handle
-            .schedule_wake(token.0, token.1, timeout, WakeReason::Timeout);
-        match ctx.park() {
-            WakeReason::Notify => TimedWait::Notified,
-            WakeReason::Timeout => {
-                // Remove our now-dead registration so a future notify_one is
-                // not wasted on it.
-                self.waiters.lock().retain(|t| *t != token);
-                TimedWait::TimedOut
-            }
-            other => unreachable!("condvar wait woken with {other:?}"),
-        }
     }
 
     /// Wake one waiter immediately (at the current instant, after all
@@ -128,11 +94,6 @@ impl SimCondvar {
             }
         }
     }
-
-    /// Number of currently registered waiters.
-    pub fn waiter_count(&self) -> usize {
-        self.waiters.lock().len()
-    }
 }
 
 /// An unbounded FIFO queue in virtual time (MPMC).
@@ -168,12 +129,7 @@ impl<T> SimQueue<T> {
 
     /// Blocking pop.
     pub fn pop(&self, ctx: &SimCtx) -> T {
-        loop {
-            if let Some(item) = self.items.lock().pop_front() {
-                return item;
-            }
-            self.cv.wait(ctx);
-        }
+        self.pop_idle(ctx).unwrap_or_else(|Shutdown| unwind())
     }
 
     /// [`SimQueue::pop`] as an idle wait (see the module docs):
@@ -228,25 +184,9 @@ impl SimSemaphore {
         }
     }
 
-    /// Take one permit without blocking; `false` if none available.
-    pub fn try_acquire(&self) -> bool {
-        let mut p = self.permits.lock();
-        if *p > 0 {
-            *p -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Return one permit, waking a blocked acquirer.
+    /// Return one permit, waking the blocked acquirers.
     pub fn release(&self) {
-        self.release_many(1);
-    }
-
-    /// Return `n` permits at once.
-    pub fn release_many(&self, n: u64) {
-        *self.permits.lock() += n;
+        *self.permits.lock() += 1;
         // All waiters re-check; first-woken (deterministic order) win.
         self.cv.notify_all();
     }
@@ -293,31 +233,12 @@ impl SimFlag {
             self.cv.wait(ctx);
         }
     }
-
-    /// Block until the flag is set or `timeout` elapses, whichever first.
-    pub fn wait_timeout(&self, ctx: &SimCtx, timeout: SimDuration) -> TimedWait {
-        let deadline = ctx.now() + timeout;
-        loop {
-            if *self.set.lock() {
-                return TimedWait::Notified;
-            }
-            let now = ctx.now();
-            if now >= deadline {
-                return TimedWait::TimedOut;
-            }
-            let remaining = deadline.since(now);
-            if self.cv.wait_timeout(ctx, remaining) == TimedWait::TimedOut && !*self.set.lock() {
-                return TimedWait::TimedOut;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sched::Simulation;
-    use crate::time::SimTime;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -376,52 +297,6 @@ mod tests {
         }
         sim.run().unwrap();
         assert_eq!(woke_at.load(Ordering::Relaxed), 20_000);
-    }
-
-    #[test]
-    fn condvar_timeout_fires() {
-        let mut sim = Simulation::new();
-        let h = sim.handle();
-        let cv = Arc::new(SimCondvar::new(&h));
-        let cv2 = Arc::clone(&cv);
-        let outcome = Arc::new(Mutex::new(None));
-        let outcome2 = Arc::clone(&outcome);
-        sim.spawn("waiter", move |ctx| {
-            let r = cv2.wait_timeout(ctx, SimDuration::from_millis(2));
-            *outcome2.lock() = Some((r, ctx.now()));
-        });
-        sim.run().unwrap();
-        let (r, t) = outcome.lock().take().unwrap();
-        assert_eq!(r, TimedWait::TimedOut);
-        assert_eq!(t, SimTime(2_000_000));
-        assert_eq!(cv.waiter_count(), 0, "timed-out waiter must deregister");
-    }
-
-    #[test]
-    fn condvar_notify_beats_timeout() {
-        let mut sim = Simulation::new();
-        let h = sim.handle();
-        let cv = Arc::new(SimCondvar::new(&h));
-        let outcome = Arc::new(Mutex::new(None));
-        {
-            let cv = Arc::clone(&cv);
-            let outcome = Arc::clone(&outcome);
-            sim.spawn("waiter", move |ctx| {
-                let r = cv.wait_timeout(ctx, SimDuration::from_millis(2));
-                *outcome.lock() = Some((r, ctx.now()));
-            });
-        }
-        {
-            let cv = Arc::clone(&cv);
-            sim.spawn("notifier", move |ctx| {
-                ctx.sleep(SimDuration::from_micros(100));
-                cv.notify_one();
-            });
-        }
-        sim.run().unwrap();
-        let (r, t) = outcome.lock().take().unwrap();
-        assert_eq!(r, TimedWait::Notified);
-        assert_eq!(t, SimTime(100_000));
     }
 
     #[test]

@@ -103,7 +103,6 @@ pub enum TraceKind {
     HandshakeFinAck,
     DelayedAckFired,
     FaultDrop,
-    FaultCorrupt,
     FaultDuplicate,
     FaultReorder,
     FaultDelay,
@@ -158,7 +157,6 @@ impl TraceKind {
             TraceKind::HandshakeFinAck => "handshake_finack",
             TraceKind::DelayedAckFired => "delayed_ack_fired",
             TraceKind::FaultDrop => "fault_drop",
-            TraceKind::FaultCorrupt => "fault_corrupt",
             TraceKind::FaultDuplicate => "fault_duplicate",
             TraceKind::FaultReorder => "fault_reorder",
             TraceKind::FaultDelay => "fault_delay",

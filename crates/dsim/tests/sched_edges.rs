@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dsim::rng::SimRng;
-use dsim::sync::{SimCondvar, SimQueue, TimedWait};
+use dsim::sync::SimQueue;
 use dsim::{ProcStats, SimCtx, SimDuration, SimError, SimHandle, SimTime, Simulation};
 use parking_lot::Mutex;
 
@@ -47,43 +47,6 @@ fn run_with_limit_exact_boundary() {
     assert_eq!(processed, 10);
     // `at` is the virtual time of the event the budget refused to run.
     assert_eq!(at, 10_000);
-}
-
-#[test]
-fn stale_timeout_wake_is_dropped() {
-    // A waiter parks with a 100 µs timeout; a notifier signals at 50 µs.
-    // The Notify wins, and the now-stale Timeout wake (still in the heap)
-    // must be dropped without re-waking the process.
-    let outcome = run_expecting(6, |sim| {
-        let h = sim.handle();
-        let cv = Arc::new(SimCondvar::new(&h));
-        let woke_at = Arc::new(Mutex::new(Vec::new()));
-        {
-            let cv = Arc::clone(&cv);
-            let woke_at = Arc::clone(&woke_at);
-            sim.spawn("waiter", move |ctx| {
-                let r = cv.wait_timeout(ctx, SimDuration::from_micros(100));
-                woke_at
-                    .lock()
-                    .push((ctx.now().as_nanos(), r == TimedWait::Notified));
-                // Stay alive past the stale deadline; a dropped stale wake
-                // must not interrupt this sleep.
-                ctx.sleep(SimDuration::from_micros(200));
-                woke_at.lock().push((ctx.now().as_nanos(), true));
-            });
-        }
-        {
-            let cv = Arc::clone(&cv);
-            sim.spawn("notifier", move |ctx| {
-                ctx.sleep(SimDuration::from_micros(50));
-                cv.notify_one();
-            });
-        }
-        sim.run().unwrap();
-        let v = woke_at.lock().clone();
-        v
-    });
-    assert_eq!(outcome, vec![(50_000, true), (250_000, true)]);
 }
 
 #[test]
@@ -307,21 +270,6 @@ fn same_instant_events_fire_in_schedule_order() {
 }
 
 #[test]
-fn timer_cancellation() {
-    let mut sim = Simulation::new();
-    let fired = Arc::new(AtomicU64::new(0));
-    let f2 = Arc::clone(&fired);
-    let h = sim.handle();
-    let guard = h.schedule_in(SimDuration::from_micros(5), move |_| {
-        f2.fetch_add(1, Ordering::Relaxed);
-    });
-    guard.cancel();
-    assert!(guard.is_cancelled());
-    sim.run().unwrap();
-    assert_eq!(fired.load(Ordering::Relaxed), 0);
-}
-
-#[test]
 fn nested_spawn() {
     let mut sim = Simulation::new();
     let sum = Arc::new(AtomicU64::new(0));
@@ -501,8 +449,8 @@ fn trace_records_spans_and_names() {
 /// and the events that fired, in firing order.
 #[derive(Default)]
 struct Ledger {
-    /// `(time, cancelled)` per schedule index.
-    queued: Vec<(u64, bool)>,
+    /// The time of each event, by schedule index.
+    queued: Vec<u64>,
     /// `(time, schedule index)` per fired event.
     fired: Vec<(u64, usize)>,
 }
@@ -520,7 +468,7 @@ fn draw_delay(rng: &mut SimRng) -> u64 {
 /// Note an event about to be queued for `at`; returns its schedule index.
 fn note_queued(ledger: &SharedLedger, at: u64) -> usize {
     let mut l = ledger.lock();
-    l.queued.push((at, false));
+    l.queued.push(at);
     l.queued.len() - 1
 }
 
@@ -528,23 +476,19 @@ fn note_fired(ledger: &SharedLedger, at: SimTime, idx: usize) {
     ledger.lock().fired.push((at.as_nanos(), idx));
 }
 
-/// Queue a callback `delay` ns from now. One in four is cancelled at
-/// once; one in two that fire queues another from inside its `Call`.
+/// Queue a callback `delay` ns from now. One in two queues another from
+/// inside its `Call`.
 fn queue_timer(h: &SimHandle, ledger: &SharedLedger, delay: u64, rng: &mut SimRng) {
     let idx = note_queued(ledger, h.now().as_nanos() + delay);
     let (h2, l2) = (h.clone(), Arc::clone(ledger));
     let mut child = SimRng::seed_from(rng.next_u64());
-    let guard = h.schedule_in(SimDuration::from_nanos(delay), move |now| {
+    h.schedule_in(SimDuration::from_nanos(delay), move |now| {
         note_fired(&l2, now, idx);
         if child.below(2) == 0 {
             let d = draw_delay(&mut child);
             queue_timer(&h2, &l2, d, &mut child);
         }
     });
-    if rng.below(4) == 0 {
-        guard.cancel();
-        ledger.lock().queued[idx].1 = true;
-    }
 }
 
 /// A process that charges costs (a sleep, or a yield at delay 0) and
@@ -569,7 +513,7 @@ fn order_process(ctx: &SimCtx, ledger: &SharedLedger, rng: &mut SimRng, steps: u
 #[test]
 fn events_fire_in_time_then_schedule_order() {
     // Every schedule path (spawn, sleep, yield, timers queued before the
-    // run, by processes and by callbacks, cancelled or not) into an
+    // run, by processes and by callbacks) into an
     // empty queue, before, at and after the earliest queued event: the
     // firing order is the `(time, schedule index)` sort of what was
     // queued.
@@ -595,13 +539,12 @@ fn events_fire_in_time_then_schedule_order() {
         let end = sim.run().expect("the case finishes");
         let l = ledger.lock();
         let mut want: Vec<(u64, usize)> = (l.queued.iter().enumerate())
-            .filter(|(_, &(_, cancelled))| !cancelled)
-            .map(|(i, &(at, _))| (at, i))
+            .map(|(i, &at)| (at, i))
             .collect();
         want.sort_unstable();
         assert_eq!(l.fired, want, "seed {seed}: firing order");
         assert_eq!(sim.events_processed(), l.queued.len() as u64, "seed {seed}");
-        let last = l.queued.iter().map(|&(at, _)| at).max();
+        let last = l.queued.iter().max().copied();
         assert_eq!(Some(end.as_nanos()), last, "seed {seed}: end time");
     }
 }

@@ -1,7 +1,7 @@
 //! Seeded, virtual-time fault injection for the simulated substrate.
 //!
 //! A [`FaultPlan`] describes *what can go wrong* on one direction of a
-//! wire (or inside a NIC): per-frame drop/corrupt/duplicate/reorder/delay
+//! wire (or inside a NIC): per-frame drop/duplicate/reorder/delay
 //! probabilities plus scripted one-shot events ("drop frame #N",
 //! "disconnect the peer at t=X", "complete the next descriptor in
 //! error"). A [`FaultLane`] turns a plan into decisions, drawing every
@@ -28,12 +28,9 @@ use parking_lot::Mutex;
 /// What to do with one frame, as decided by a [`FaultLane`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
-    /// Discard the frame silently (the wire ate it).
+    /// Discard the frame silently: the wire ate it, or it arrived with a
+    /// bad FCS and the receiving NIC discarded it.
     Drop,
-    /// Flip bits in flight. The frame arrives with a bad FCS and the
-    /// receiving NIC discards it — observably a drop, but counted apart
-    /// so sweeps can distinguish noise from loss.
-    Corrupt,
     /// Deliver the frame twice.
     Duplicate,
     /// Hold the frame back by the lane's extra delay so that frames sent
@@ -79,15 +76,13 @@ pub enum ScriptedFault {
 ///
 /// All probabilities are per-frame in `[0, 1]` and mutually exclusive:
 /// one uniform draw per frame is matched against the cumulative bands in
-/// the fixed order drop → corrupt → duplicate → reorder → delay.
+/// the fixed order drop → duplicate → reorder → delay.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the lane's private RNG stream.
     pub seed: u64,
     /// Per-frame probability of a silent drop.
     pub drop_p: f64,
-    /// Per-frame probability of in-flight corruption (FCS discard).
-    pub corrupt_p: f64,
     /// Per-frame probability of duplicate delivery.
     pub duplicate_p: f64,
     /// Per-frame probability of reordering (held back `delay_extra`).
@@ -105,7 +100,6 @@ impl Default for FaultPlan {
         FaultPlan {
             seed: 0,
             drop_p: 0.0,
-            corrupt_p: 0.0,
             duplicate_p: 0.0,
             reorder_p: 0.0,
             delay_p: 0.0,
@@ -125,7 +119,6 @@ impl FaultPlan {
     /// True if this plan can never fire a fault.
     pub fn is_empty(&self) -> bool {
         self.drop_p == 0.0
-            && self.corrupt_p == 0.0
             && self.duplicate_p == 0.0
             && self.reorder_p == 0.0
             && self.delay_p == 0.0
@@ -144,12 +137,6 @@ impl FaultPlan {
     /// Builder: set the drop probability.
     pub fn with_drop(mut self, p: f64) -> FaultPlan {
         self.drop_p = p;
-        self
-    }
-
-    /// Builder: set the corruption probability.
-    pub fn with_corrupt(mut self, p: f64) -> FaultPlan {
-        self.corrupt_p = p;
         self
     }
 
@@ -181,7 +168,7 @@ impl FaultPlan {
 
     /// Sum of the probabilistic bands (sanity-checked by [`FaultLane`]).
     fn total_p(&self) -> f64 {
-        self.drop_p + self.corrupt_p + self.duplicate_p + self.reorder_p + self.delay_p
+        self.drop_p + self.duplicate_p + self.reorder_p + self.delay_p
     }
 }
 
@@ -193,8 +180,6 @@ pub struct FaultStats {
     pub frames: u64,
     /// Frames silently dropped.
     pub dropped: u64,
-    /// Frames corrupted in flight (discarded at the receiver).
-    pub corrupted: u64,
     /// Frames delivered twice.
     pub duplicated: u64,
     /// Frames held back past later frames.
@@ -213,7 +198,6 @@ impl FaultStats {
     /// Total faults injected (everything except the `frames` odometer).
     pub fn injected(&self) -> u64 {
         self.dropped
-            + self.corrupted
             + self.duplicated
             + self.reordered
             + self.delayed
@@ -228,7 +212,6 @@ impl Add for FaultStats {
         FaultStats {
             frames: self.frames + rhs.frames,
             dropped: self.dropped + rhs.dropped,
-            corrupted: self.corrupted + rhs.corrupted,
             duplicated: self.duplicated + rhs.duplicated,
             reordered: self.reordered + rhs.reordered,
             delayed: self.delayed + rhs.delayed,
@@ -313,11 +296,6 @@ impl FaultLane {
             if u < edge {
                 Some(FaultAction::Drop)
             } else if u < {
-                edge += p.corrupt_p;
-                edge
-            } {
-                Some(FaultAction::Corrupt)
-            } else if u < {
                 edge += p.duplicate_p;
                 edge
             } {
@@ -341,7 +319,6 @@ impl FaultLane {
         stats.frames += 1;
         match action {
             Some(FaultAction::Drop) => stats.dropped += 1,
-            Some(FaultAction::Corrupt) => stats.corrupted += 1,
             Some(FaultAction::Duplicate) => stats.duplicated += 1,
             Some(FaultAction::Reorder) => stats.reordered += 1,
             Some(FaultAction::Delay) => stats.delayed += 1,

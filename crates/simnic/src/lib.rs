@@ -9,7 +9,7 @@
 //!   with an interrupt-style receive handler.
 //! * [`platform`] — calibrated presets for the paper's testbed: Giganet
 //!   cLAN1000 (VIA-aware, 1.25 Gb/s) and Fast Ethernet.
-//! * [`faults`] — seeded, deterministic fault injection (drop / corrupt /
+//! * [`faults`] — seeded, deterministic fault injection (drop /
 //!   duplicate / reorder / delay plus scripted one-shots) for links and
 //!   NICs; a strict no-op when the plan is empty.
 //!

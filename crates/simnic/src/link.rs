@@ -95,9 +95,7 @@ impl<T: Clone + Send + 'static> Link<T> {
         }
         match action {
             None => self.deliver(item, self.params.latency),
-            // Dropped outright, or corrupted in flight: the receiver
-            // discards a bad-FCS frame, so neither reaches the queue.
-            Some(FaultAction::Drop) | Some(FaultAction::Corrupt) => {}
+            Some(FaultAction::Drop) => {}
             Some(FaultAction::Duplicate) => {
                 self.deliver(item.clone(), self.params.latency);
                 self.deliver(item, self.params.latency);
@@ -140,7 +138,6 @@ impl<T: Clone + Send + 'static> Link<T> {
             let frame_idx = lane.handle().stats().frames - 1;
             let kind = match act {
                 FaultAction::Drop => dsim::TraceKind::FaultDrop,
-                FaultAction::Corrupt => dsim::TraceKind::FaultCorrupt,
                 FaultAction::Duplicate => dsim::TraceKind::FaultDuplicate,
                 FaultAction::Reorder => dsim::TraceKind::FaultReorder,
                 FaultAction::Delay => dsim::TraceKind::FaultDelay,

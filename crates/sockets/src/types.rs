@@ -71,8 +71,6 @@ pub enum SockError {
     InvalidState,
     /// The connection was closed locally.
     Closed,
-    /// Timeout expired.
-    TimedOut,
     /// No provider registered for the requested socket type.
     NoProvider,
     /// The provider's configuration failed validation.
@@ -91,7 +89,6 @@ impl fmt::Display for SockError {
             SockError::NotConnected => f.write_str("not connected"),
             SockError::InvalidState => f.write_str("invalid socket state"),
             SockError::Closed => f.write_str("socket closed"),
-            SockError::TimedOut => f.write_str("timed out"),
             SockError::NoProvider => f.write_str("no provider for socket type"),
             SockError::InvalidConfig => f.write_str("invalid provider configuration"),
             SockError::Os(e) => write!(f, "os error: {e}"),

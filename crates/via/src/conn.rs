@@ -10,8 +10,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dsim::sync::{SimFlag, SimQueue, TimedWait};
-use dsim::{SimCtx, SimDuration, SimHandle};
+use dsim::sync::{SimFlag, SimQueue};
+use dsim::{SimCtx, SimHandle};
 use parking_lot::Mutex;
 
 use crate::error::{VipError, VipResult};
@@ -106,15 +106,15 @@ impl ViaNic {
         self.vis_lock().get(&id).cloned()
     }
 
-    /// Register a pending request and send the `ConnReq` (shared by the
-    /// blocking and the timed connect).
-    fn start_connect_request(
+    /// `VipConnectRequest`: ask `remote` for a connection on
+    /// `discriminator`, blocking until accepted or rejected.
+    pub fn connect_request(
         self: &Arc<Self>,
         ctx: &SimCtx,
         vi: &Arc<Vi>,
         remote: ViaNicId,
         discriminator: u64,
-    ) -> VipResult<(u64, Arc<PendingRequest>)> {
+    ) -> VipResult<()> {
         if vi.state() != ViState::Idle {
             return Err(VipError::InvalidState);
         }
@@ -147,60 +147,16 @@ impl ViaNic {
                 from_vi: vi.id(),
             },
         );
-        Ok((req_id, req))
-    }
-
-    /// `VipConnectRequest`: ask `remote` for a connection on
-    /// `discriminator`, blocking until accepted or rejected.
-    pub fn connect_request(
-        self: &Arc<Self>,
-        ctx: &SimCtx,
-        vi: &Arc<Vi>,
-        remote: ViaNicId,
-        discriminator: u64,
-    ) -> VipResult<()> {
-        let (_req_id, req) = self.start_connect_request(ctx, vi, remote, discriminator)?;
         req.flag.wait(ctx);
-        self.finish_connect_request(ctx, &req)
-    }
-
-    /// The requester's wake-up once its request is answered (shared by
-    /// the blocking and the timed connect): charge the context switch and
-    /// take the answer.
-    fn finish_connect_request(&self, ctx: &SimCtx, req: &PendingRequest) -> VipResult<()> {
+        // The requester's wake-up once its request is answered.
         ctx.charge(
             dsim::TraceLayer::Via,
             dsim::TraceKind::ContextSwitch,
             self.machine().costs().context_switch,
-            dsim::TraceTag::on_conn(req.vi.id()),
+            dsim::TraceTag::on_conn(vi.id()),
         );
         let result = req.result.lock().take().expect("flag set without result");
         result
-    }
-
-    /// `VipConnectRequest` with a deadline: [`VipError::Timeout`] if the
-    /// remote neither accepts nor rejects in time (e.g. nobody is inside
-    /// `VipConnectWait` and the discriminator *is* registered, so the
-    /// request just sits in the listener's backlog). The VI returns to
-    /// `Idle` and a late answer for the abandoned request is ignored.
-    pub fn connect_request_timeout(
-        self: &Arc<Self>,
-        ctx: &SimCtx,
-        vi: &Arc<Vi>,
-        remote: ViaNicId,
-        discriminator: u64,
-        timeout: SimDuration,
-    ) -> VipResult<()> {
-        let (req_id, req) = self.start_connect_request(ctx, vi, remote, discriminator)?;
-        if req.flag.wait_timeout(ctx, timeout) == TimedWait::TimedOut {
-            // Deregister; if the answer raced us and already consumed the
-            // pending entry, fall through to its result instead.
-            if self.agent.pending.lock().remove(&req_id).is_some() {
-                vi.set_state(ViState::Idle);
-                return Err(VipError::Timeout);
-            }
-        }
-        self.finish_connect_request(ctx, &req)
     }
 
     /// Register a listener for `discriminator` (backing `connect_wait`);

@@ -13,8 +13,6 @@ pub enum VipError {
     ConnectionRefused,
     /// The remote end disconnected.
     Disconnected,
-    /// A timeout expired.
-    Timeout,
     /// Transfer length exceeds the NIC's maximum transfer size.
     TooLarge,
     /// The descriptor completed in error.
@@ -33,7 +31,6 @@ impl fmt::Display for VipError {
             VipError::NotConnected => "VI not connected",
             VipError::ConnectionRefused => "connection refused",
             VipError::Disconnected => "remote disconnected",
-            VipError::Timeout => "timeout",
             VipError::TooLarge => "transfer exceeds NIC maximum",
             VipError::DescriptorError => "descriptor completed in error",
             VipError::NoDescriptor => "no pre-posted descriptor",

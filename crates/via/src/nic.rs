@@ -210,7 +210,7 @@ impl ViaNic {
     /// (the engine keeps its exact fault-free code path) and returns a
     /// disabled handle.
     ///
-    /// * Probabilistic drop/corrupt/duplicate/reorder/delay apply to
+    /// * Probabilistic drop/duplicate/reorder/delay apply to
     ///   arriving **data** frames, one seeded RNG draw per frame.
     ///   Management frames (the kernel-agent channel) stay reliable.
     /// * [`ScriptedFault::RxDescriptorError`]/[`ScriptedFault::TxDescriptorError`]
@@ -219,7 +219,7 @@ impl ViaNic {
     ///   connected at that virtual time (measured from installation) and
     ///   notifies each peer.
     ///
-    /// On a [`Reliability::ReliableDelivery`] VI a lost or corrupted frame
+    /// On a [`Reliability::ReliableDelivery`] VI a dropped frame
     /// breaks the connection on both ends (the model's stand-in for the
     /// hardware's delivery guarantee); on an unreliable VI it is a silent
     /// drop, as the VIA spec allows.
@@ -431,7 +431,6 @@ impl ViaNic {
                             let frame_idx = f.lane.handle().stats().frames - 1;
                             let kind = match act {
                                 FaultAction::Drop => dsim::TraceKind::FaultDrop,
-                                FaultAction::Corrupt => dsim::TraceKind::FaultCorrupt,
                                 FaultAction::Duplicate => dsim::TraceKind::FaultDuplicate,
                                 FaultAction::Reorder => dsim::TraceKind::FaultReorder,
                                 FaultAction::Delay => dsim::TraceKind::FaultDelay,
@@ -502,7 +501,7 @@ impl ViaNic {
                                 }));
                             }
                         }
-                        Some(FaultAction::Drop) | Some(FaultAction::Corrupt) => {
+                        Some(FaultAction::Drop) => {
                             // The frame died on the wire (or arrived with a
                             // bad CRC). Unreliable VIs lose it silently; a
                             // reliable-delivery VI's guarantee is broken,

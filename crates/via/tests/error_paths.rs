@@ -98,27 +98,7 @@ fn connection_refused_on_unlistened_discriminator() {
 }
 
 #[test]
-fn timeout_when_listener_never_accepts() {
-    let mut sim = Simulation::new();
-    let h = sim.handle();
-    let (_m0, _m1, n0, n1) = testbed(&h);
-    sim.spawn("client", move |ctx| {
-        // The discriminator is registered, but nobody ever sits in
-        // VipConnectWait: the request parks in the backlog until the
-        // client's deadline expires.
-        n1.listen(5);
-        let vi = n0.create_vi(ViAttributes::default());
-        assert_eq!(
-            n0.connect_request_timeout(ctx, &vi, ViaNicId(1), 5, SimDuration::from_micros(200)),
-            Err(VipError::Timeout)
-        );
-        assert_eq!(vi.state(), ViState::Idle);
-    });
-    sim.run().unwrap();
-}
-
-#[test]
-fn timed_connect_carries_data_and_traces_its_wakeup() {
+fn connect_carries_data_and_traces_its_wakeup() {
     use dsim::{TraceConfig, TraceKind, TraceLayer};
     let mut sim = Simulation::with_trace(Some(TraceConfig::default()));
     let h = sim.handle();
@@ -142,8 +122,7 @@ fn timed_connect_carries_data_and_traces_its_wakeup() {
         let p = m0.spawn_process("client");
         let vi = n0.create_vi(ViAttributes::default());
         ctx.sleep(SimDuration::from_micros(50));
-        n0.connect_request_timeout(ctx, &vi, ViaNicId(1), 5, SimDuration::from_millis(1))
-            .unwrap();
+        n0.connect_request(ctx, &vi, ViaNicId(1), 5).unwrap();
         let region = registered_buffer(ctx, &p, 4096);
         region.dma_write(0, b"hello via");
         vi.post_send(ctx, Descriptor::send(region, 0, 9, None))
@@ -152,8 +131,7 @@ fn timed_connect_carries_data_and_traces_its_wakeup() {
     });
     sim.run().unwrap();
     assert_eq!(received.lock().as_slice(), b"hello via");
-    // The requester's wake-up switch is charged through a span, as on the
-    // blocking connect.
+    // The requester's wake-up switch is charged through a span.
     let data = sim.take_trace().expect("tracing was enabled");
     let client = data.names.iter().find(|(_, n)| n == "client").unwrap().0;
     let switches = data

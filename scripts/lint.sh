@@ -5,14 +5,15 @@
 # guards held across a park) in sim crates, and the last of those (R7) in
 # every tests/ and examples/ file too, since they run simulations; then
 # clippy runs with -D warnings over every target of every workspace
-# crate.
+# crate, and rustdoc with -D warnings over every workspace crate, so a
+# deleted item cannot leave a dangling doc link behind.
 #
 #   scripts/lint.sh           # human-readable diagnostics
 #   scripts/lint.sh --json    # machine-readable sovia-lint output
 #
 # Exit is non-zero on any unsuppressed sovia-lint finding (including a
 # suppression missing its `-- <why>` justification) or any clippy
-# warning.
+# warning (clippy or rustdoc).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,5 +36,8 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
     echo "clippy not installed; skipping (sovia-lint gate still applies)" >&2
 fi
+
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+[ "$JSON" = 1 ] || echo "rustdoc OK (-D warnings)"
 
 [ "$JSON" = 1 ] || echo "lint OK"

@@ -19,13 +19,20 @@ use sovia::{register_sovia, SoviaConfig};
 use tcpip::{EthDevice, LaneDevice, TcpCosts, TcpProvider, TcpStack};
 use via::{ViaNic, ViaNicId};
 
-/// Two hosts wired with cLAN and SOVIA registered for `SOCK_VIA`.
-pub fn sovia_pair(h: &SimHandle, config: SoviaConfig) -> (Machine, Machine) {
+/// Two hosts wired with cLAN only (native VIA experiments); every cLAN
+/// platform starts from it.
+pub fn clan_pair(h: &SimHandle) -> (Machine, Machine) {
     let m0 = Machine::new(h, HostId(0), "m0", HostCosts::pentium3_500());
     let m1 = Machine::new(h, HostId(1), "m1", HostCosts::pentium3_500());
     let n0 = ViaNic::attach(&m0, ViaNicId(0), clan1000_nic());
     let n1 = ViaNic::attach(&m1, ViaNicId(1), clan1000_nic());
     ViaNic::connect_pair(&n0, &n1, clan_link());
+    (m0, m1)
+}
+
+/// Two hosts wired with cLAN and SOVIA registered for `SOCK_VIA`.
+pub fn sovia_pair(h: &SimHandle, config: SoviaConfig) -> (Machine, Machine) {
+    let (m0, m1) = clan_pair(h);
     register_sovia(&m0, config.clone());
     register_sovia(&m1, config);
     (m0, m1)
@@ -41,39 +48,18 @@ pub fn sovia_pair_with_faults(
     plan0: &FaultPlan,
     plan1: &FaultPlan,
 ) -> (Machine, Machine, FaultHandle, FaultHandle) {
-    let m0 = Machine::new(h, HostId(0), "m0", HostCosts::pentium3_500());
-    let m1 = Machine::new(h, HostId(1), "m1", HostCosts::pentium3_500());
-    let n0 = ViaNic::attach(&m0, ViaNicId(0), clan1000_nic());
-    let n1 = ViaNic::attach(&m1, ViaNicId(1), clan1000_nic());
-    ViaNic::connect_pair(&n0, &n1, clan_link());
-    let f0 = n0.install_faults(plan0);
-    let f1 = n1.install_faults(plan1);
+    let (m0, m1) = clan_pair(h);
+    let f0 = ViaNic::of(&m0).install_faults(plan0);
+    let f1 = ViaNic::of(&m1).install_faults(plan1);
     register_sovia(&m0, config.clone());
     register_sovia(&m1, config);
     (m0, m1, f0, f1)
 }
 
-/// Two hosts wired with cLAN only (native VIA experiments).
-pub fn clan_pair(h: &SimHandle) -> (Machine, Machine) {
-    let m0 = Machine::new(h, HostId(0), "m0", HostCosts::pentium3_500());
-    let m1 = Machine::new(h, HostId(1), "m1", HostCosts::pentium3_500());
-    let n0 = ViaNic::attach(&m0, ViaNicId(0), clan1000_nic());
-    let n1 = ViaNic::attach(&m1, ViaNicId(1), clan1000_nic());
-    ViaNic::connect_pair(&n0, &n1, clan_link());
-    (m0, m1)
-}
-
 /// Two hosts over Fast Ethernet with kernel TCP for `SOCK_STREAM`.
 pub fn tcp_ethernet_pair(h: &SimHandle) -> (Machine, Machine) {
-    let m0 = Machine::new(h, HostId(0), "m0", HostCosts::pentium3_500());
-    let m1 = Machine::new(h, HostId(1), "m1", HostCosts::pentium3_500());
-    let e0 = EthPort::new(h, HostId(0), fast_ethernet_nic(), fast_ethernet_link());
-    let e1 = EthPort::new(h, HostId(1), fast_ethernet_nic(), fast_ethernet_link());
-    EthPort::connect(h, &e0, &e1);
-    TcpStack::install(&m0, EthDevice::new(e0), TcpCosts::linux22());
-    TcpStack::install(&m1, EthDevice::new(e1), TcpCosts::linux22());
-    TcpProvider::register(&m0);
-    TcpProvider::register(&m1);
+    let empty = FaultPlan::empty();
+    let (m0, m1, ..) = tcp_ethernet_pair_with_faults(h, &empty, &empty);
     (m0, m1)
 }
 
@@ -106,14 +92,7 @@ pub fn clan_dual_stack(
     config: SoviaConfig,
     f: impl FnOnce(&SimCtx, Machine, Machine) + Send + 'static,
 ) {
-    let h = sim.handle();
-    let m0 = Machine::new(&h, HostId(0), "m0", HostCosts::pentium3_500());
-    let m1 = Machine::new(&h, HostId(1), "m1", HostCosts::pentium3_500());
-    let n0 = ViaNic::attach(&m0, ViaNicId(0), clan1000_nic());
-    let n1 = ViaNic::attach(&m1, ViaNicId(1), clan1000_nic());
-    ViaNic::connect_pair(&n0, &n1, clan_link());
-    register_sovia(&m0, config.clone());
-    register_sovia(&m1, config);
+    let (m0, m1) = sovia_pair(&sim.handle(), config);
     sim.spawn("bootstrap", move |ctx| {
         let d0 = LaneDevice::new(ctx, &m0);
         let d1 = LaneDevice::new(ctx, &m1);

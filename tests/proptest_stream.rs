@@ -93,9 +93,7 @@ fn config(rng: &mut SimRng) -> SoviaConfig {
             let w = range(rng, 2..12) as u32;
             let t = range(rng, 1..6) as u32;
             SoviaConfig {
-                flow_control: true,
                 window: w,
-                delayed_acks: true,
                 ack_threshold: t.min(w - 1).max(1),
                 ..SoviaConfig::single()
             }

@@ -8,6 +8,7 @@ use dsim::{SimDuration, SimTime, Simulation};
 use parking_lot::Mutex;
 use simos::HostId;
 use sovia_repro::sockets::{api, SockAddr, SockError, SockType};
+use sovia_repro::sovia::config::COMBINE_TIMEOUT;
 use sovia_repro::sovia::{ConnStats, SovSocket, SoviaConfig, SoviaLib};
 use sovia_repro::testbed;
 
@@ -491,7 +492,6 @@ fn combine_timer_during_a_cow_fault_after_fork_flushes() {
             use_shared_segments: false,
             ..SoviaConfig::combine()
         };
-        let timeout = config.combine_timeout;
         let mut sim = Simulation::new();
         let (m0, m1) = testbed::sovia_pair(&sim.handle(), config);
         let (cp, sp) = testbed::procs(&m0, &m1);
@@ -506,7 +506,7 @@ fn combine_timer_during_a_cow_fault_after_fork_flushes() {
             api::connect(ctx, &cp, s, SockAddr::new(HostId(1), PORT)).unwrap();
             api::send(ctx, &cp, s, b"abcd").unwrap();
             // The timer was armed just before the 4-byte copy was charged.
-            let deadline = ctx.now() + timeout - cp.costs().memcpy(4);
+            let deadline = ctx.now() + COMBINE_TIMEOUT - cp.costs().memcpy(4);
             cp.fork(ctx, "child", |_, _| {});
             let wake = deadline - SimDuration::from_micros(5);
             ctx.sleep(wake.since(ctx.now()));
@@ -614,4 +614,91 @@ fn combined_sends_count_across_every_flush_condition() {
     assert_eq!(sent, [(40, 1, 32_000), (40, 2, 40_000), (45, 3, 40_500)]);
     let lens: Vec<_> = chunks.lock().iter().map(Vec::len).collect();
     assert_eq!(lens.iter().sum::<usize>(), total);
+}
+
+/// What empties a combine buffer in [`timer_thread_after`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Flush {
+    /// 32 sends of 1 KB fill the 32 KB chunk (condition 2).
+    FullChunk,
+    /// Entering `recv()` (condition 4).
+    Recv,
+    /// `close()` (condition 3).
+    Close,
+    /// Nothing: the 100 ms timer fires (condition 1).
+    Timer,
+}
+
+/// Fill one combine buffer on a fresh connection, empty it by `flush`,
+/// and wait 150 ms, past the timer's expiry. Returns the wakeups of the
+/// server's and the client's `sovia-timer-<pid>` (each start counts one;
+/// the server's library starts first) and the client's DATA packets.
+fn timer_thread_after(flush: Flush) -> (Vec<u64>, u64) {
+    let mut sim = Simulation::new();
+    let (m0, m1) = testbed::sovia_pair(&sim.handle(), SoviaConfig::combine());
+    let (cp, sp) = testbed::procs(&m0, &m1);
+    let timer_thread = format!("sovia-timer-{}", cp.pid());
+    assert_eq!(sp.pid(), cp.pid(), "both timer threads share a name");
+    sim.spawn("server", move |ctx| {
+        let s = api::socket(ctx, &sp, SockType::Via).unwrap();
+        api::bind(ctx, &sp, s, SockAddr::new(HostId(1), PORT)).unwrap();
+        api::listen(ctx, &sp, s, 1).unwrap();
+        let (c, _) = api::accept(ctx, &sp, s).unwrap();
+        if flush == Flush::Recv {
+            api::send_all(ctx, &sp, c, b"A").unwrap();
+        }
+        while !api::recv(ctx, &sp, c, 64 * 1024).unwrap().is_empty() {}
+        api::close(ctx, &sp, c).unwrap();
+        api::close(ctx, &sp, s).unwrap();
+    });
+    let data_sent = Arc::new(Mutex::new(0));
+    let client_data_sent = Arc::clone(&data_sent);
+    sim.spawn("client", move |ctx| {
+        ctx.sleep(SimDuration::from_micros(100));
+        let s = api::socket(ctx, &cp, SockType::Via).unwrap();
+        api::connect(ctx, &cp, s, SockAddr::new(HostId(1), PORT)).unwrap();
+        let conn = sov_socket(&cp, s).connection().unwrap();
+        match flush {
+            Flush::FullChunk => {
+                for _ in 0..32 {
+                    api::send(ctx, &cp, s, &[1u8; 1024]).unwrap();
+                }
+            }
+            Flush::Recv => {
+                api::send(ctx, &cp, s, b"abcd").unwrap();
+                assert_eq!(api::recv_exact(ctx, &cp, s, 1).unwrap(), b"A");
+            }
+            Flush::Close => {
+                api::send(ctx, &cp, s, b"abcd").unwrap();
+                api::close(ctx, &cp, s).unwrap();
+            }
+            Flush::Timer => {
+                api::send(ctx, &cp, s, b"abcd").unwrap();
+            }
+        }
+        ctx.sleep(SimDuration::from_millis(150));
+        *client_data_sent.lock() = conn.stats().data_sent;
+        if flush != Flush::Close {
+            api::close(ctx, &cp, s).unwrap();
+        }
+    });
+    sim.run().unwrap();
+    let wakeups = (sim.proc_stats().into_iter())
+        .filter(|p| p.name == timer_thread)
+        .map(|p| p.wakeups)
+        .collect();
+    let data_sent = *data_sent.lock();
+    (wakeups, data_sent)
+}
+
+#[test]
+fn a_flush_before_the_timeout_leaves_the_timer_thread_asleep() {
+    // The timer of a buffer some other condition flushed still expires,
+    // but finds its epoch gone and wakes no one.
+    for flush in [Flush::FullChunk, Flush::Recv, Flush::Close] {
+        assert_eq!(timer_thread_after(flush), (vec![1, 1], 1), "{flush:?}");
+    }
+    // Left alone, the buffer wakes the client's timer thread once, and its
+    // one flush charges one cost (a sleep, the third wakeup).
+    assert_eq!(timer_thread_after(Flush::Timer), (vec![1, 3], 1));
 }

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use dsim::sync::{SimQueue, SimSemaphore};
+use dsim::sync::SimQueue;
 use dsim::{SimDuration, SimError, Simulation};
 use parking_lot::Mutex;
 use sovia_repro::simos::fs::OpenMode;
@@ -23,20 +23,6 @@ fn spawn_delayed_starts_on_time() {
         });
     sim.run().unwrap();
     assert_eq!(*started.lock(), 250_000);
-}
-
-#[test]
-fn semaphore_try_acquire_never_blocks() {
-    let mut sim = Simulation::new();
-    let h = sim.handle();
-    let sem = SimSemaphore::new(&h, 1);
-    sim.spawn("main", move |_ctx| {
-        assert!(sem.try_acquire());
-        assert!(!sem.try_acquire());
-        sem.release();
-        assert!(sem.try_acquire());
-    });
-    sim.run().unwrap();
 }
 
 #[test]
