@@ -78,13 +78,6 @@ impl SlotPool {
         self.base.add(self.offset_of(i) as u64)
     }
 
-    /// Which slot a region offset falls into.
-    pub fn slot_of_offset(&self, offset: usize) -> usize {
-        let i = offset / self.slot_size;
-        assert!(i < self.count);
-        i
-    }
-
     /// Take a free slot, if any.
     pub fn try_acquire(&self) -> Option<usize> {
         self.free.lock().pop()
@@ -172,8 +165,6 @@ mod tests {
         with_pool(|_ctx, pool| {
             assert_eq!(pool.offset_of(0), 0);
             assert_eq!(pool.offset_of(3), 3 * 1024);
-            assert_eq!(pool.slot_of_offset(2048), 2);
-            assert_eq!(pool.slot_of_offset(2047), 1);
         });
     }
 

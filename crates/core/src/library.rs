@@ -145,6 +145,13 @@ impl SoviaLib {
         *p
     }
 
+    /// The name of this library's `role` daemon: `sovia-<role>-<host>/<pid>`,
+    /// unique in a simulation (pids are per machine).
+    pub(crate) fn daemon_name(&self, role: &str) -> String {
+        let machine = self.process.machine().id();
+        format!("sovia-{role}-{machine}/{}", self.process.pid())
+    }
+
     fn start_threads(self: &Arc<Self>) {
         match self.config.mode {
             ReceiveMode::SingleThreaded => {
@@ -158,14 +165,14 @@ impl SoviaLib {
                 // The close thread (Section 4.1, Figure 3).
                 let lib = Arc::clone(self);
                 self.sim
-                    .spawn_daemon(format!("sovia-close-{}", self.process.pid()), move |ctx| {
+                    .spawn_daemon(self.daemon_name("close"), move |ctx| {
                         let Err(Shutdown) = lib.close_thread_main(ctx);
                     });
             }
             ReceiveMode::HandlerThread => {
                 let lib = Arc::clone(self);
                 self.sim
-                    .spawn_daemon(format!("sovia-handler-{}", self.process.pid()), move |ctx| {
+                    .spawn_daemon(self.daemon_name("handler"), move |ctx| {
                         lib.handler_thread_main(ctx);
                     });
             }
@@ -173,7 +180,7 @@ impl SoviaLib {
         if self.config.combine_small {
             let lib = Arc::clone(self);
             self.sim
-                .spawn_daemon(format!("sovia-timer-{}", self.process.pid()), move |ctx| {
+                .spawn_daemon(self.daemon_name("timer"), move |ctx| {
                     lib.timer_thread_main(ctx);
                 });
         }

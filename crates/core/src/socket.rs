@@ -124,7 +124,7 @@ impl Socket for SovSocket {
             let q = Arc::clone(&accept_q);
             // The connection thread of Figure 3(a).
             self.lib.sim().spawn_daemon(
-                format!("sovia-conn-{}:{}", lib.process().pid(), addr.port),
+                format!("{}:{}", lib.daemon_name("conn"), addr.port),
                 move |tctx| {
                     connection_thread(&lib, tctx, addr, pending_q, q);
                 },

@@ -54,12 +54,6 @@ impl SimCondvar {
         Ok(())
     }
 
-    /// Wake one waiter immediately (at the current instant, after all
-    /// already-queued same-instant events).
-    pub fn notify_one(&self) {
-        self.notify_one_after(SimDuration::ZERO);
-    }
-
     /// Wake one waiter after `delay` of virtual time — the modeled cost of a
     /// cross-thread signal (context switch + scheduler latency).
     pub fn notify_one_after(&self, delay: SimDuration) {
@@ -219,11 +213,6 @@ impl SimFlag {
         self.cv.notify_all();
     }
 
-    /// Whether the flag is set.
-    pub fn is_set(&self) -> bool {
-        *self.set.lock()
-    }
-
     /// Block until the flag is set (returns immediately if already set).
     pub fn wait(&self, ctx: &SimCtx) {
         loop {
@@ -348,6 +337,5 @@ mod tests {
         }
         sim.run().unwrap();
         assert_eq!(done.load(Ordering::Relaxed), 3);
-        assert!(flag.is_set());
     }
 }

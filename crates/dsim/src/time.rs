@@ -51,12 +51,6 @@ impl SimTime {
                 .expect("SimTime::since: `earlier` is in the future"),
         )
     }
-
-    /// Saturating difference, `max(self - earlier, 0)`.
-    #[inline]
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl SimDuration {
@@ -103,15 +97,6 @@ impl SimDuration {
     pub fn from_nanos_f64(ns: f64) -> SimDuration {
         assert!(ns >= 0.0 && ns.is_finite(), "negative or NaN duration");
         SimDuration(ns.round() as u64)
-    }
-
-    /// The wire/serialization time for `bytes` at `bits_per_sec`.
-    #[inline]
-    pub fn for_bytes(bytes: usize, bits_per_sec: u64) -> SimDuration {
-        assert!(bits_per_sec > 0, "zero bandwidth");
-        // ns = bytes * 8 * 1e9 / bps, computed in u128 to avoid overflow.
-        let ns = (bytes as u128 * 8 * 1_000_000_000) / bits_per_sec as u128;
-        SimDuration(ns as u64)
     }
 
     /// Nanosecond count.
@@ -269,21 +254,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_time() {
-        // 1250 bytes at 1 Gbps = 10 us.
-        let d = SimDuration::for_bytes(1250, 1_000_000_000);
-        assert_eq!(d.as_nanos(), 10_000);
-        // 100 Mb/s Fast Ethernet: 1500 bytes = 120 us.
-        let d = SimDuration::for_bytes(1500, 100_000_000);
-        assert_eq!(d.as_nanos(), 120_000);
-    }
-
-    #[test]
     fn saturating_ops() {
-        let a = SimTime(5);
-        let b = SimTime(9);
-        assert_eq!(b.saturating_since(a).as_nanos(), 4);
-        assert_eq!(a.saturating_since(b).as_nanos(), 0);
         assert_eq!(
             SimDuration(3).saturating_sub(SimDuration(10)),
             SimDuration::ZERO

@@ -105,7 +105,6 @@ pub enum TraceKind {
     FaultDrop,
     FaultDuplicate,
     FaultReorder,
-    FaultDelay,
     FaultDescError,
     FaultDisconnect,
     MarkStart,
@@ -159,7 +158,6 @@ impl TraceKind {
             TraceKind::FaultDrop => "fault_drop",
             TraceKind::FaultDuplicate => "fault_duplicate",
             TraceKind::FaultReorder => "fault_reorder",
-            TraceKind::FaultDelay => "fault_delay",
             TraceKind::FaultDescError => "fault_desc_error",
             TraceKind::FaultDisconnect => "fault_disconnect",
             TraceKind::MarkStart => "mark_start",

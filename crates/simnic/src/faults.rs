@@ -1,7 +1,7 @@
 //! Seeded, virtual-time fault injection for the simulated substrate.
 //!
 //! A [`FaultPlan`] describes *what can go wrong* on one direction of a
-//! wire (or inside a NIC): per-frame drop/duplicate/reorder/delay
+//! wire (or inside a NIC): per-frame drop/duplicate/reorder
 //! probabilities plus scripted one-shot events ("drop frame #N",
 //! "disconnect the peer at t=X", "complete the next descriptor in
 //! error"). A [`FaultLane`] turns a plan into decisions, drawing every
@@ -36,8 +36,6 @@ pub enum FaultAction {
     /// Hold the frame back by the lane's extra delay so that frames sent
     /// after it can arrive first.
     Reorder,
-    /// Deliver late by the lane's extra delay (no overtaking asserted).
-    Delay,
 }
 
 /// A scripted one-shot event inside a [`FaultPlan`].
@@ -76,7 +74,7 @@ pub enum ScriptedFault {
 ///
 /// All probabilities are per-frame in `[0, 1]` and mutually exclusive:
 /// one uniform draw per frame is matched against the cumulative bands in
-/// the fixed order drop → duplicate → reorder → delay.
+/// the fixed order drop → duplicate → reorder.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the lane's private RNG stream.
@@ -87,9 +85,7 @@ pub struct FaultPlan {
     pub duplicate_p: f64,
     /// Per-frame probability of reordering (held back `delay_extra`).
     pub reorder_p: f64,
-    /// Per-frame probability of late delivery by `delay_extra`.
-    pub delay_p: f64,
-    /// Extra latency applied by `Reorder` and `Delay`.
+    /// Extra latency applied by `Reorder`.
     pub delay_extra: SimDuration,
     /// Scripted one-shot events.
     pub scripted: Vec<ScriptedFault>,
@@ -102,7 +98,6 @@ impl Default for FaultPlan {
             drop_p: 0.0,
             duplicate_p: 0.0,
             reorder_p: 0.0,
-            delay_p: 0.0,
             delay_extra: SimDuration::ZERO,
             scripted: Vec::new(),
         }
@@ -121,7 +116,6 @@ impl FaultPlan {
         self.drop_p == 0.0
             && self.duplicate_p == 0.0
             && self.reorder_p == 0.0
-            && self.delay_p == 0.0
             && self.scripted.is_empty()
     }
 
@@ -153,13 +147,6 @@ impl FaultPlan {
         self
     }
 
-    /// Builder: set the delay probability and the extra latency.
-    pub fn with_delay(mut self, p: f64, extra: SimDuration) -> FaultPlan {
-        self.delay_p = p;
-        self.delay_extra = extra;
-        self
-    }
-
     /// Builder: append a scripted one-shot event.
     pub fn with_scripted(mut self, ev: ScriptedFault) -> FaultPlan {
         self.scripted.push(ev);
@@ -168,7 +155,7 @@ impl FaultPlan {
 
     /// Sum of the probabilistic bands (sanity-checked by [`FaultLane`]).
     fn total_p(&self) -> f64 {
-        self.drop_p + self.duplicate_p + self.reorder_p + self.delay_p
+        self.drop_p + self.duplicate_p + self.reorder_p
     }
 }
 
@@ -184,8 +171,6 @@ pub struct FaultStats {
     pub duplicated: u64,
     /// Frames held back past later frames.
     pub reordered: u64,
-    /// Frames delivered late (no overtaking asserted).
-    pub delayed: u64,
     /// Scripted one-shot events that fired (frame-level and NIC-level).
     pub scripted_fired: u64,
     /// Descriptors forced to complete in error.
@@ -200,7 +185,6 @@ impl FaultStats {
         self.dropped
             + self.duplicated
             + self.reordered
-            + self.delayed
             + self.descriptor_errors
             + self.forced_disconnects
     }
@@ -214,7 +198,6 @@ impl Add for FaultStats {
             dropped: self.dropped + rhs.dropped,
             duplicated: self.duplicated + rhs.duplicated,
             reordered: self.reordered + rhs.reordered,
-            delayed: self.delayed + rhs.delayed,
             scripted_fired: self.scripted_fired + rhs.scripted_fired,
             descriptor_errors: self.descriptor_errors + rhs.descriptor_errors,
             forced_disconnects: self.forced_disconnects + rhs.forced_disconnects,
@@ -305,11 +288,6 @@ impl FaultLane {
                 edge
             } {
                 Some(FaultAction::Reorder)
-            } else if u < {
-                edge += p.delay_p;
-                edge
-            } {
-                Some(FaultAction::Delay)
             } else {
                 None
             }
@@ -321,13 +299,12 @@ impl FaultLane {
             Some(FaultAction::Drop) => stats.dropped += 1,
             Some(FaultAction::Duplicate) => stats.duplicated += 1,
             Some(FaultAction::Reorder) => stats.reordered += 1,
-            Some(FaultAction::Delay) => stats.delayed += 1,
             None => {}
         }
         action
     }
 
-    /// Extra latency applied by `Reorder`/`Delay` decisions.
+    /// Extra latency applied by `Reorder` decisions.
     pub fn delay_extra(&self) -> SimDuration {
         self.plan.delay_extra
     }
@@ -428,23 +405,23 @@ mod tests {
 
     #[test]
     fn stats_count_every_decision() {
-        let plan = FaultPlan::drops(7, 0.25).with_delay(0.25, SimDuration::from_micros(50));
+        let plan = FaultPlan::drops(7, 0.25).with_reorder(0.25, SimDuration::from_micros(50));
         let lane = FaultLane::new(&plan).unwrap();
         let mut dropped = 0;
-        let mut delayed = 0;
+        let mut reordered = 0;
         for _ in 0..400 {
             match lane.next_frame() {
                 Some(FaultAction::Drop) => dropped += 1,
-                Some(FaultAction::Delay) => delayed += 1,
+                Some(FaultAction::Reorder) => reordered += 1,
                 _ => {}
             }
         }
         let stats = lane.handle().stats();
         assert_eq!(stats.frames, 400);
         assert_eq!(stats.dropped, dropped);
-        assert_eq!(stats.delayed, delayed);
-        assert!(dropped > 0 && delayed > 0);
-        assert_eq!(stats.injected(), dropped + delayed);
+        assert_eq!(stats.reordered, reordered);
+        assert!(dropped > 0 && reordered > 0);
+        assert_eq!(stats.injected(), dropped + reordered);
     }
 
     #[test]

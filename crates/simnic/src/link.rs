@@ -100,11 +100,11 @@ impl<T: Clone + Send + 'static> Link<T> {
                 self.deliver(item.clone(), self.params.latency);
                 self.deliver(item, self.params.latency);
             }
-            // Reorder and Delay both push the frame `delay_extra` past its
-            // nominal arrival; a reordered frame lands behind frames sent
-            // after it. Nothing is held indefinitely, so a faulted link can
-            // never deadlock the simulation.
-            Some(FaultAction::Reorder) | Some(FaultAction::Delay) => {
+            // Reorder pushes the frame `delay_extra` past its nominal
+            // arrival, so it lands behind frames sent after it. Nothing is
+            // held indefinitely, so a faulted link can never deadlock the
+            // simulation.
+            Some(FaultAction::Reorder) => {
                 let after = SimDuration::from_nanos(
                     self.params.latency.as_nanos() + lane.delay_extra().as_nanos(),
                 );
@@ -140,7 +140,6 @@ impl<T: Clone + Send + 'static> Link<T> {
                 FaultAction::Drop => dsim::TraceKind::FaultDrop,
                 FaultAction::Duplicate => dsim::TraceKind::FaultDuplicate,
                 FaultAction::Reorder => dsim::TraceKind::FaultReorder,
-                FaultAction::Delay => dsim::TraceKind::FaultDelay,
             };
             tracer.instant(
                 self.sim.now(),

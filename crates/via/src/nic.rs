@@ -433,7 +433,6 @@ impl ViaNic {
                                 FaultAction::Drop => dsim::TraceKind::FaultDrop,
                                 FaultAction::Duplicate => dsim::TraceKind::FaultDuplicate,
                                 FaultAction::Reorder => dsim::TraceKind::FaultReorder,
-                                FaultAction::Delay => dsim::TraceKind::FaultDelay,
                             };
                             ctx.trace_instant(
                                 dsim::TraceLayer::Nic,
@@ -446,11 +445,6 @@ impl ViaNic {
                     }
                     match action {
                         None => {}
-                        Some(FaultAction::Delay) => {
-                            // The frame dawdled in transit: the engine sees
-                            // it late.
-                            ctx.sleep(f.lane.delay_extra());
-                        }
                         Some(FaultAction::Reorder) => {
                             // A frame overtaken by its successors violates a
                             // reliable-delivery VI's ordering guarantee, and

@@ -1,32 +1,40 @@
 #!/usr/bin/env bash
-# Non-test line count, per crate and in total.
+# Line counts per crate and in total: non-test lines, then test lines.
 #
-# A file's non-test lines are the lines before its first `#[cfg(test)]`
-# (all of them when it has none). Counted: every `.rs` file under
-# `crates/*/src`, `compat/*/src` and the root package's `src/`; the
-# integration suites (`crates/*/tests/`, `tests/`) are not counted.
+# A source file's non-test lines are the lines before its first
+# `#[cfg(test)]` (all of them when it has none); the rest of the file, its
+# `#[cfg(test)]` tail, counts as test lines. Source files: every `.rs` file
+# under `crates/*/src`, `compat/*/src` and the root package's `src/`. Every
+# line of an integration suite (`crates/*/tests/`, the root `tests/`) is a
+# test line too.
 #
-#   scripts/loc.sh
+#   scripts/loc.sh      # columns: name, non-test lines, test lines
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Print "<non-test> <test>" summed over the `.rs` files under `$1` (source)
+# and `$2` (integration suites; may be missing).
 count() {
-    find "$@" -name '*.rs' -type f -print0 | sort -z |
+    { [ -d "$1" ] && find "$1" -name '*.rs' -type f -print0 | sort -z |
         xargs -0 -r awk '
             FNR == 1 { in_test = 0 }
             /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
-            !in_test { n++ }
-            END { print n + 0 }' |
-        awk '{ s += $1 } END { print s + 0 }'
+            { if (in_test) t++; else n++ }
+            END { print n + 0, t + 0 }'
+      [ -d "$2" ] && find "$2" -name '*.rs' -type f -print0 | sort -z |
+        xargs -0 -r cat | awk 'END { print 0, NR }'
+    } | awk '{ n += $1; t += $2 } END { print n + 0, t + 0 }'
 }
 
 total=0
-for dir in crates/*/src compat/*/src src; do
-    [ -d "$dir" ] || continue
-    name=${dir%/src}
-    [ "$dir" = src ] && name="sovia-repro (src)"
-    n=$(count "$dir")
-    printf '%-24s %7d\n' "$name" "$n"
+total_tests=0
+for dir in crates/* compat/* .; do
+    [ -d "$dir/src" ] || continue
+    name=$dir
+    [ "$dir" = . ] && name="sovia-repro"
+    read -r n t < <(count "$dir/src" "$dir/tests")
+    printf '%-24s %7d %7d\n' "$name" "$n" "$t"
     total=$((total + n))
+    total_tests=$((total_tests + t))
 done
-printf '%-24s %7d\n' total "$total"
+printf '%-24s %7d %7d\n' total "$total" "$total_tests"

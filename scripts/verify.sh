@@ -7,23 +7,31 @@
 # parallel, and the SHA-256 of each binary's --trace JSON must match
 # results/trace_digests.txt).
 #
-# The workspace run includes the fault-injection suites (DESIGN.md §8):
-#   - tests/proptest_faults.rs        random lossy streams, exact-or-error
+# The socket-scenario suites (DESIGN.md §8): one runner,
+# tests/common/scenario.rs, runs each socket program on the eight socket
+# platforms (TCP/Ethernet, TCP/LANE, SOVIA single, handler, reqack,
+# flowctrl, dacks, combine) and compares per-process transcripts:
+#   - tests/sockets_api.rs            the sockets front-end's contract, and
+#     Figure 4's descriptor routing on the dual-stack cLAN platform
 #   - tests/half_close.rs             teardown + disconnect-while-blocked
+#   - tests/scenarios.rs              streams, refusal, duplex, TCP loss
+#     recovery (the transport crates' old socket unit tests)
+#   - tests/proptest_stream.rs        byte streams survive any config
+# the fault-injection suites (DESIGN.md §8):
+#   - tests/proptest_faults.rs        random lossy streams, exact-or-error
 #   - crates/via/tests/error_paths.rs every VipError via the public API
 #   - crates/bench/tests/determinism.rs  empty-plan no-op + sweep identity
 # the property suites (seeded cases from dsim::rng, tests/common/mod.rs):
-#   - tests/proptest_stream.rs        byte streams survive any config
 #   - tests/proptest_substrate.rs     COW/pin invariants, mappings against
 #     a per-page model, wire codecs
 # the teardown gate (DESIGN.md §7):
 #   - tests/teardown.rs               dropping a Simulation frees every
 #     Machine, after clean, lossy and failed runs and without a run, and
 #     a clean run's teardown unwinds no process
-# the socket-API and application suites (root tests/, on src/testbed.rs):
-#   - tests/sockets_api.rs            the sockets front-end's contract over
-#     TCP/Ethernet and SOVIA, and Figure 4's descriptor routing on the
-#     dual-stack cLAN platform
+# the protocol-detail and application suites (root tests/, on
+# src/testbed.rs):
+#   - tests/protocol_details.rs       SOVIA counters, close-thread drainage,
+#     combining, and the paper's latency and bandwidth anchors
 #   - tests/ftp_tests.rs, tests/rpc_tests.rs, tests/inetd_pfs_tests.rs
 #     FTP, SunRPC, inetd and the striped file store over both transports
 # the fast goldens (tier-1 sees simulated output):
@@ -50,9 +58,10 @@ cargo build --release
 scripts/lint.sh
 cargo test -q
 cargo test --workspace -q
-cargo test -q --test proptest_faults --test proptest_stream --test proptest_substrate --test half_close
+cargo test -q --test sockets_api --test half_close --test scenarios --test proptest_stream
+cargo test -q --test proptest_faults --test proptest_substrate
 cargo test -q --test teardown --test goldens
-cargo test -q --test sockets_api --test ftp_tests --test rpc_tests --test inetd_pfs_tests
+cargo test -q --test protocol_details --test ftp_tests --test rpc_tests --test inetd_pfs_tests
 cargo test -q -p dsim --test many_procs --test sched_edges
 cargo test -q -p via --test error_paths
 cargo test -q -p bench --test determinism
@@ -62,5 +71,5 @@ cargo test -q -p bench --test trace
 cargo test -q --release --manifest-path perfbench/Cargo.toml
 scripts/regen_results.sh
 echo "tier-1 OK"
-# Informational only: the non-test line count (scripts/loc.sh) gates nothing.
-echo "non-test lines: $(scripts/loc.sh | awk '$1 == "total" { print $2 }')"
+# Informational only: the line counts (scripts/loc.sh) gate nothing.
+scripts/loc.sh | awk '$1 == "total" { print "non-test lines: " $2 ", test lines: " $3 }'
