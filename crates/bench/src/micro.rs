@@ -408,12 +408,7 @@ fn native_via_bandwidth_traced(size: usize, total: usize, trace: Option<TraceCon
             for _ in 0..msgs {
                 let done = vi.recv_wait(ctx, WaitMode::Poll).unwrap();
                 // Recycle the descriptor's slot immediately.
-                let fresh = Descriptor::recv(
-                    Arc::clone(&done.region),
-                    done.offset,
-                    size.max(64),
-                );
-                vi.post_recv(ctx, fresh).unwrap();
+                vi.post_recv(ctx, done).unwrap();
             }
         });
         sim.spawn("source", move |ctx| {

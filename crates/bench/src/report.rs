@@ -51,18 +51,22 @@ pub fn fig6b(threads: usize, trace: bool) -> Report {
     let outcome = figures::run_fig6b_sweep(&sizes, figures::bandwidth_total, threads);
     let title = "Figure 6(b): Bandwidth (Giganet cLAN1000, simulated)";
     let text = micro::render_table(title, "Mbps", &sizes, &outcome.series);
-    let trace = trace.then(|| {
-        let size = 32 * 1024;
-        figures::fig6b_variants()
-            .iter()
-            .map(|v| {
-                let total = figures::bandwidth_total(size);
-                let out = micro::bandwidth_traced(v, size, total, Some(TraceConfig::default()));
-                traced(format!("{} 32KB stream", v.label()), out)
-            })
-            .collect()
-    });
+    let trace = trace.then(fig6b_trace);
     Report { text, trace }
+}
+
+/// The traced runs behind `fig6b --trace`, without the sweep: a fraction
+/// of the table's cost, so tier-1 checks their digest.
+pub fn fig6b_trace() -> Vec<(String, TraceData)> {
+    let size = 32 * 1024;
+    figures::fig6b_variants()
+        .iter()
+        .map(|v| {
+            let total = figures::bandwidth_total(size);
+            let out = micro::bandwidth_traced(v, size, total, Some(TraceConfig::default()));
+            traced(format!("{} 32KB stream", v.label()), out)
+        })
+        .collect()
 }
 
 /// Figure 7, RPC elapsed time; traced: every platform's 128-byte point.

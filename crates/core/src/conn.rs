@@ -75,7 +75,7 @@ struct SendState {
 }
 
 struct RecvItem {
-    desc: Arc<Descriptor>,
+    desc: Descriptor,
     consumed: usize,
 }
 
@@ -145,11 +145,11 @@ pub struct SovConn {
 
 /// Follow-up work decided under the ingress lock, executed after it drops.
 enum Action {
-    Repost(Arc<Descriptor>),
+    Repost(Descriptor),
     /// A REQ arrived: re-post and grant one transfer permission.
-    Grant(Arc<Descriptor>),
+    Grant(Descriptor),
     Data,
-    Fin(Arc<Descriptor>),
+    Fin(Descriptor),
     Reset,
 }
 
@@ -467,7 +467,7 @@ impl SovConn {
         let posted = {
             let mut ss = self.send_state.lock();
             (self.vi.post_send_uncharged(desc))
-                .map(|()| ss.inflight.push_back(InflightKind::Ctrl(slot)))
+                .map(|_| ss.inflight.push_back(InflightKind::Ctrl(slot)))
         };
         posted.map_err(|e| {
             self.ctrl_pool.release(slot);
@@ -503,20 +503,21 @@ impl SovConn {
     }
 
     /// Post a DATA descriptor and record it in flight, with its counters.
+    /// Returns the send's sequence number on the VI.
     fn post_data(
         &self,
-        desc: Arc<Descriptor>,
+        desc: Descriptor,
         kind: InflightKind,
         piggy: u32,
-    ) -> Result<(), VipError> {
+    ) -> Result<u64, VipError> {
         let len = desc.len as u64;
         let mut ss = self.send_state.lock();
-        self.vi.post_send_uncharged(desc)?;
+        let seq = self.vi.post_send_uncharged(desc)?;
         ss.inflight.push_back(kind);
         ss.stats.data_sent += 1;
         ss.stats.bytes_sent += len;
         ss.stats.acks_piggybacked += u64::from(piggy);
-        Ok(())
+        Ok(seq)
     }
 
     /// Post a DATA packet from a sender-side slot (waits for a credit).
@@ -532,6 +533,7 @@ impl SovConn {
             Some(encode(PacketType::Data, piggy)),
         );
         self.post_data(desc, InflightKind::DataSlot(slot), piggy)
+            .map(drop)
             .map_err(|e| {
                 // Credit already consumed; on a dead conn that is moot.
                 self.send_pool.release(slot);
@@ -605,21 +607,17 @@ impl SovConn {
                 chunk.len(),
                 Some(encode(PacketType::Data, piggy)),
             );
-            let posted = self.post_data(Arc::clone(&desc), InflightKind::ZeroCopy, piggy);
-            if posted.is_err() {
+            let Ok(seq) = self.post_data(desc, InflightKind::ZeroCopy, piggy) else {
                 region.deregister(ctx);
                 return Err(SockError::ConnectionReset);
-            }
+            };
             // The user may reuse the buffer after send() returns, so wait
             // for the NIC to finish with it, then deregister.
-            while !desc.is_done() {
-                if let DescState::Error(_) = desc.status().state {
-                    break;
-                }
+            while self.vi.send_state(seq) == DescState::Pending {
                 self.reap_one_blocking(ctx)?;
             }
             region.deregister(ctx);
-            if let DescState::Error(e) = desc.status().state {
+            if let DescState::Error(e) = self.vi.send_state(seq) {
                 self.reset.store(true, Ordering::Relaxed);
                 return Err(Self::map_vip(e));
             }
@@ -787,7 +785,7 @@ impl SovConn {
                 // "intermediate buffering" cost of Section 3.1.
                 self.charge_copy(ctx, bytes.len());
                 if let Some(desc) = finished_desc {
-                    self.repost(ctx, &desc);
+                    self.repost(ctx, desc);
                     self.note_consumed(ctx, lib);
                 }
                 self.send_state.lock().stats.bytes_rcvd += bytes.len() as u64;
@@ -898,7 +896,7 @@ impl SovConn {
             Action::Data => {}
             Action::Reset => {}
             Action::Repost(desc) => {
-                self.repost(ctx, &desc);
+                self.repost(ctx, desc);
                 self.maybe_finalize(ctx, lib);
             }
             Action::Grant(desc) => {
@@ -906,12 +904,12 @@ impl SovConn {
                 // descriptors on its RQ ... and replies to the sender with
                 // an ACK" — our pool keeps the descriptors posted; the
                 // grant is the ACK carrying one credit.
-                self.repost(ctx, &desc);
+                self.repost(ctx, desc);
                 let _ = self.post_control(ctx, lib, PacketType::Ack, 1, &[]);
                 self.send_state.lock().stats.acks_sent += 1;
             }
             Action::Fin(desc) => {
-                self.repost(ctx, &desc);
+                self.repost(ctx, desc);
                 let _ = self.post_control(ctx, lib, PacketType::FinAck, 0, &[]);
                 self.maybe_finalize(ctx, lib);
             }
@@ -920,17 +918,13 @@ impl SovConn {
         true
     }
 
-    fn repost(&self, ctx: &SimCtx, done: &Arc<Descriptor>) {
+    /// Re-post a consumed receive descriptor on its own slot.
+    fn repost(&self, ctx: &SimCtx, done: Descriptor) {
         if self.finalized.load(Ordering::Relaxed) {
             return;
         }
-        let fresh = Descriptor::recv(
-            Arc::clone(&done.region),
-            done.offset,
-            self.recv_pool.slot_size(),
-        );
         // A failed re-post (conn broken) is handled via the reset path.
-        let _ = self.vi.post_recv(ctx, fresh);
+        let _ = self.vi.post_recv(ctx, done);
     }
 
     fn maybe_finalize(&self, ctx: &SimCtx, lib: &SoviaLib) {

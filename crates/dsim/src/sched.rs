@@ -1054,6 +1054,28 @@ mod tests {
     use crate::sync::SimQueue;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    /// The dispatch loop's hot layout, pinned: a field move or a size
+    /// change (a compiler upgrade's reordering included) shows up here,
+    /// not as noise in a host benchmark. Moving a field on purpose means
+    /// measuring it, then updating these numbers.
+    #[test]
+    fn hot_scheduler_layout_is_pinned() {
+        use std::mem::{offset_of, size_of};
+        let got = [
+            ("size_of EventEntry", size_of::<EventEntry>()),
+            ("size_of SchedState", size_of::<SchedState>()),
+            ("SchedState.next", offset_of!(SchedState, next)),
+            ("SchedState.heap", offset_of!(SchedState, heap)),
+            ("SchedState.now", offset_of!(SchedState, now)),
+            ("SchedState.seq", offset_of!(SchedState, seq)),
+            ("SimCore.running", offset_of!(SimCore, running)),
+        ];
+        let want = [40, 216, 96, 0, 136, 144, 256];
+        for ((what, got), want) in got.into_iter().zip(want) {
+            assert_eq!(got, want, "{what} moved");
+        }
+    }
+
     #[test]
     fn clobbered_stack_canary_is_a_typed_error() {
         let mut sim = Simulation::new();

@@ -1,7 +1,6 @@
 //! Network devices under the IP layer: Ethernet, or the LANE driver
 //! (IP-over-VIA — Giganet's kernel path, Figure 2(b) of the paper).
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use dsim::{Payload, SimCtx, SimDuration};
@@ -70,8 +69,6 @@ const LANE_PKT_COST_US: f64 = 1.0;
 struct LanePeer {
     host: HostId,
     vi: Arc<Vi>,
-    /// FIFO of send-ring slots in flight on this VI.
-    inflight: Mutex<VecDeque<usize>>,
 }
 
 /// The LANE device: IP datagrams over kernel-owned VIA connections, one
@@ -149,16 +146,8 @@ impl LaneDevice {
         a.nic
             .connect_request(ctx, &vi_a, ViaNicId(b.host.0), lane_disc(a.host))?;
 
-        let peer_a = Arc::new(LanePeer {
-            host: b.host,
-            vi: vi_a,
-            inflight: Mutex::new(VecDeque::new()),
-        });
-        let peer_b = Arc::new(LanePeer {
-            host: a.host,
-            vi: vi_b,
-            inflight: Mutex::new(VecDeque::new()),
-        });
+        let peer_a = Arc::new(LanePeer { host: b.host, vi: vi_a });
+        let peer_b = Arc::new(LanePeer { host: a.host, vi: vi_b });
         a.peers.lock().push(Arc::clone(&peer_a));
         b.peers.lock().push(Arc::clone(&peer_b));
         a.start_rx(&peer_a);
@@ -191,10 +180,9 @@ impl LaneDevice {
                 };
                 let st = desc.status();
                 let bytes = Payload::new(desc.region.dma_read(desc.offset, st.xfer_len));
-                // Re-post immediately: ring discipline keeps the
-                // pre-posting constraint satisfied.
-                let fresh = Descriptor::recv(Arc::clone(&desc.region), desc.offset, LANE_MTU);
-                let _ = peer.vi.post_recv(ctx, fresh);
+                // Re-post the same descriptor immediately: ring discipline
+                // keeps the pre-posting constraint satisfied.
+                let _ = peer.vi.post_recv(ctx, desc);
                 // Completion interrupt + driver work, like any kernel NIC;
                 // all of it occupies the machine's one CPU.
                 let kcpu = KernelCpu::of(&dev.machine);
@@ -220,16 +208,10 @@ impl LaneDevice {
         );
     }
 
+    /// Return each completed send's ring slot to the free list.
     fn reap(&self, peer: &LanePeer) {
-        loop {
-            let slot = {
-                let mut inflight = peer.inflight.lock();
-                match peer.vi.send_done_uncharged() {
-                    Some(_) => inflight.pop_front().expect("LANE completion without slot"),
-                    None => break,
-                }
-            };
-            self.send_free.lock().push(slot);
+        while let Some(done) = peer.vi.send_done_uncharged() {
+            self.send_free.lock().push(done.offset / LANE_MTU);
         }
     }
 
@@ -296,17 +278,7 @@ impl NetDevice for LaneDevice {
             dsim::TraceTag::bytes(packet.len()),
         );
         let desc = Descriptor::send(Arc::clone(&self.send_region), offset, packet.len(), None);
-        let posted = {
-            let mut inflight = peer.inflight.lock();
-            match peer.vi.post_send_uncharged(desc) {
-                Ok(()) => {
-                    inflight.push_back(slot);
-                    true
-                }
-                Err(_) => false,
-            }
-        };
-        if !posted {
+        if peer.vi.post_send_uncharged(desc).is_err() {
             self.send_free.lock().push(slot);
         }
     }

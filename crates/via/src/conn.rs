@@ -93,7 +93,7 @@ impl KernelAgent {
                 }
             }
             MgmtMsg::Disconnect { dst_vi } => {
-                if let Some(vi) = nic.vi_by_id(dst_vi) {
+                if let Some(vi) = nic.lookup_vi(dst_vi) {
                     vi.break_with(VipError::Disconnected);
                 }
             }
@@ -102,10 +102,6 @@ impl KernelAgent {
 }
 
 impl ViaNic {
-    pub(crate) fn vi_by_id(&self, id: u32) -> Option<Arc<Vi>> {
-        self.vis_lock().get(&id).cloned()
-    }
-
     /// `VipConnectRequest`: ask `remote` for a connection on
     /// `discriminator`, blocking until accepted or rejected.
     pub fn connect_request(

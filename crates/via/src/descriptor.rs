@@ -2,15 +2,14 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::error::VipError;
 use crate::mem::MemRegion;
 
 /// Completion state of a descriptor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DescState {
     /// Posted, not yet processed by the NIC.
+    #[default]
     Pending,
     /// Completed successfully.
     Done,
@@ -18,8 +17,8 @@ pub enum DescState {
     Error(VipError),
 }
 
-/// Mutable status block the NIC fills at completion.
-#[derive(Debug, Clone, Copy)]
+/// Mutable status block the NIC fills at completion (the default: pending).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DescStatus {
     /// Current state.
     pub state: DescState,
@@ -32,6 +31,10 @@ pub struct DescStatus {
 /// A send or receive descriptor: one data segment plus optional 32-bit
 /// immediate data (SOVIA uses the immediate field for packet type and
 /// delayed-ACK counts).
+///
+/// A plain value: posting moves it into its VI's work queue, the NIC
+/// writes its status in place, and the completion calls hand it back.
+/// Posting it again (a receive ring's re-post) resets its status.
 pub struct Descriptor {
     /// The registered region the NIC will DMA from/to.
     pub region: Arc<MemRegion>,
@@ -42,7 +45,7 @@ pub struct Descriptor {
     pub len: usize,
     /// Immediate data to carry (sends only).
     pub immediate: Option<u32>,
-    status: Mutex<DescStatus>,
+    status: DescStatus,
 }
 
 impl std::fmt::Debug for Descriptor {
@@ -51,7 +54,7 @@ impl std::fmt::Debug for Descriptor {
             .field("offset", &self.offset)
             .field("len", &self.len)
             .field("immediate", &self.immediate)
-            .field("status", &*self.status.lock())
+            .field("status", &self.status)
             .finish()
     }
 }
@@ -63,60 +66,50 @@ impl Descriptor {
         offset: usize,
         len: usize,
         immediate: Option<u32>,
-    ) -> Arc<Descriptor> {
+    ) -> Descriptor {
         assert!(offset + len <= region.len(), "segment outside region");
-        Arc::new(Descriptor {
+        Descriptor {
             region,
             offset,
             len,
             immediate,
-            status: Mutex::new(DescStatus {
-                state: DescState::Pending,
-                xfer_len: 0,
-                immediate: None,
-            }),
-        })
+            status: DescStatus::default(),
+        }
     }
 
     /// Build a receive descriptor with `len` bytes of buffer capacity.
-    pub fn recv(region: Arc<MemRegion>, offset: usize, len: usize) -> Arc<Descriptor> {
-        assert!(offset + len <= region.len(), "segment outside region");
-        Arc::new(Descriptor {
-            region,
-            offset,
-            len,
-            immediate: None,
-            status: Mutex::new(DescStatus {
-                state: DescState::Pending,
-                xfer_len: 0,
-                immediate: None,
-            }),
-        })
+    pub fn recv(region: Arc<MemRegion>, offset: usize, len: usize) -> Descriptor {
+        Descriptor::send(region, offset, len, None)
     }
 
     /// Current status snapshot.
     pub fn status(&self) -> DescStatus {
-        *self.status.lock()
+        self.status
     }
 
     /// True once the NIC has completed this descriptor (successfully).
     pub fn is_done(&self) -> bool {
-        matches!(self.status.lock().state, DescState::Done)
+        matches!(self.status.state, DescState::Done)
+    }
+
+    /// Posting side: start over as a freshly posted descriptor.
+    pub(crate) fn reset(&mut self) {
+        self.status = DescStatus::default();
     }
 
     /// NIC side: mark complete.
-    pub(crate) fn complete(&self, xfer_len: usize, immediate: Option<u32>) {
-        let mut st = self.status.lock();
-        debug_assert_eq!(st.state, DescState::Pending, "double completion");
-        st.state = DescState::Done;
-        st.xfer_len = xfer_len;
-        st.immediate = immediate;
+    pub(crate) fn complete(&mut self, xfer_len: usize, immediate: Option<u32>) {
+        debug_assert_eq!(self.status.state, DescState::Pending, "double completion");
+        self.status = DescStatus {
+            state: DescState::Done,
+            xfer_len,
+            immediate,
+        };
     }
 
     /// NIC side: mark failed.
-    pub(crate) fn fail(&self, err: VipError) {
-        let mut st = self.status.lock();
-        st.state = DescState::Error(err);
+    pub(crate) fn fail(&mut self, err: VipError) {
+        self.status.state = DescState::Error(err);
     }
 }
 
@@ -124,6 +117,7 @@ impl Descriptor {
 mod tests {
     use super::*;
     use dsim::Simulation;
+    use parking_lot::Mutex;
     use simos::{HostCosts, HostId, Machine};
 
     fn region(len: usize) -> Arc<MemRegion> {
@@ -144,18 +138,20 @@ mod tests {
     #[test]
     fn lifecycle() {
         let r = region(4096);
-        let d = Descriptor::send(Arc::clone(&r), 0, 100, Some(7));
+        let mut d = Descriptor::send(Arc::clone(&r), 0, 100, Some(7));
         assert_eq!(d.status().state, DescState::Pending);
         assert!(!d.is_done());
         d.complete(100, None);
         assert!(d.is_done());
         assert_eq!(d.status().xfer_len, 100);
+        d.reset();
+        assert_eq!(d.status().state, DescState::Pending);
     }
 
     #[test]
     fn failure_records_error() {
         let r = region(4096);
-        let d = Descriptor::recv(Arc::clone(&r), 0, 64);
+        let mut d = Descriptor::recv(Arc::clone(&r), 0, 64);
         d.fail(VipError::Disconnected);
         assert_eq!(d.status().state, DescState::Error(VipError::Disconnected));
     }

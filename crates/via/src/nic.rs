@@ -17,10 +17,8 @@ use simnic::{FaultAction, FaultHandle, FaultLane, FaultPlan, Link, LinkParams, S
 use simos::Machine;
 
 use crate::conn::KernelAgent;
-use crate::cq::WqKind;
-use crate::descriptor::Descriptor;
 use crate::error::VipError;
-use crate::vi::{Reliability, Vi, ViAttributes, ViState};
+use crate::vi::{Reliability, Vi, ViAttributes, ViState, RECV, SEND};
 
 /// Network-wide address of a VIA NIC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -104,29 +102,24 @@ pub struct NicStats {
 /// the engine would otherwise complete successfully.
 struct NicFaults {
     lane: Arc<FaultLane>,
-    rx_desc_targets: Vec<u64>,
-    tx_desc_targets: Vec<u64>,
-    rx_desc_seen: Mutex<u64>,
-    tx_desc_seen: Mutex<u64>,
+    rx_desc: DescErrors,
+    tx_desc: DescErrors,
 }
 
-impl NicFaults {
-    /// Count one engine-processed receive descriptor; true if scripted to
-    /// fail.
-    fn take_rx_desc_error(&self) -> bool {
-        let mut seen = self.rx_desc_seen.lock();
-        let idx = *seen;
-        *seen += 1;
-        self.rx_desc_targets.contains(&idx)
-    }
+/// One side's scripted descriptor errors: the indices to fail, and how
+/// many descriptors the engine has processed on that side.
+#[derive(Default)]
+struct DescErrors {
+    targets: Vec<u64>,
+    seen: Mutex<u64>,
+}
 
-    /// Count one engine-processed send descriptor; true if scripted to
-    /// fail.
-    fn take_tx_desc_error(&self) -> bool {
-        let mut seen = self.tx_desc_seen.lock();
-        let idx = *seen;
+impl DescErrors {
+    /// Count one engine-processed descriptor; true if scripted to fail.
+    fn take(&self) -> bool {
+        let mut seen = self.seen.lock();
         *seen += 1;
-        self.tx_desc_targets.contains(&idx)
+        self.targets.contains(&(*seen - 1))
     }
 }
 
@@ -227,19 +220,18 @@ impl ViaNic {
         let Some(lane) = FaultLane::new(plan) else {
             return FaultHandle::disabled();
         };
-        let mut rx_desc_targets = Vec::new();
-        let mut tx_desc_targets = Vec::new();
+        let (mut rx_desc, mut tx_desc) = (DescErrors::default(), DescErrors::default());
         for ev in &plan.scripted {
             match ev {
-                ScriptedFault::RxDescriptorError { nth } => rx_desc_targets.push(*nth),
-                ScriptedFault::TxDescriptorError { nth } => tx_desc_targets.push(*nth),
+                ScriptedFault::RxDescriptorError { nth } => rx_desc.targets.push(*nth),
+                ScriptedFault::TxDescriptorError { nth } => tx_desc.targets.push(*nth),
                 ScriptedFault::DisconnectAt { at } => {
                     let nic = Arc::clone(self);
                     let lane = Arc::clone(&lane);
                     let tracer = self.machine.sim().tracer();
                     self.machine.sim().schedule_in(*at, move |now| {
                         let vis: Vec<Arc<Vi>> =
-                            nic.vis_lock().values().cloned().collect();
+                            nic.vis.lock().values().cloned().collect();
                         for vi in vis {
                             if let Some((peer_nic, peer_vi)) = vi.peer() {
                                 nic.send_mgmt(
@@ -265,10 +257,8 @@ impl ViaNic {
         let handle = lane.handle();
         *self.faults.lock() = Some(Arc::new(NicFaults {
             lane,
-            rx_desc_targets,
-            tx_desc_targets,
-            rx_desc_seen: Mutex::new(0),
-            tx_desc_seen: Mutex::new(0),
+            rx_desc,
+            tx_desc,
         }));
         handle
     }
@@ -319,12 +309,8 @@ impl ViaNic {
         self.link_to(to).transmit(NicJob::Rx(ViaFrame::Mgmt(msg)));
     }
 
-    fn lookup_vi(&self, id: u32) -> Option<Arc<Vi>> {
+    pub(crate) fn lookup_vi(&self, id: u32) -> Option<Arc<Vi>> {
         self.vis.lock().get(&id).cloned()
-    }
-
-    pub(crate) fn vis_lock(&self) -> parking_lot::MutexGuard<'_, BTreeMap<u32, Arc<Vi>>> {
-        self.vis.lock()
     }
 
     // ----- the engine -------------------------------------------------
@@ -342,7 +328,7 @@ impl ViaNic {
         let Some(vi) = self.lookup_vi(vi_id) else {
             return; // VI destroyed after the doorbell rang
         };
-        let Some(desc) = vi.sq.pending.lock().pop_front() else {
+        let Some(mut desc) = vi.take(SEND) else {
             return; // stale doorbell
         };
         ctx.charge(
@@ -355,13 +341,13 @@ impl ViaNic {
             ViState::Connected { peer_nic, peer_vi } => (peer_nic, peer_vi),
             _ => {
                 desc.fail(VipError::NotConnected);
-                vi.sq.complete(desc, &vi.send_cq, vi.id(), WqKind::Send);
+                vi.complete(SEND, desc);
                 return;
             }
         };
         let faults = self.faults.lock().clone();
         if let Some(f) = &faults {
-            if f.take_tx_desc_error() {
+            if f.tx_desc.take() {
                 // Scripted "complete the next send descriptor in error":
                 // the transfer never reaches the wire.
                 f.lane.count_scripted(|s| s.descriptor_errors += 1);
@@ -371,7 +357,7 @@ impl ViaNic {
                     dsim::TraceTag::on_conn(vi_id).value(desc.len as u64),
                 );
                 desc.fail(VipError::DescriptorError);
-                vi.sq.complete(desc, &vi.send_cq, vi.id(), WqKind::Send);
+                vi.complete(SEND, desc);
                 if vi.reliability == Reliability::ReliableDelivery {
                     self.break_and_notify(&vi, VipError::DescriptorError);
                 }
@@ -397,7 +383,7 @@ impl ViaNic {
         }
         let immediate = desc.immediate;
         desc.complete(desc.len, None);
-        vi.sq.complete(desc, &vi.send_cq, vi.id(), WqKind::Send);
+        vi.complete(SEND, desc);
         link.transmit(NicJob::Rx(ViaFrame::Data {
             dst_vi: peer_vi,
             payload,
@@ -527,7 +513,7 @@ impl ViaNic {
                     return;
                 }
                 if let Some(f) = &faults {
-                    if f.take_rx_desc_error() {
+                    if f.rx_desc.take() {
                         // Scripted "complete the next receive descriptor in
                         // error". With nothing pre-posted the break below
                         // still surfaces the fault (reliable VIs).
@@ -537,9 +523,9 @@ impl ViaNic {
                             dsim::TraceKind::FaultDescError,
                             dsim::TraceTag::on_conn(dst_vi).value(payload.len() as u64),
                         );
-                        if let Some(desc) = vi.rq.pending.lock().pop_front() {
+                        if let Some(mut desc) = vi.take(RECV) {
                             desc.fail(VipError::DescriptorError);
-                            vi.rq.complete(desc, &vi.recv_cq, vi.id(), WqKind::Recv);
+                            vi.complete(RECV, desc);
                         }
                         if vi.reliability == Reliability::ReliableDelivery {
                             self.break_and_notify(&vi, VipError::DescriptorError);
@@ -547,8 +533,7 @@ impl ViaNic {
                         return;
                     }
                 }
-                let maybe_desc = vi.rq.pending.lock().pop_front();
-                let Some(desc) = maybe_desc else {
+                let Some(mut desc) = vi.take(RECV) else {
                     // The pre-posting constraint: no descriptor, no
                     // delivery.
                     self.stats.lock().rx_drops_no_descriptor += 1;
@@ -559,7 +544,7 @@ impl ViaNic {
                 };
                 if payload.len() > desc.len {
                     desc.fail(VipError::BufferTooSmall);
-                    vi.rq.complete(desc, &vi.recv_cq, vi.id(), WqKind::Recv);
+                    vi.complete(RECV, desc);
                     if vi.reliability == Reliability::ReliableDelivery {
                         vi.break_with(VipError::BufferTooSmall);
                     }
@@ -581,14 +566,8 @@ impl ViaNic {
                     st.rx_bytes += payload.len() as u64;
                 }
                 desc.complete(payload.len(), immediate);
-                vi.rq.complete(desc, &vi.recv_cq, vi.id(), WqKind::Recv);
+                vi.complete(RECV, desc);
             }
         }
-    }
-
-    /// Post a send descriptor on a VI of this NIC (thin convenience over
-    /// [`Vi::post_send`] for symmetry with the VIPL naming).
-    pub fn post_send(&self, ctx: &SimCtx, vi: &Arc<Vi>, desc: Arc<Descriptor>) -> Result<(), VipError> {
-        vi.post_send(ctx, desc)
     }
 }

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use dsim::{SimDuration, Simulation};
+use dsim::{SimDuration, SimTime, Simulation};
 use parking_lot::Mutex;
 use simnic::{clan1000_nic, clan_link, FaultPlan, ScriptedFault};
 use simos::{HostCosts, HostId, Machine, Process};
@@ -245,10 +245,11 @@ fn scripted_tx_descriptor_error_reaches_sender_and_cq() {
             n0.connect_request(ctx, &vi, ViaNicId(1), 7).unwrap();
             let region = registered_buffer(ctx, &p, 4096);
             let desc = Descriptor::send(Arc::clone(&region), 0, 64, None);
-            vi.post_send(ctx, Arc::clone(&desc)).unwrap();
+            let seq = vi.post_send(ctx, desc).unwrap();
             let err = vi.send_wait(ctx, WaitMode::Block).unwrap_err();
             assert_eq!(err, VipError::DescriptorError);
-            assert_eq!(desc.status().state, DescState::Error(VipError::DescriptorError));
+            // The send's state outlives the reaped descriptor.
+            assert_eq!(vi.send_state(seq), DescState::Error(VipError::DescriptorError));
             // The failure produced a send-CQ entry, and an unreliable VI
             // survives a failed descriptor.
             let costs = HostCosts::pentium3_500();
@@ -286,11 +287,12 @@ fn scripted_rx_descriptor_error_reaches_receiver_and_cq() {
             });
             let region = registered_buffer(ctx, &p, 4096);
             let desc = Descriptor::recv(Arc::clone(&region), 0, 1024);
-            vi.post_recv(ctx, Arc::clone(&desc)).unwrap();
+            vi.post_recv(ctx, desc).unwrap();
             accept_one(ctx, &n1, 7, &vi);
+            // The wait reaped the failed descriptor and returned its error.
             let err = vi.recv_wait(ctx, WaitMode::Block).unwrap_err();
             assert_eq!(err, VipError::DescriptorError);
-            assert_eq!(desc.status().state, DescState::Error(VipError::DescriptorError));
+            assert_eq!(vi.recv_pending(), 0);
             let costs = HostCosts::pentium3_500();
             let e = recv_cq.poll(ctx, &costs).expect("CQ entry for failed recv");
             assert_eq!((e.vi_id, e.kind), (vi.id(), WqKind::Recv));
@@ -368,11 +370,11 @@ fn buffer_too_small_fails_descriptor_with_cq_status() {
             let region = registered_buffer(ctx, &p, 4096);
             // 8-byte buffer for a 64-byte arrival.
             let desc = Descriptor::recv(Arc::clone(&region), 0, 8);
-            vi.post_recv(ctx, Arc::clone(&desc)).unwrap();
+            vi.post_recv(ctx, desc).unwrap();
             accept_one(ctx, &n1, 7, &vi);
             let err = vi.recv_wait(ctx, WaitMode::Block).unwrap_err();
             assert_eq!(err, VipError::BufferTooSmall);
-            assert_eq!(desc.status().state, DescState::Error(VipError::BufferTooSmall));
+            assert_eq!(vi.recv_pending(), 0);
             let costs = HostCosts::pentium3_500();
             let e = recv_cq.poll(ctx, &costs).expect("CQ entry for failed recv");
             assert_eq!((e.vi_id, e.kind), (vi.id(), WqKind::Recv));
@@ -388,6 +390,101 @@ fn buffer_too_small_fails_descriptor_with_cq_status() {
         let region = registered_buffer(ctx, &p, 4096);
         vi.post_send(ctx, Descriptor::send(region, 0, 64, None)).unwrap();
         let _ = vi.send_wait(ctx, WaitMode::Block).unwrap();
+    });
+    sim.run().unwrap();
+}
+
+#[test]
+fn vi_broken_during_a_post_recv_charge_refuses_the_descriptor() {
+    let mut sim = Simulation::new();
+    let h = sim.handle();
+    let (_m0, m1, n0, n1) = testbed(&h);
+    // Break every connected VI of n1 at 200 us, inside the server's 1 us
+    // post charge below.
+    let at = SimDuration::from_micros(200);
+    n1.install_faults(&FaultPlan::empty().with_scripted(ScriptedFault::DisconnectAt { at }));
+    {
+        let n1 = Arc::clone(&n1);
+        sim.spawn("server", move |ctx| {
+            let p = m1.spawn_process("server");
+            let vi = n1.create_vi(ViAttributes::default());
+            let region = registered_buffer(ctx, &p, 4096);
+            accept_one(ctx, &n1, 7, &vi);
+            let to_break = at - ctx.now().since(SimTime::ZERO);
+            ctx.sleep(to_break - SimDuration::from_micros_f64(0.5));
+            let posted = vi.post_recv(ctx, Descriptor::recv(Arc::clone(&region), 0, 1024));
+            assert!(ctx.now() > SimTime::ZERO + at, "the charge spans the break");
+            assert_eq!(posted, Err(VipError::Disconnected));
+            // Nothing sits behind the break, pending and never failed.
+            assert_eq!(vi.recv_pending(), 0);
+            // A VI broken already is refused before any charge.
+            let t = ctx.now();
+            let again = vi.post_recv(ctx, Descriptor::recv(region, 0, 1024));
+            assert_eq!(again, Err(VipError::Disconnected));
+            assert_eq!(ctx.now(), t);
+        });
+    }
+    sim.spawn("client", move |ctx| {
+        let vi = n0.create_vi(ViAttributes::default());
+        ctx.sleep(SimDuration::from_micros(50));
+        n0.connect_request(ctx, &vi, ViaNicId(1), 7).unwrap();
+    });
+    sim.run().unwrap();
+}
+
+#[test]
+fn send_state_follows_the_nic_not_the_reaper() {
+    let mut sim = Simulation::new();
+    let h = sim.handle();
+    let (m0, _m1, n0, n1) = testbed(&h);
+    // Break the client's VI at 110 us: its first send (4 KB, about 40 us
+    // of DMA and serialization from 102.5 us) is then in the NIC's hands,
+    // the second still pending.
+    let at = SimDuration::from_micros(110);
+    n0.install_faults(&FaultPlan::empty().with_scripted(ScriptedFault::DisconnectAt { at }));
+    sim.spawn("server", move |ctx| {
+        let vi = n1.create_vi(ViAttributes::default());
+        accept_one(ctx, &n1, 7, &vi);
+    });
+    sim.spawn("client", move |ctx| {
+        let p = m0.spawn_process("client");
+        let vi = n0.create_vi(ViAttributes::default());
+        ctx.sleep(SimDuration::from_micros(50));
+        n0.connect_request(ctx, &vi, ViaNicId(1), 7).unwrap();
+        let region = registered_buffer(ctx, &p, 4096);
+        ctx.sleep(SimDuration::from_micros(100) - ctx.now().since(SimTime::ZERO));
+        let first = vi
+            .post_send(ctx, Descriptor::send(Arc::clone(&region), 0, 4096, None))
+            .unwrap();
+        let second = vi
+            .post_send(ctx, Descriptor::send(region, 0, 64, None))
+            .unwrap();
+        assert_eq!(second, first + 1);
+        ctx.sleep(SimDuration::from_micros(111) - ctx.now().since(SimTime::ZERO));
+        // The break failed the pending send ahead of the one in the NIC.
+        assert_eq!(vi.send_state(first), DescState::Pending);
+        assert_eq!(
+            vi.send_state(second),
+            DescState::Error(VipError::Disconnected)
+        );
+        // Reaping a descriptor does not change its send's state.
+        let failed = vi.send_done_uncharged().expect("the failed send");
+        assert_eq!(
+            failed.status().state,
+            DescState::Error(VipError::Disconnected)
+        );
+        assert_eq!(
+            vi.send_state(second),
+            DescState::Error(VipError::Disconnected)
+        );
+        while vi.send_state(first) == DescState::Pending {
+            vi.wait_send_event(ctx);
+        }
+        assert_eq!(vi.send_state(first), DescState::Done);
+        assert!(vi
+            .send_done_uncharged()
+            .expect("the finished send")
+            .is_done());
     });
     sim.run().unwrap();
 }

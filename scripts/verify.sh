@@ -20,6 +20,8 @@
 # the fault-injection suites (DESIGN.md §8):
 #   - tests/proptest_faults.rs        random lossy streams, exact-or-error
 #   - crates/via/tests/error_paths.rs every VipError via the public API
+#   - crates/via/tests/alloc_per_post.rs  posting a descriptor allocates
+#     nothing per descriptor (a thread-local counting allocator)
 #   - crates/bench/tests/determinism.rs  empty-plan no-op + sweep identity
 # the property suites (seeded cases from dsim::rng, tests/common/mod.rs):
 #   - tests/proptest_substrate.rs     COW/pin invariants, mappings against
@@ -37,7 +39,7 @@
 # the fast goldens (tier-1 sees simulated output):
 #   - tests/goldens.rs                fig6a, fig7, ablations, fault_sweep
 #     and latency_breakdown regenerated in-process, tables and trace
-#     digests byte-identical to results/
+#     digests byte-identical to results/, and fig6b's trace digest
 # the scheduler suites (DESIGN.md §7):
 #   - crates/dsim/tests/sched_edges.rs   event order and counts match the
 #     values recorded from the OS-thread scheduler
@@ -63,7 +65,7 @@ cargo test -q --test proptest_faults --test proptest_substrate
 cargo test -q --test teardown --test goldens
 cargo test -q --test protocol_details --test ftp_tests --test rpc_tests --test inetd_pfs_tests
 cargo test -q -p dsim --test many_procs --test sched_edges
-cargo test -q -p via --test error_paths
+cargo test -q -p via --test error_paths --test alloc_per_post
 cargo test -q -p bench --test determinism
 cargo test -q -p bench --test trace
 # The benchmark is a workspace of its own (perfbench/); its self-test

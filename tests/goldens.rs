@@ -1,7 +1,8 @@
 //! The fast goldens: regenerate five of the seven committed tables
 //! in-process, with the traces their binaries write under `--trace`, and
 //! compare them byte for byte with `results/<binary>.txt` and
-//! `results/trace_digests.txt`. `fig6b` and `table1` take seconds each;
+//! `results/trace_digests.txt`. `fig6b`'s traced runs are checked here
+//! too, but its table and all of `table1` take seconds each;
 //! `scripts/regen_results.sh` checks them, and all seven tables at
 //! `--threads 1` and 8.
 
@@ -34,14 +35,18 @@ fn check(bin: &str, report: Report) {
         );
     }
     assert_eq!(report.text, want, "results/{bin}.txt drifted in length");
+    check_trace(bin, &report.trace.expect("a report built traced"));
+}
+
+/// Check the trace `bin --trace` writes against its digest.
+fn check_trace(bin: &str, trace: &[(String, dsim::TraceData)]) {
     let json = format!("{bin}.json");
     let digests = results("trace_digests.txt");
     let want = digests
         .lines()
         .find_map(|l| l.strip_suffix(json.as_str())?.strip_suffix("  "))
         .unwrap_or_else(|| panic!("no digest of {json} in results/trace_digests.txt"));
-    let trace = report.trace.expect("a report built traced");
-    let got = sha256_hex(dsim::chrome_trace_json(&trace).as_bytes());
+    let got = sha256_hex(dsim::chrome_trace_json(trace).as_bytes());
     assert_eq!(
         got, want,
         "the trace of {bin} drifted from results/trace_digests.txt"
@@ -51,6 +56,13 @@ fn check(bin: &str, report: Report) {
 #[test]
 fn fig6a_matches_results() {
     check("fig6a", report::fig6a(1, true));
+}
+
+/// NATIVE_VIA's and the SOVIA variants' 32 KB streams: where a slip in
+/// descriptor order shows first.
+#[test]
+fn fig6b_trace_matches_its_digest() {
+    check_trace("fig6b", &report::fig6b_trace());
 }
 
 #[test]
