@@ -92,17 +92,23 @@ pub fn table1(threads: usize, trace: bool) -> Report {
     let sizes = table1::FILE_SIZES;
     let rows = table1::run_table1_with(&sizes, threads);
     let text = table1::render(&rows, &sizes);
-    let trace = trace.then(|| {
-        table1::table1_rows()
-            .iter()
-            .filter_map(|(label, p)| {
-                let cfg = Some(TraceConfig::default());
-                let out = table1::ftp_transfer_traced(p.as_ref()?, sizes[0], cfg);
-                Some(traced(format!("{label} file1 FTP"), out))
-            })
-            .collect()
-    });
+    let trace = trace.then(table1_trace);
     Report { text, trace }
+}
+
+/// The traced runs behind `table1 --trace`, without the table: the
+/// network platforms' File 1, a fraction of the table's cost, so tier-1
+/// checks their digest.
+pub fn table1_trace() -> Vec<(String, TraceData)> {
+    let size = table1::FILE_SIZES[0];
+    table1::table1_rows()
+        .iter()
+        .filter_map(|(label, p)| {
+            let cfg = Some(TraceConfig::default());
+            let out = table1::ftp_transfer_traced(p.as_ref()?, size, cfg);
+            Some(traced(format!("{label} file1 FTP"), out))
+        })
+        .collect()
 }
 
 /// The design-choice ablations; traced: the 2 KB two-way and REQ/ACK

@@ -62,20 +62,10 @@ impl SlotPool {
         self.slot_size
     }
 
-    /// Total number of slots.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
     /// Byte offset of slot `i` within the region.
     pub fn offset_of(&self, i: usize) -> usize {
         assert!(i < self.count);
         i * self.slot_size
-    }
-
-    /// Virtual address of slot `i`.
-    pub fn va_of(&self, i: usize) -> VAddr {
-        self.base.add(self.offset_of(i) as u64)
     }
 
     /// Take a free slot, if any.
@@ -108,8 +98,8 @@ impl SlotPool {
     /// returns as a fault count instead: safe under a lock guard.
     pub fn store_slot(&self, slot: usize, within: usize, data: &[u8]) -> usize {
         assert!(within + data.len() <= self.slot_size, "slot overflow");
-        self.process
-            .store_mem(self.va_of(slot).add(within as u64), data)
+        let va = self.base.add((self.offset_of(slot) + within) as u64);
+        self.process.store_mem(va, data)
     }
 
     /// Deregister the pool's region (connection teardown).

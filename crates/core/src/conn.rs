@@ -15,28 +15,22 @@
 //! * small-message combining with a 100 ms software timer;
 //! * the DATA/ACK/WAKEUP/FIN/FINACK close handshake.
 //!
-//! Lock discipline (this matters in the virtual-time executor): **no lock
-//! is ever held across a time-advancing call**. Costs are charged before
-//! or after critical sections. Inside them, posting to VIA work queues
-//! uses the `_uncharged` variants, and a combined send writes its slot
-//! with an uncharged store whose COW faults are charged once the guard
-//! drops. The locks:
-//!
-//! * `send_state`: the send side, that is the credits, the inflight FIFO
-//!   paired with the VI's send queue, the pending combine buffer and the
-//!   protocol counters. A combined send that finds room takes it once, to
-//!   reap completions and append.
-//! * `ingress`: serializes popping and applying receive completions.
-//! * `rdata`: received DATA that `recv()` has not consumed yet.
-//! * `dacks`: acknowledgments owed to the peer.
-//! * `peer`, `fd_hint`: set while the connection is established.
+//! Lock discipline (this matters in the virtual-time executor): a
+//! connection keeps everything that changes in one [`ConnState`] under one
+//! lock, and **no guard is ever held across a time-advancing call**.
+//! Costs are charged before or after critical sections. Inside them,
+//! posting to VIA work queues uses the `_uncharged` variants, and a
+//! combined send writes its slot with an uncharged store whose COW faults
+//! are charged once the guard drops. Helpers that work on the state
+//! (`reap_one`, the credit take, the completion decode) take `&mut
+//! ConnState` from their caller instead of locking on their own, so each
+//! method locks once per critical section.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dsim::SimCtx;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use simos::mem::{charge_cow_faults, VAddr};
 use simos::{HostCosts, Process};
 use sockets::{SockAddr, SockError, SockResult};
@@ -63,15 +57,58 @@ enum InflightKind {
     ZeroCopy,
 }
 
-/// The send side of a connection, under one lock: a combined send takes
-/// it once, to reap completions and append to the pending buffer.
-struct SendState {
+/// Everything about a connection that changes, under its one lock.
+#[derive(Default)]
+struct ConnState {
+    /// The peer's address: set on connect, or by its WAKEUP on accept.
+    peer: Option<SockAddr>,
     /// Send credits: pre-posted descriptors available at the receiver.
     credits: u32,
     inflight: VecDeque<InflightKind>,
-    /// The pending combine buffer, if any.
+    /// The pending combine buffer, if any, and the newest one's epoch.
     combine: Option<Combine>,
+    combine_epoch: u64,
+    /// Received DATA that `recv()` has not consumed yet.
+    rdata: VecDeque<RecvItem>,
+    /// Acknowledgments owed to the peer.
+    dacks: u32,
     stats: ConnStats,
+    /// A REQ is out and its grant is not in (the rejected REQ/ACK design).
+    req_outstanding: bool,
+    wakeup_rcvd: bool,
+    /// The close handshake: our FIN is out (`close()` or `SHUT_WR`), the
+    /// peer's FIN and its FINACK of ours are in, the application closed,
+    /// a reset was seen, and the connection was torn down.
+    fin_sent: bool,
+    fin_rcvd: bool,
+    finack_rcvd: bool,
+    local_closed: bool,
+    reset: bool,
+    finalized: bool,
+}
+
+impl ConnState {
+    fn check_open(&self) -> SockResult<()> {
+        if self.local_closed || self.fin_sent {
+            // Fully closed, or half-closed for writing.
+            return Err(SockError::Closed);
+        }
+        if self.reset {
+            return Err(SockError::ConnectionReset);
+        }
+        Ok(())
+    }
+
+    /// Whether the connection is due for teardown, marking it finalized:
+    /// both FINs and our FIN's FINACK are in, and the application either
+    /// has read all received data or has closed the connection.
+    fn take_finalize(&mut self) -> bool {
+        let done = self.fin_sent
+            && self.fin_rcvd
+            && self.finack_rcvd
+            && (self.rdata.is_empty() || self.local_closed);
+        done && !std::mem::replace(&mut self.finalized, true)
+    }
 }
 
 struct RecvItem {
@@ -116,8 +153,6 @@ pub struct SovConn {
     costs: HostCosts,
 
     local: SockAddr,
-    peer: Mutex<Option<SockAddr>>,
-    fd_hint: Mutex<i32>,
 
     recv_pool: Arc<SlotPool>,
     send_pool: Arc<SlotPool>,
@@ -125,32 +160,17 @@ pub struct SovConn {
     /// Reusable staging buffer for zero-copy sends.
     staging: VAddr,
 
-    /// Serializes pop+apply of receive completions so stream order is
-    /// preserved even with several servicing threads.
-    ingress: Mutex<()>,
-    rdata: Mutex<VecDeque<RecvItem>>,
-    dacks: Mutex<u32>,
-    send_state: Mutex<SendState>,
-    combine_epoch: AtomicU64,
-
-    req_outstanding: AtomicBool,
-    wakeup_rcvd: AtomicBool,
-    fin_rcvd: AtomicBool,
-    fin_sent: AtomicBool,
-    finack_rcvd: AtomicBool,
-    finalized: AtomicBool,
-    local_closed: AtomicBool,
-    reset: AtomicBool,
+    inner: Mutex<ConnState>,
 }
 
-/// Follow-up work decided under the ingress lock, executed after it drops.
+/// Follow-up work decided under the lock, executed after it drops.
 enum Action {
+    /// DATA queued for `recv()`, or a reset: nothing more to do.
+    Nothing,
     Repost(Descriptor),
     /// A REQ arrived: re-post and grant one transfer permission.
     Grant(Descriptor),
-    Data,
     Fin(Descriptor),
-    Reset,
 }
 
 impl SovConn {
@@ -179,16 +199,11 @@ impl SovConn {
             process,
             costs,
             local,
-            peer: Mutex::new(None),
-            fd_hint: Mutex::new(-1),
             recv_pool,
             send_pool,
             ctrl_pool,
             staging,
-            ingress: Mutex::new(()),
-            rdata: Mutex::new(VecDeque::new()),
-            dacks: Mutex::new(0),
-            send_state: Mutex::new(SendState {
+            inner: Mutex::new(ConnState {
                 // The rejected REQ/ACK design starts with no permission at
                 // all; otherwise one credit per pre-posted data slot.
                 credits: if config.explicit_handshake {
@@ -196,19 +211,8 @@ impl SovConn {
                 } else {
                     config.window
                 },
-                inflight: VecDeque::new(),
-                combine: None,
-                stats: ConnStats::default(),
+                ..ConnState::default()
             }),
-            req_outstanding: AtomicBool::new(false),
-            combine_epoch: AtomicU64::new(0),
-            wakeup_rcvd: AtomicBool::new(false),
-            fin_rcvd: AtomicBool::new(false),
-            fin_sent: AtomicBool::new(false),
-            finack_rcvd: AtomicBool::new(false),
-            finalized: AtomicBool::new(false),
-            local_closed: AtomicBool::new(false),
-            reset: AtomicBool::new(false),
             config,
         });
         // Pre-post the full descriptor complement.
@@ -238,62 +242,64 @@ impl SovConn {
 
     /// Peer address (known after connect, or after WAKEUP on accept).
     pub fn peer_addr(&self) -> Option<SockAddr> {
-        *self.peer.lock()
+        self.inner.lock().peer
     }
 
     pub(crate) fn set_peer(&self, addr: SockAddr) {
-        *self.peer.lock() = Some(addr);
-    }
-
-    pub(crate) fn set_fd_hint(&self, fd: i32) {
-        *self.fd_hint.lock() = fd;
+        self.inner.lock().peer = Some(addr);
     }
 
     /// Whether the peer's WAKEUP has been processed.
     pub(crate) fn wakeup_received(&self) -> bool {
-        self.wakeup_rcvd.load(Ordering::Relaxed)
+        self.inner.lock().wakeup_rcvd
     }
 
     /// True if the connection can no longer make progress: a reset was
     /// observed, or the VI itself sits in the error state.
     pub(crate) fn is_broken(&self) -> bool {
-        self.reset.load(Ordering::Relaxed)
-            || matches!(self.vi.state(), via::ViState::Error(_))
+        let reset = self.inner.lock().reset;
+        reset || matches!(self.vi.state(), via::ViState::Error(_))
     }
 
     /// Protocol counters.
     pub fn stats(&self) -> ConnStats {
-        self.send_state.lock().stats
-    }
-
-    /// Current send credits (diagnostics/tests).
-    pub fn credits(&self) -> u32 {
-        self.send_state.lock().credits
+        self.inner.lock().stats
     }
 
     /// Whether the application closed this connection.
     pub(crate) fn is_closed(&self) -> bool {
-        self.local_closed.load(Ordering::Relaxed)
-    }
-
-    fn check_open(&self) -> SockResult<()> {
-        if self.local_closed.load(Ordering::Relaxed) || self.fin_sent.load(Ordering::Relaxed) {
-            // Fully closed, or half-closed for writing.
-            return Err(SockError::Closed);
-        }
-        if self.reset.load(Ordering::Relaxed) {
-            return Err(SockError::ConnectionReset);
-        }
-        Ok(())
+        self.inner.lock().local_closed
     }
 
     fn map_vip(e: VipError) -> SockError {
         match e {
-            VipError::Disconnected => SockError::ConnectionReset,
             VipError::ConnectionRefused => SockError::ConnectionRefused,
             VipError::NotConnected => SockError::NotConnected,
             _ => SockError::ConnectionReset,
         }
+    }
+
+    /// Enter the library through this connection: refuse a closed one,
+    /// then flush the pending combine buffers of the other connections
+    /// (all, with `flush_own`; none exist if the library never combines),
+    /// the paper's flush condition (4). Returns the state, locked.
+    fn enter(
+        &self,
+        ctx: &SimCtx,
+        lib: &SoviaLib,
+        flush_own: bool,
+    ) -> SockResult<MutexGuard<'_, ConnState>> {
+        let st = self.inner.lock();
+        if st.local_closed {
+            return Err(SockError::Closed);
+        }
+        let except = (!flush_own).then(|| self.vi_id());
+        if !self.config.combine_small || !lib.holds_combines_except(except) {
+            return Ok(st);
+        }
+        drop(st);
+        lib.flush_combines_except(ctx, except);
+        Ok(self.inner.lock())
     }
 
     // ----- send-side completion reaping ---------------------------------
@@ -301,11 +307,11 @@ impl SovConn {
     /// Pop one send completion, if there is one, and release the resource
     /// its inflight record names. With nothing in flight, the VI's queue is
     /// not looked at.
-    fn reap_one(&self, ss: &mut SendState) -> bool {
-        if ss.inflight.is_empty() || self.vi.send_done_uncharged().is_none() {
+    fn reap_one(&self, st: &mut ConnState) -> bool {
+        if st.inflight.is_empty() || self.vi.send_done_uncharged().is_none() {
             return false;
         }
-        match ss.inflight.pop_front() {
+        match st.inflight.pop_front() {
             Some(InflightKind::DataSlot(i)) => self.send_pool.release(i),
             Some(InflightKind::Ctrl(i)) => self.ctrl_pool.release(i),
             Some(InflightKind::ZeroCopy) | None => {}
@@ -327,28 +333,24 @@ impl SovConn {
     fn reap_one_blocking(&self, ctx: &SimCtx) -> SockResult<()> {
         loop {
             self.charge_poll(ctx);
-            if self.reap_one(&mut self.send_state.lock()) {
-                return Ok(());
-            }
-            if self.reset.load(Ordering::Relaxed) {
-                return Err(SockError::ConnectionReset);
+            {
+                let mut st = self.inner.lock();
+                if self.reap_one(&mut st) {
+                    return Ok(());
+                }
+                if st.reset {
+                    return Err(SockError::ConnectionReset);
+                }
             }
             self.vi.wait_send_event(ctx);
         }
     }
 
-    fn acquire_data_slot(&self, ctx: &SimCtx) -> SockResult<usize> {
+    /// Take a free slot of `pool` (the send or control pool), reaping
+    /// send completions until one is released.
+    fn acquire_slot(&self, ctx: &SimCtx, pool: &SlotPool) -> SockResult<usize> {
         loop {
-            if let Some(i) = self.send_pool.try_acquire() {
-                return Ok(i);
-            }
-            self.reap_one_blocking(ctx)?;
-        }
-    }
-
-    fn acquire_ctrl_slot(&self, ctx: &SimCtx) -> SockResult<usize> {
-        loop {
-            if let Some(i) = self.ctrl_pool.try_acquire() {
+            if let Some(i) = pool.try_acquire() {
                 return Ok(i);
             }
             self.reap_one_blocking(ctx)?;
@@ -357,71 +359,65 @@ impl SovConn {
 
     // ----- credits and acknowledgments ----------------------------------
 
-    fn wait_credit(&self, ctx: &SimCtx, lib: &SoviaLib) -> SockResult<()> {
+    /// Take a send credit, waiting for one, and the acknowledgments owed
+    /// to the peer: the DATA the credit pays for carries them.
+    fn take_credit(&self, ctx: &SimCtx, lib: &SoviaLib) -> SockResult<u32> {
         loop {
-            {
-                let mut ss = self.send_state.lock();
-                if ss.credits > 0 {
-                    ss.credits -= 1;
-                    self.req_outstanding.store(false, Ordering::Relaxed);
-                    return Ok(());
+            let ask = {
+                let mut st = self.inner.lock();
+                if st.credits > 0 {
+                    st.credits -= 1;
+                    st.req_outstanding = false;
+                    return Ok(std::mem::take(&mut st.dacks));
                 }
-            }
-            if self.reset.load(Ordering::Relaxed) {
-                return Err(SockError::ConnectionReset);
-            }
-            // The VI itself may have broken (fault injection, forced
-            // disconnect) without a completion to carry the news.
-            if let via::ViState::Error(e) = self.vi.state() {
-                self.reset.store(true, Ordering::Relaxed);
-                return Err(Self::map_vip(e));
-            }
-            // The rejected three-way handshake: ask permission for the
-            // next DATA and wait for the receiver's grant.
-            if self.config.explicit_handshake
-                && !self.req_outstanding.swap(true, Ordering::Relaxed)
-            {
-                self.post_control(ctx, lib, PacketType::Req, 0, &[])?;
+                if st.reset {
+                    return Err(SockError::ConnectionReset);
+                }
+                // The VI itself may have broken (fault injection, forced
+                // disconnect) without a completion to carry the news.
+                if let via::ViState::Error(e) = self.vi.state() {
+                    st.reset = true;
+                    return Err(Self::map_vip(e));
+                }
+                // The rejected three-way handshake: ask permission for the
+                // next DATA and wait for the receiver's grant.
+                self.config.explicit_handshake && !std::mem::replace(&mut st.req_outstanding, true)
+            };
+            if ask {
+                self.post_control(ctx, PacketType::Req, 0, &[])?;
             }
             lib.wait_progress(ctx);
         }
     }
 
-    fn take_dacks(&self) -> u32 {
-        std::mem::take(&mut *self.dacks.lock())
-    }
-
     /// Called when the application consumed a DATA packet and its
     /// descriptor was re-posted: accumulate a delayed ACK, flushing per
     /// the configured policy.
-    fn note_consumed(&self, ctx: &SimCtx, lib: &SoviaLib) {
+    fn note_consumed(&self, ctx: &SimCtx) {
         if self.config.explicit_handshake {
             // Grants are given only in answer to REQ packets.
             return;
         }
         let to_ack = {
-            let mut d = self.dacks.lock();
-            *d += 1;
-            if *d >= self.config.ack_threshold {
-                std::mem::take(&mut *d)
-            } else {
-                0
+            let mut st = self.inner.lock();
+            st.dacks += 1;
+            if st.dacks < self.config.ack_threshold {
+                return;
             }
+            st.stats.acks_sent += 1;
+            std::mem::take(&mut st.dacks)
         };
-        if to_ack > 0 {
-            // An unsendable ACK (peer torn down) is not the app's problem.
-            let _ = self.post_control(ctx, lib, PacketType::Ack, to_ack, &[]);
-            self.send_state.lock().stats.acks_sent += 1;
-            // to_ack - 1 acknowledgments were coalesced into this one
-            // explicit ACK packet.
-            if to_ack > 1 {
-                ctx.trace_count(
-                    dsim::TraceLayer::Sovia,
-                    dsim::TraceKind::AcksDelayed,
-                    u64::from(to_ack - 1),
-                    dsim::TraceTag::on_conn(self.vi.id()),
-                );
-            }
+        // An unsendable ACK (peer torn down) is not the app's problem.
+        let _ = self.post_control(ctx, PacketType::Ack, to_ack, &[]);
+        // to_ack - 1 acknowledgments were coalesced into this one
+        // explicit ACK packet.
+        if to_ack > 1 {
+            ctx.trace_count(
+                dsim::TraceLayer::Sovia,
+                dsim::TraceKind::AcksDelayed,
+                u64::from(to_ack - 1),
+                dsim::TraceTag::on_conn(self.vi.id()),
+            );
         }
     }
 
@@ -430,13 +426,12 @@ impl SovConn {
     fn post_control(
         &self,
         ctx: &SimCtx,
-        _lib: &SoviaLib,
         ptype: PacketType,
         acks: u32,
         payload: &[u8],
     ) -> SockResult<()> {
         assert!(payload.len() <= CTRL_SLOT);
-        let slot = self.acquire_ctrl_slot(ctx)?;
+        let slot = self.acquire_slot(ctx, &self.ctrl_pool)?;
         if !payload.is_empty() {
             self.ctrl_pool.write_slot(ctx, slot, 0, payload);
             self.charge_copy(ctx, payload.len());
@@ -465,9 +460,9 @@ impl SovConn {
             Some(encode(ptype, acks)),
         );
         let posted = {
-            let mut ss = self.send_state.lock();
+            let mut st = self.inner.lock();
             (self.vi.post_send_uncharged(desc))
-                .map(|_| ss.inflight.push_back(InflightKind::Ctrl(slot)))
+                .map(|_| st.inflight.push_back(InflightKind::Ctrl(slot)))
         };
         posted.map_err(|e| {
             self.ctrl_pool.release(slot);
@@ -511,20 +506,19 @@ impl SovConn {
         piggy: u32,
     ) -> Result<u64, VipError> {
         let len = desc.len as u64;
-        let mut ss = self.send_state.lock();
+        let mut st = self.inner.lock();
         let seq = self.vi.post_send_uncharged(desc)?;
-        ss.inflight.push_back(kind);
-        ss.stats.data_sent += 1;
-        ss.stats.bytes_sent += len;
-        ss.stats.acks_piggybacked += u64::from(piggy);
+        st.inflight.push_back(kind);
+        st.stats.data_sent += 1;
+        st.stats.bytes_sent += len;
+        st.stats.acks_piggybacked += u64::from(piggy);
         Ok(seq)
     }
 
     /// Post a DATA packet from a sender-side slot (waits for a credit).
     fn post_data_slot(&self, ctx: &SimCtx, lib: &SoviaLib, slot: usize, len: usize) -> SockResult<()> {
         debug_assert!(len > 0);
-        self.wait_credit(ctx, lib)?;
-        let piggy = self.take_dacks();
+        let piggy = self.take_credit(ctx, lib)?;
         self.charge_post(ctx, len, piggy);
         let desc = Descriptor::send(
             Arc::clone(self.send_pool.region()),
@@ -541,34 +535,49 @@ impl SovConn {
             })
     }
 
-    /// Send the WAKEUP packet after connection establishment.
-    pub(crate) fn send_wakeup(&self, ctx: &SimCtx, lib: &SoviaLib) -> SockResult<()> {
+    /// Send the WAKEUP packet after connection establishment, reporting
+    /// the library-internal socket descriptor `sockdes`.
+    pub(crate) fn send_wakeup(&self, ctx: &SimCtx, sockdes: i32) -> SockResult<()> {
         let info = WakeupInfo {
-            sockdes: *self.fd_hint.lock(),
+            sockdes,
             host: self.local.host,
             port: self.local.port,
         };
-        self.post_control(ctx, lib, PacketType::Wakeup, 0, &info.encode())
+        self.post_control(ctx, PacketType::Wakeup, 0, &info.encode())
     }
 
     // ----- the sockets-facing operations ---------------------------------
 
-    /// `send()` (Section 3.1/3.2 decision tree).
-    pub fn send(&self, ctx: &SimCtx, lib: &SoviaLib, data: &[u8], nodelay: bool) -> SockResult<usize> {
-        self.check_open()?;
+    /// `send()` (Section 3.1/3.2 decision tree). `nodelay` reads the
+    /// socket's `TCP_NODELAY` flag once the library-wide flush is done.
+    pub fn send(
+        &self,
+        ctx: &SimCtx,
+        lib: &SoviaLib,
+        data: &[u8],
+        nodelay: impl FnOnce() -> bool,
+    ) -> SockResult<usize> {
+        // Entering the library flushes other connections' combined data;
+        // this connection's buffer follows its own combining rules.
+        self.enter(ctx, lib, false)?.check_open()?;
+        let nodelay = nodelay();
         if data.is_empty() {
             return Ok(0);
         }
-        // Poll for completed sends; the reap itself runs under the send lock
-        // of the path that follows.
+        // Poll for completed sends; the reap itself runs under the lock of
+        // the path that follows.
         self.charge_poll(ctx);
         if self.config.combine_small && !nodelay && data.len() < self.config.copy_threshold {
             return self.combine_send(ctx, lib, data);
         }
-        while self.reap_one(&mut self.send_state.lock()) {}
         // Condition (3): a message above the threshold flushes the buffer
         // first, then goes out the normal way.
-        self.flush_combine(ctx, lib)?;
+        let pending = {
+            let mut st = self.inner.lock();
+            while self.reap_one(&mut st) {}
+            st.combine.take()
+        };
+        self.post_combine(ctx, lib, pending)?;
         if data.len() <= self.config.copy_threshold {
             self.send_buffered(ctx, lib, data)
         } else {
@@ -577,7 +586,7 @@ impl SovConn {
     }
 
     fn send_buffered(&self, ctx: &SimCtx, lib: &SoviaLib, data: &[u8]) -> SockResult<usize> {
-        let slot = self.acquire_data_slot(ctx)?;
+        let slot = self.acquire_slot(ctx, &self.send_pool)?;
         self.send_pool.write_slot(ctx, slot, 0, data);
         self.charge_copy(ctx, data.len());
         self.post_data_slot(ctx, lib, slot, data.len())?;
@@ -591,15 +600,14 @@ impl SovConn {
             self.process.write_mem(ctx, self.staging, chunk);
             // Zero-copy: pay one registration per transfer (Section 3.1).
             let region = MemRegion::register(ctx, &self.process, self.staging, chunk.len());
-            self.send_state.lock().stats.zero_copy_registrations += 1;
+            self.inner.lock().stats.zero_copy_registrations += 1;
             ctx.trace_count(
                 dsim::TraceLayer::Sovia,
                 dsim::TraceKind::BytesZeroCopy,
                 chunk.len() as u64,
                 dsim::TraceTag::on_conn(self.vi.id()),
             );
-            self.wait_credit(ctx, lib)?;
-            let piggy = self.take_dacks();
+            let piggy = self.take_credit(ctx, lib)?;
             self.charge_post(ctx, chunk.len(), piggy);
             let desc = Descriptor::send(
                 Arc::clone(&region),
@@ -618,7 +626,7 @@ impl SovConn {
             }
             region.deregister(ctx);
             if let DescState::Error(e) = self.vi.send_state(seq) {
-                self.reset.store(true, Ordering::Relaxed);
+                self.inner.lock().reset = true;
                 return Err(Self::map_vip(e));
             }
         }
@@ -626,20 +634,20 @@ impl SovConn {
     }
 
     /// Reap completed sends and append `data` to the combine buffer: with
-    /// a pending buffer that has room, one send-lock round trip does both.
+    /// a pending buffer that has room, one lock round trip does both.
     fn combine_send(&self, ctx: &SimCtx, lib: &SoviaLib, data: &[u8]) -> SockResult<usize> {
-        let mut ss = self.send_state.lock();
-        while self.reap_one(&mut ss) {}
+        let mut st = self.inner.lock();
+        while self.reap_one(&mut st) {}
         loop {
-            match ss.combine.as_mut() {
-                Some(st) if st.filled + data.len() <= CHUNK_SIZE => {
+            match st.combine.as_mut() {
+                Some(c) if c.filled + data.len() <= CHUNK_SIZE => {
                     // The store is uncharged; its COW faults are charged
                     // once the guard is gone.
-                    let faults = self.send_pool.store_slot(st.slot, st.filled, data);
-                    st.filled += data.len();
-                    let full = st.filled >= CHUNK_SIZE;
-                    ss.stats.combined_sends += 1;
-                    drop(ss);
+                    let faults = self.send_pool.store_slot(c.slot, c.filled, data);
+                    c.filled += data.len();
+                    let full = c.filled >= CHUNK_SIZE;
+                    st.stats.combined_sends += 1;
+                    drop(st);
                     charge_cow_faults(ctx, &self.costs, faults);
                     self.charge_copy(ctx, data.len());
                     ctx.trace_count(
@@ -655,22 +663,23 @@ impl SovConn {
                 }
                 // Condition (2): flush when there is no room.
                 Some(_) => {
-                    drop(ss);
-                    self.flush_combine(ctx, lib)?;
+                    let pending = st.combine.take();
+                    drop(st);
+                    self.post_combine(ctx, lib, pending)?;
                 }
                 None => {
-                    drop(ss);
+                    drop(st);
                     self.start_combine(ctx, lib)?;
                 }
             }
-            ss = self.send_state.lock();
+            st = self.inner.lock();
         }
     }
 
     /// Install a fresh combine buffer: take a slot, install it, then arm
     /// the timer for it.
     fn start_combine(&self, ctx: &SimCtx, lib: &SoviaLib) -> SockResult<()> {
-        let slot = self.acquire_data_slot(ctx)?;
+        let slot = self.acquire_slot(ctx, &self.send_pool)?;
         // "the sender starts a timer": 1-2 us of software-timer
         // management (the COMBINE-vs-SINGLE latency gap in Fig 6a).
         ctx.charge(
@@ -679,30 +688,32 @@ impl SovConn {
             COMBINE_TIMER_COST,
             dsim::TraceTag::on_conn(self.vi.id()),
         );
-        let mut ss = self.send_state.lock();
-        if ss.combine.is_some() {
-            // Another thread installed one while this one charged.
-            drop(ss);
-            self.send_pool.release(slot);
-            return Ok(());
-        }
-        let epoch = self.combine_epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        ss.combine = Some(Combine {
-            slot,
-            filled: 0,
-            epoch,
-        });
-        lib.mark_combining(self.vi_id(), true);
-        drop(ss);
-        lib.arm_combine_timer(self, epoch);
+        let epoch = {
+            let mut st = self.inner.lock();
+            if st.combine.is_some() {
+                // Another thread installed one while this one charged.
+                drop(st);
+                self.send_pool.release(slot);
+                return Ok(());
+            }
+            st.combine_epoch += 1;
+            let epoch = st.combine_epoch;
+            st.combine = Some(Combine {
+                slot,
+                filled: 0,
+                epoch,
+            });
+            epoch
+        };
+        lib.combine_started(self.vi_id(), epoch);
         Ok(())
     }
 
     /// Whether the combine buffer installed at `epoch` is still pending
     /// (no flush has taken it yet).
     pub(crate) fn holds_combine_epoch(&self, epoch: u64) -> bool {
-        let ss = self.send_state.lock();
-        ss.combine.as_ref().is_some_and(|st| st.epoch == epoch)
+        let st = self.inner.lock();
+        st.combine.as_ref().is_some_and(|c| c.epoch == epoch)
     }
 
     /// Charge a memcpy of `len` bytes.
@@ -730,92 +741,108 @@ impl SovConn {
     /// Like [`SovConn::flush_combine`], but with `Some(epoch)` (the timer
     /// thread's path) only if that armed epoch is still current: another
     /// flush may run between the timer's expiry and the timer thread's
-    /// turn. Taking the buffer drops this connection from the library's
-    /// dirty list.
+    /// turn.
     pub(crate) fn flush_if_epoch(
         &self,
         ctx: &SimCtx,
         lib: &SoviaLib,
         epoch: Option<u64>,
     ) -> SockResult<()> {
-        let armed = |st: &mut Combine| epoch.unwrap_or(st.epoch) == st.epoch;
-        let Some(st) = self.send_state.lock().combine.take_if(armed) else {
+        let armed = |c: &mut Combine| epoch.unwrap_or(c.epoch) == c.epoch;
+        let pending = self.inner.lock().combine.take_if(armed);
+        self.post_combine(ctx, lib, pending)
+    }
+
+    /// Send a combine buffer just taken off this connection, if any (an
+    /// empty one only returns its slot), and drop the connection from the
+    /// library's dirty list.
+    fn post_combine(&self, ctx: &SimCtx, lib: &SoviaLib, taken: Option<Combine>) -> SockResult<()> {
+        let Some(c) = taken else {
             return Ok(());
         };
-        lib.mark_combining(self.vi_id(), false);
-        if st.filled == 0 {
-            self.send_pool.release(st.slot);
+        lib.combine_taken(self.vi_id());
+        if c.filled == 0 {
+            self.send_pool.release(c.slot);
             return Ok(());
         }
-        self.post_data_slot(ctx, lib, st.slot, st.filled)
+        self.post_data_slot(ctx, lib, c.slot, c.filled)
     }
 
     /// `recv()`: drain buffered stream data, re-posting descriptors as they
     /// are fully consumed.
     pub fn recv(&self, ctx: &SimCtx, lib: &SoviaLib, max: usize) -> SockResult<Vec<u8>> {
-        if self.local_closed.load(Ordering::Relaxed) {
+        // Entering a blocking call flushes pending combined data on every
+        // connection (flush condition 4, library-wide).
+        let mut st = self.enter(ctx, lib, true)?;
+        if st.local_closed {
             return Err(SockError::Closed);
         }
         if max == 0 {
             return Ok(Vec::new());
         }
         // Condition (4): entering recv() flushes pending combined data.
-        self.flush_combine(ctx, lib)?;
+        if st.combine.is_some() {
+            let pending = st.combine.take();
+            drop(st);
+            self.post_combine(ctx, lib, pending)?;
+            st = self.inner.lock();
+        }
         loop {
-            let mut finished_desc = None;
-            let mut out = None;
-            {
-                let mut rd = self.rdata.lock();
-                if let Some(item) = rd.front_mut() {
-                    let xfer = item.desc.status().xfer_len;
-                    let n = (xfer - item.consumed).min(max);
-                    let bytes = item
-                        .desc
-                        .region
-                        .dma_read(item.desc.offset + item.consumed, n);
-                    item.consumed += n;
-                    if item.consumed == xfer {
-                        finished_desc = rd.pop_front().map(|i| i.desc);
-                    }
-                    out = Some(bytes);
-                }
-            }
-            if let Some(bytes) = out {
+            if let Some(item) = st.rdata.front_mut() {
+                let xfer = item.desc.status().xfer_len;
+                let n = (xfer - item.consumed).min(max);
+                let bytes = item
+                    .desc
+                    .region
+                    .dma_read(item.desc.offset + item.consumed, n);
+                item.consumed += n;
+                let finished = if item.consumed == xfer {
+                    st.rdata.pop_front().map(|i| i.desc)
+                } else {
+                    None
+                };
+                st.stats.bytes_rcvd += n as u64;
+                // The peer's FIN is in and this was the last of its data.
+                let drained = st.fin_rcvd && st.rdata.is_empty();
+                drop(st);
                 // The copy out of the bounce buffer into user memory — the
                 // "intermediate buffering" cost of Section 3.1.
-                self.charge_copy(ctx, bytes.len());
-                if let Some(desc) = finished_desc {
-                    self.repost(ctx, desc);
-                    self.note_consumed(ctx, lib);
+                self.charge_copy(ctx, n);
+                if let Some(desc) = finished {
+                    let finalized = self.inner.lock().finalized;
+                    self.repost(ctx, finalized, desc);
+                    self.note_consumed(ctx);
+                    if drained {
+                        self.maybe_finalize(ctx, lib);
+                    }
                 }
-                self.send_state.lock().stats.bytes_rcvd += bytes.len() as u64;
                 return Ok(bytes);
             }
-            if self.reset.load(Ordering::Relaxed) {
+            if st.reset {
                 return Err(SockError::ConnectionReset);
             }
-            if self.fin_rcvd.load(Ordering::Relaxed) {
+            if st.fin_rcvd {
                 return Ok(Vec::new()); // EOF
             }
             // A broken VI with an empty receive queue produces no further
             // completions; surface the breakage instead of blocking.
             if let via::ViState::Error(e) = self.vi.state() {
-                self.reset.store(true, Ordering::Relaxed);
+                st.reset = true;
                 return Err(Self::map_vip(e));
             }
+            drop(st);
             lib.wait_progress(ctx);
+            st = self.inner.lock();
         }
     }
 
     /// `shutdown(SHUT_WR)`: flush pending combined data and send FIN, but
     /// keep the receive direction open (half-close).
     pub fn shutdown_write(&self, ctx: &SimCtx, lib: &SoviaLib) -> SockResult<()> {
-        if self.fin_sent.swap(true, Ordering::Relaxed) {
+        if std::mem::replace(&mut self.inner.lock().fin_sent, true) {
             return Ok(()); // already half- or fully closed
         }
-        let _ = self.flush_combine(ctx, lib);
-        let piggy = self.take_dacks();
-        let _ = self.post_control(ctx, lib, PacketType::Fin, piggy, &[]);
+        self.send_fin(ctx, lib);
         self.maybe_finalize(ctx, lib);
         Ok(())
     }
@@ -824,16 +851,26 @@ impl SovConn {
     /// the FINACK/FIN drainage continues on whichever thread services —
     /// the close thread, once the application holds no more sockets.
     pub fn close(&self, ctx: &SimCtx, lib: &SoviaLib) -> SockResult<()> {
-        if self.local_closed.swap(true, Ordering::Relaxed) {
-            return Ok(());
-        }
-        if !self.fin_sent.swap(true, Ordering::Relaxed) {
-            let _ = self.flush_combine(ctx, lib);
-            let piggy = self.take_dacks();
-            let _ = self.post_control(ctx, lib, PacketType::Fin, piggy, &[]);
+        let fin_sent = {
+            let mut st = self.inner.lock();
+            if std::mem::replace(&mut st.local_closed, true) {
+                return Ok(());
+            }
+            std::mem::replace(&mut st.fin_sent, true)
+        };
+        if !fin_sent {
+            self.send_fin(ctx, lib);
         }
         self.maybe_finalize(ctx, lib);
         Ok(())
+    }
+
+    /// Flush pending combined data, then send our FIN with the owed
+    /// acknowledgments (failures are the reset path's business).
+    fn send_fin(&self, ctx: &SimCtx, lib: &SoviaLib) {
+        let _ = self.flush_combine(ctx, lib);
+        let piggy = std::mem::take(&mut self.inner.lock().dacks);
+        let _ = self.post_control(ctx, PacketType::Fin, piggy, &[]);
     }
 
     // ----- ingress: processing one receive completion ---------------------
@@ -841,62 +878,17 @@ impl SovConn {
     /// Process one completed receive descriptor, if any. Returns true if
     /// one was processed.
     pub(crate) fn process_completion(&self, ctx: &SimCtx, lib: &SoviaLib) -> bool {
-        let action = {
-            let _g = self.ingress.lock();
+        let (action, finalized) = {
+            let mut st = self.inner.lock();
             let Some(desc) = self.vi.recv_done_uncharged() else {
                 return false;
             };
-            let st = desc.status();
-            match st.state {
-                DescState::Error(_) => {
-                    self.reset.store(true, Ordering::Relaxed);
-                    Action::Reset
-                }
-                DescState::Pending => unreachable!("pending descriptor completed"),
-                DescState::Done => match st.immediate.and_then(decode) {
-                    // Garbage packet: drop, re-post.
-                    None => Action::Repost(desc),
-                    Some((ptype, acks)) => {
-                        if acks > 0 {
-                            self.send_state.lock().credits += acks;
-                        }
-                        match ptype {
-                        PacketType::Data => {
-                            self.send_state.lock().stats.data_rcvd += 1;
-                            self.rdata.lock().push_back(RecvItem { desc, consumed: 0 });
-                            Action::Data
-                        }
-                        PacketType::Ack => Action::Repost(desc),
-                        PacketType::Req => Action::Grant(desc),
-                        PacketType::Wakeup => {
-                            let payload = desc.region.dma_read(desc.offset, st.xfer_len);
-                            if let Some(info) = WakeupInfo::decode(&payload) {
-                                let mut peer = self.peer.lock();
-                                if peer.is_none() {
-                                    *peer = Some(SockAddr::new(info.host, info.port));
-                                }
-                            }
-                            self.wakeup_rcvd.store(true, Ordering::Relaxed);
-                            Action::Repost(desc)
-                        }
-                        PacketType::Fin => {
-                            self.fin_rcvd.store(true, Ordering::Relaxed);
-                            Action::Fin(desc)
-                        }
-                        PacketType::FinAck => {
-                            self.finack_rcvd.store(true, Ordering::Relaxed);
-                            Action::Repost(desc)
-                        }
-                        }
-                    }
-                },
-            }
+            (self.decode(&mut st, desc), st.finalized)
         };
         match action {
-            Action::Data => {}
-            Action::Reset => {}
+            Action::Nothing => {}
             Action::Repost(desc) => {
-                self.repost(ctx, desc);
+                self.repost(ctx, finalized, desc);
                 self.maybe_finalize(ctx, lib);
             }
             Action::Grant(desc) => {
@@ -904,13 +896,12 @@ impl SovConn {
                 // descriptors on its RQ ... and replies to the sender with
                 // an ACK" — our pool keeps the descriptors posted; the
                 // grant is the ACK carrying one credit.
-                self.repost(ctx, desc);
-                let _ = self.post_control(ctx, lib, PacketType::Ack, 1, &[]);
-                self.send_state.lock().stats.acks_sent += 1;
+                self.repost(ctx, finalized, desc);
+                let _ = self.post_control(ctx, PacketType::Ack, 1, &[]);
             }
             Action::Fin(desc) => {
-                self.repost(ctx, desc);
-                let _ = self.post_control(ctx, lib, PacketType::FinAck, 0, &[]);
+                self.repost(ctx, finalized, desc);
+                let _ = self.post_control(ctx, PacketType::FinAck, 0, &[]);
                 self.maybe_finalize(ctx, lib);
             }
         }
@@ -918,9 +909,57 @@ impl SovConn {
         true
     }
 
-    /// Re-post a consumed receive descriptor on its own slot.
-    fn repost(&self, ctx: &SimCtx, done: Descriptor) {
-        if self.finalized.load(Ordering::Relaxed) {
+    /// Apply one completed receive descriptor to the state and decide what
+    /// follows once the lock drops.
+    fn decode(&self, st: &mut ConnState, desc: Descriptor) -> Action {
+        let status = desc.status();
+        let (ptype, acks) = match status.state {
+            DescState::Error(_) => {
+                st.reset = true;
+                return Action::Nothing;
+            }
+            DescState::Pending => unreachable!("pending descriptor completed"),
+            DescState::Done => match status.immediate.and_then(decode) {
+                Some(packet) => packet,
+                // Garbage packet: drop, re-post.
+                None => return Action::Repost(desc),
+            },
+        };
+        st.credits += acks;
+        match ptype {
+            PacketType::Data => {
+                st.stats.data_rcvd += 1;
+                st.rdata.push_back(RecvItem { desc, consumed: 0 });
+                Action::Nothing
+            }
+            PacketType::Ack => Action::Repost(desc),
+            PacketType::Req => {
+                st.stats.acks_sent += 1;
+                Action::Grant(desc)
+            }
+            PacketType::Wakeup => {
+                let payload = desc.region.dma_read(desc.offset, status.xfer_len);
+                if let Some(info) = WakeupInfo::decode(&payload) {
+                    st.peer.get_or_insert(SockAddr::new(info.host, info.port));
+                }
+                st.wakeup_rcvd = true;
+                Action::Repost(desc)
+            }
+            PacketType::Fin => {
+                st.fin_rcvd = true;
+                Action::Fin(desc)
+            }
+            PacketType::FinAck => {
+                st.finack_rcvd = true;
+                Action::Repost(desc)
+            }
+        }
+    }
+
+    /// Re-post a consumed receive descriptor on its own slot, unless the
+    /// connection was `finalized`.
+    fn repost(&self, ctx: &SimCtx, finalized: bool, done: Descriptor) {
+        if finalized {
             return;
         }
         // A failed re-post (conn broken) is handled via the reset path.
@@ -928,10 +967,7 @@ impl SovConn {
     }
 
     fn maybe_finalize(&self, ctx: &SimCtx, lib: &SoviaLib) {
-        let done = self.fin_sent.load(Ordering::Relaxed)
-            && self.fin_rcvd.load(Ordering::Relaxed)
-            && self.finack_rcvd.load(Ordering::Relaxed);
-        if !done || self.finalized.swap(true, Ordering::Relaxed) {
+        if !self.inner.lock().take_finalize() {
             return;
         }
         // Both directions agreed: tear down.

@@ -15,7 +15,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::convert::Infallible;
 use std::ops::Bound;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dsim::sync::{SimCondvar, SimQueue};
@@ -28,11 +27,6 @@ use via::{CompletionQueue, ViaNic, WaitMode};
 use crate::config::{ReceiveMode, SoviaConfig, COMBINE_TIMEOUT};
 use crate::conn::SovConn;
 
-/// [`SoviaLib::lone_holder`] of an empty dirty list.
-const NO_HOLDER: u64 = u64::MAX;
-/// [`SoviaLib::lone_holder`] of a dirty list of two or more.
-const MANY_HOLDERS: u64 = u64::MAX - 1;
-
 /// The SOVIA library state of one process.
 pub struct SoviaLib {
     process: Process,
@@ -41,28 +35,30 @@ pub struct SoviaLib {
     costs: HostCosts,
     sim: SimHandle,
     cq: Arc<CompletionQueue>,
-    conns: Mutex<BTreeMap<u32, Arc<SovConn>>>,
-    /// The dirty list: VI ids of the connections that hold a combine
-    /// buffer (`SovConn` adds an id on install and removes it on take).
-    combining: Mutex<BTreeSet<u32>>,
-    /// The dirty list's lone member, readable without its lock, or
-    /// [`NO_HOLDER`] / [`MANY_HOLDERS`].
-    lone_holder: AtomicU64,
+    inner: Mutex<LibState>,
     /// Notified whenever anything that could unblock a waiter happened:
     /// a CQ push (single mode), a processed packet, an accept-queue push.
     progress_cv: SimCondvar,
-    /// Sockets the application has not closed yet.
-    active_sockets: Mutex<i64>,
-    /// Established connections not yet fully torn down.
-    open_conns: Mutex<i64>,
     /// Gate for the close thread.
     activation_cv: SimCondvar,
     /// Combine-timer expirations to be executed with a real context.
     timer_q: Arc<SimQueue<(Arc<SovConn>, u64)>>,
+}
+
+/// Everything about the library that changes, under its one lock.
+struct LibState {
+    conns: BTreeMap<u32, Arc<SovConn>>,
+    /// The dirty list: VI ids of the connections that hold a combine
+    /// buffer (`SovConn` adds an id on install and removes it on take).
+    combining: BTreeSet<u32>,
+    /// Sockets the application has not closed yet.
+    active_sockets: i64,
+    /// Established connections not yet fully torn down.
+    open_conns: i64,
     /// Ephemeral local port allocator.
-    next_port: Mutex<u16>,
+    next_port: u16,
     /// Library-internal socket descriptor numbers (carried in WAKEUP).
-    next_sockdes: Mutex<i32>,
+    next_sockdes: i32,
 }
 
 impl SoviaLib {
@@ -83,16 +79,17 @@ impl SoviaLib {
                 costs: machine.costs().clone(),
                 sim: sim.clone(),
                 cq: Arc::clone(&cq),
-                conns: Mutex::new(BTreeMap::new()),
-                combining: Mutex::new(BTreeSet::new()),
-                lone_holder: AtomicU64::new(NO_HOLDER),
+                inner: Mutex::new(LibState {
+                    conns: BTreeMap::new(),
+                    combining: BTreeSet::new(),
+                    active_sockets: 0,
+                    open_conns: 0,
+                    next_port: 32_768,
+                    next_sockdes: 3,
+                }),
                 progress_cv: SimCondvar::new(&sim),
-                active_sockets: Mutex::new(0),
-                open_conns: Mutex::new(0),
                 activation_cv: SimCondvar::new(&sim),
                 timer_q: SimQueue::new(&sim),
-                next_port: Mutex::new(32_768),
-                next_sockdes: Mutex::new(3),
                 config,
             });
             lib.start_threads();
@@ -133,16 +130,16 @@ impl SoviaLib {
     /// Allocate a library-internal socket descriptor number (the WAKEUP
     /// packet reports it to the peer, as the paper's does).
     pub(crate) fn alloc_sockdes(&self) -> i32 {
-        let mut n = self.next_sockdes.lock();
-        *n += 1;
-        *n
+        let mut st = self.inner.lock();
+        st.next_sockdes += 1;
+        st.next_sockdes
     }
 
     /// Allocate an ephemeral local port.
     pub(crate) fn alloc_port(&self) -> u16 {
-        let mut p = self.next_port.lock();
-        *p = p.wrapping_add(1).max(32_768);
-        *p
+        let mut st = self.inner.lock();
+        st.next_port = st.next_port.wrapping_add(1).max(32_768);
+        st.next_port
     }
 
     /// The name of this library's `role` daemon: `sovia-<role>-<host>/<pid>`,
@@ -189,60 +186,80 @@ impl SoviaLib {
     // ----- connection registry -------------------------------------------
 
     pub(crate) fn insert_conn(&self, conn: Arc<SovConn>) {
-        self.conns.lock().insert(conn.vi_id(), conn);
-        *self.open_conns.lock() += 1;
+        let mut st = self.inner.lock();
+        st.conns.insert(conn.vi_id(), conn);
+        st.open_conns += 1;
+        drop(st);
         self.activation_cv.notify_all();
     }
 
     pub(crate) fn remove_conn(&self, vi_id: u32) {
-        self.conns.lock().remove(&vi_id);
-        self.mark_combining(vi_id, false);
+        let mut st = self.inner.lock();
+        st.conns.remove(&vi_id);
+        st.combining.remove(&vi_id);
     }
 
-    /// Put connection `vi_id` on the dirty list (it installed a combine
-    /// buffer) or take it off.
-    pub(crate) fn mark_combining(&self, vi_id: u32, holds: bool) {
-        let mut held = self.combining.lock();
-        if holds {
-            held.insert(vi_id);
-        } else {
-            held.remove(&vi_id);
-        }
-        let lone = match (held.len(), held.first()) {
-            (0, _) => NO_HOLDER,
-            (1, Some(&vi)) => u64::from(vi),
-            _ => MANY_HOLDERS,
+    fn conn(&self, vi_id: u32) -> Option<Arc<SovConn>> {
+        self.inner.lock().conns.get(&vi_id).cloned()
+    }
+
+    /// Put connection `vi_id` on the dirty list (it installed the combine
+    /// buffer of `epoch`) and arm the combine timer for that buffer
+    /// (condition (1) of Section 3.2). A flush before the timeout
+    /// supersedes the timer: it expires without waking the timer thread.
+    pub(crate) fn combine_started(&self, vi_id: u32, epoch: u64) {
+        let conn = {
+            let mut st = self.inner.lock();
+            st.combining.insert(vi_id);
+            st.conns.get(&vi_id).cloned()
         };
-        self.lone_holder.store(lone, Ordering::Relaxed);
+        let conn = conn.expect("arming timer for unregistered connection");
+        let q = Arc::clone(&self.timer_q);
+        self.sim.schedule_in(COMBINE_TIMEOUT, move |_| {
+            if conn.holds_combine_epoch(epoch) {
+                q.push((conn, epoch));
+            }
+        });
+    }
+
+    /// Take connection `vi_id` off the dirty list (its buffer was taken).
+    pub(crate) fn combine_taken(&self, vi_id: u32) {
+        self.inner.lock().combining.remove(&vi_id);
     }
 
     /// Whether connection `vi_id` is on the dirty list (diagnostics).
     pub fn holds_combine(&self, vi_id: u32) -> bool {
-        self.combining.lock().contains(&vi_id)
+        self.inner.lock().combining.contains(&vi_id)
+    }
+
+    /// Whether a connection other than `except_vi` is on the dirty list.
+    pub(crate) fn holds_combines_except(&self, except_vi: Option<u32>) -> bool {
+        let st = self.inner.lock();
+        st.combining.iter().any(|&vi| Some(vi) != except_vi)
     }
 
     pub(crate) fn conn_finalized(&self) {
-        *self.open_conns.lock() -= 1;
+        self.inner.lock().open_conns -= 1;
         self.activation_cv.notify_all();
         self.notify_progress();
     }
 
     pub(crate) fn socket_opened(&self) {
-        *self.active_sockets.lock() += 1;
+        self.inner.lock().active_sockets += 1;
         self.activation_cv.notify_all();
     }
 
     pub(crate) fn socket_closed(&self) {
-        let mut n = self.active_sockets.lock();
-        *n -= 1;
-        debug_assert!(*n >= 0);
-        drop(n);
+        let mut st = self.inner.lock();
+        st.active_sockets -= 1;
+        debug_assert!(st.active_sockets >= 0);
+        drop(st);
         self.activation_cv.notify_all();
     }
 
     /// Number of connections not yet torn down (diagnostics).
     pub fn open_conn_count(&self) -> i64 {
-        *self.open_conns.lock()
+        self.inner.lock().open_conns
     }
 
     // ----- servicing -------------------------------------------------------
@@ -253,27 +270,22 @@ impl SoviaLib {
     /// the application (re)entering the single-threaded library, not just
     /// the one socket: combined data must not linger while the
     /// application blocks on another descriptor. Walks the dirty list
-    /// once, in ascending VI id; a `send()` that follows sends on the same
-    /// connection, the only one holding a buffer, skips the walk.
+    /// once, in ascending VI id, checking it under the library lock at
+    /// each step.
     pub fn flush_combines_except(&self, ctx: &SimCtx, except_vi: Option<u32>) {
-        let lone = self.lone_holder.load(Ordering::Relaxed);
-        if lone == NO_HOLDER || except_vi.is_some_and(|vi| u64::from(vi) == lone) {
-            return;
-        }
         let mut after = Bound::Unbounded;
-        while let Some(vi) = self.next_combining(after, except_vi) {
-            after = Bound::Excluded(vi);
-            let conn = self.conns.lock().get(&vi).cloned();
-            if let Some(conn) = conn {
-                let _ = conn.flush_combine(ctx, self);
-            }
+        while let Some(conn) = self.next_combining(after, except_vi) {
+            after = Bound::Excluded(conn.vi_id());
+            let _ = conn.flush_combine(ctx, self);
         }
     }
 
-    fn next_combining(&self, after: Bound<u32>, except_vi: Option<u32>) -> Option<u32> {
-        let held = self.combining.lock();
-        let mut later = held.range((after, Bound::Unbounded)).copied();
-        later.find(|&vi| Some(vi) != except_vi)
+    fn next_combining(&self, after: Bound<u32>, except_vi: Option<u32>) -> Option<Arc<SovConn>> {
+        let st = self.inner.lock();
+        st.combining
+            .range((after, Bound::Unbounded))
+            .filter(|&&vi| Some(vi) != except_vi)
+            .find_map(|vi| st.conns.get(vi).cloned())
     }
 
     /// Process at most one receive completion (non-blocking). Returns true
@@ -282,8 +294,7 @@ impl SoviaLib {
         let Some(entry) = self.cq.poll(ctx, &self.costs) else {
             return false;
         };
-        let conn = self.conns.lock().get(&entry.vi_id).cloned();
-        if let Some(conn) = conn {
+        if let Some(conn) = self.conn(entry.vi_id) {
             conn.process_completion(ctx, self);
         }
         true
@@ -342,8 +353,10 @@ impl SoviaLib {
             // Suspended while the application holds open sockets (a WAKEUP
             // means a live connection, so the close thread stands down).
             loop {
-                let active = *self.active_sockets.lock();
-                let open = *self.open_conns.lock();
+                let (active, open) = {
+                    let st = self.inner.lock();
+                    (st.active_sockets, st.open_conns)
+                };
                 if active == 0 && open > 0 {
                     break;
                 }
@@ -356,8 +369,7 @@ impl SoviaLib {
 
     fn handler_thread_main(&self, ctx: &SimCtx) {
         while let Ok(entry) = self.cq.wait(ctx, &self.costs, WaitMode::Block) {
-            let conn = self.conns.lock().get(&entry.vi_id).cloned();
-            if let Some(conn) = conn {
+            if let Some(conn) = self.conn(entry.vi_id) {
                 conn.process_completion(ctx, self);
             }
         }
@@ -367,25 +379,5 @@ impl SoviaLib {
         while let Ok((conn, epoch)) = self.timer_q.pop_idle(ctx) {
             let _ = conn.flush_if_epoch(ctx, self, Some(epoch));
         }
-    }
-
-    /// Arm the combine timer for the buffer `conn` installed at `epoch`
-    /// (condition (1) of Section 3.2). A flush before the timeout supersedes
-    /// the timer: it expires without waking the timer thread.
-    pub(crate) fn arm_combine_timer(&self, conn: &SovConn, epoch: u64) {
-        // Find our own Arc via the conns table to avoid an Arc<Self> param
-        // threading through the send path.
-        let conn = self
-            .conns
-            .lock()
-            .get(&conn.vi_id())
-            .cloned()
-            .expect("arming timer for unregistered connection");
-        let q = Arc::clone(&self.timer_q);
-        self.sim.schedule_in(COMBINE_TIMEOUT, move |_| {
-            if conn.holds_combine_epoch(epoch) {
-                q.push((conn, epoch));
-            }
-        });
     }
 }

@@ -78,9 +78,17 @@ impl SovSocket {
     /// the socket closes its connection first thing, so the connection's
     /// own flag answers for both.
     fn conn(&self) -> SockResult<&Arc<SovConn>> {
+        match self.any_conn()? {
+            c if c.is_closed() => Err(SockError::Closed),
+            c => Ok(c),
+        }
+    }
+
+    /// The connection of a connected socket, open or closed: `send` and
+    /// `recv` leave the closed check to the connection.
+    fn any_conn(&self) -> SockResult<&Arc<SovConn>> {
         match self.conn.get() {
-            Some(c) if !c.is_closed() => Ok(c),
-            Some(_) => Err(SockError::Closed),
+            Some(c) => Ok(c),
             None => match *self.state.lock() {
                 State::Closed => Err(SockError::Closed),
                 _ => Err(SockError::NotConnected),
@@ -155,18 +163,13 @@ impl Socket for SovSocket {
             // the reliable VI tore down) surfaces as a typed error, like
             // BSD's ECONNABORTED — the peer may believe it connected and
             // never retry, so silently waiting again would hang forever.
-            let mut broken = false;
             while !c.wakeup_received() {
                 if c.is_broken() {
-                    broken = true;
-                    break;
+                    self.lib.remove_conn(c.vi_id());
+                    self.lib.conn_finalized();
+                    return Err(SockError::ConnectionReset);
                 }
                 self.lib.wait_progress(ctx);
-            }
-            if broken {
-                self.lib.remove_conn(c.vi_id());
-                self.lib.conn_finalized();
-                return Err(SockError::ConnectionReset);
             }
             break c;
         };
@@ -197,43 +200,29 @@ impl Socket for SovSocket {
         // Register before the request: the server's WAKEUP may arrive the
         // instant the accept completes.
         lib.insert_conn(Arc::clone(&conn));
-        match lib
-            .nic()
-            .connect_request(ctx, &vi, nic_of_host(addr.host), discriminator(addr.port))
-        {
-            Ok(()) => {}
-            Err(via::VipError::ConnectionRefused) => {
-                lib.remove_conn(vi.id());
-                lib.conn_finalized();
-                return Err(SockError::ConnectionRefused);
-            }
-            Err(_) => {
-                lib.remove_conn(vi.id());
-                lib.conn_finalized();
-                return Err(SockError::ConnectionReset);
-            }
+        let (nic, disc) = (nic_of_host(addr.host), discriminator(addr.port));
+        if let Err(e) = lib.nic().connect_request(ctx, &vi, nic, disc) {
+            lib.remove_conn(vi.id());
+            lib.conn_finalized();
+            return Err(match e {
+                via::VipError::ConnectionRefused => SockError::ConnectionRefused,
+                _ => SockError::ConnectionReset,
+            });
         }
         conn.set_peer(addr);
-        conn.set_fd_hint(lib.alloc_sockdes());
-        conn.send_wakeup(ctx, lib)?;
+        conn.send_wakeup(ctx, lib.alloc_sockdes())?;
         let _ = self.conn.set(conn);
         *self.state.lock() = State::Connected;
         Ok(())
     }
 
     fn send(&self, ctx: &SimCtx, data: &[u8]) -> SockResult<usize> {
-        let conn = self.conn()?;
-        // Entering the library flushes other connections' combined data;
-        // this connection's buffer follows its own combining rules.
-        self.lib.flush_combines_except(ctx, Some(conn.vi_id()));
-        conn.send(ctx, &self.lib, data, self.nodelay.load(Ordering::Relaxed))
+        let nodelay = || self.nodelay.load(Ordering::Relaxed);
+        self.any_conn()?.send(ctx, &self.lib, data, nodelay)
     }
 
     fn recv(&self, ctx: &SimCtx, max: usize) -> SockResult<Vec<u8>> {
-        let conn = self.conn()?;
-        // Flush condition (4), library-wide: see `accept`.
-        self.lib.flush_combines_except(ctx, None);
-        conn.recv(ctx, &self.lib, max)
+        self.any_conn()?.recv(ctx, &self.lib, max)
     }
 
     fn shutdown(&self, ctx: &SimCtx, how: Shutdown) -> SockResult<()> {
@@ -330,14 +319,14 @@ fn connection_thread(
         });
         // Build first (pre-posts all descriptors), then accept.
         let conn = SovConn::new(ctx, lib, Arc::clone(&vi), addr);
-        conn.set_fd_hint(lib.alloc_sockdes());
+        let sockdes = lib.alloc_sockdes();
         lib.insert_conn(Arc::clone(&conn));
         if lib.nic().connect_accept(ctx, &pending, &vi).is_err() {
             lib.remove_conn(vi.id());
             lib.conn_finalized();
             continue;
         }
-        if conn.send_wakeup(ctx, lib).is_err() {
+        if conn.send_wakeup(ctx, sockdes).is_err() {
             continue;
         }
         accept_q.push(conn);

@@ -99,14 +99,6 @@ impl Payload {
     pub fn as_slice(&self) -> &[u8] {
         &self.data[self.off..self.off + self.len]
     }
-
-    /// Copy the visible window out into an owned `Vec`.
-    ///
-    /// This is the explicit materialization point (e.g. landing bytes in a
-    /// receiver's user buffer); the name makes copies grep-able.
-    pub fn to_owned_vec(&self) -> Vec<u8> {
-        self.as_slice().to_vec()
-    }
 }
 
 impl Deref for Payload {
@@ -219,11 +211,5 @@ mod tests {
     fn oversized_slice_panics() {
         let p = Payload::new(vec![1, 2, 3]);
         let _ = p.slice(1..5);
-    }
-
-    #[test]
-    fn to_owned_vec_materializes() {
-        let p = Payload::new(vec![5, 6, 7]).slice(1..);
-        assert_eq!(p.to_owned_vec(), vec![6, 7]);
     }
 }

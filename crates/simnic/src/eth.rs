@@ -186,7 +186,7 @@ mod tests {
             let got = Arc::clone(&got);
             let sim_h = h.clone();
             b.set_rx_handler(move |_ctx, f| {
-                got.lock().push((f.payload.to_owned_vec(), sim_h.now().as_nanos()));
+                got.lock().push((f.payload.to_vec(), sim_h.now().as_nanos()));
             });
         }
         EthPort::connect(&h, &a, &b);

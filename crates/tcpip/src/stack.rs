@@ -26,10 +26,16 @@ pub struct TcpStack {
     machine: Machine,
     device: Arc<dyn NetDevice>,
     costs: TcpCosts,
-    conns: Mutex<BTreeMap<ConnKey, Arc<Tcb>>>,
-    listeners: Mutex<BTreeMap<u16, Arc<Listener>>>,
+    inner: Mutex<StackState>,
     timer_q: Arc<SimQueue<TimerEvent>>,
-    next_port: Mutex<u16>,
+}
+
+/// Everything about the stack that changes, under its one lock.
+struct StackState {
+    conns: BTreeMap<ConnKey, Arc<Tcb>>,
+    listeners: BTreeMap<u16, Arc<Listener>>,
+    /// Ephemeral local port allocator.
+    next_port: u16,
 }
 
 impl TcpStack {
@@ -41,10 +47,12 @@ impl TcpStack {
             machine: machine.clone(),
             device: Arc::clone(&device),
             costs,
-            conns: Mutex::new(BTreeMap::new()),
-            listeners: Mutex::new(BTreeMap::new()),
+            inner: Mutex::new(StackState {
+                conns: BTreeMap::new(),
+                listeners: BTreeMap::new(),
+                next_port: 32_768,
+            }),
             timer_q: SimQueue::new(&sim),
-            next_port: Mutex::new(32_768),
         });
         machine.ext().insert::<TcpStack>(Arc::clone(&stack));
         // Wire the receive path.
@@ -62,7 +70,7 @@ impl TcpStack {
             sim.on_teardown(move || {
                 if let Some(stack) = weak.upgrade() {
                     stack.device.set_rx(Arc::new(|_, _| {}));
-                    stack.conns.lock().clear();
+                    stack.inner.lock().conns.clear();
                     while stack.timer_q.try_pop().is_some() {}
                 }
             });
@@ -90,15 +98,10 @@ impl TcpStack {
             .expect("no TcpStack installed on this machine")
     }
 
-    /// The machine this stack runs on.
-    pub fn machine(&self) -> &Machine {
-        &self.machine
-    }
-
     fn alloc_port(&self) -> u16 {
-        let mut p = self.next_port.lock();
-        *p = p.wrapping_add(1).max(32_768);
-        *p
+        let mut st = self.inner.lock();
+        st.next_port = st.next_port.wrapping_add(1).max(32_768);
+        st.next_port
     }
 
     fn new_tcb(&self, local: SockAddr, remote: SockAddr, state: TcpState) -> Arc<Tcb> {
@@ -114,7 +117,7 @@ impl TcpStack {
             state,
         );
         let key = (local.port, remote.host, remote.port);
-        self.conns.lock().insert(key, Arc::clone(&tcb));
+        self.inner.lock().conns.insert(key, Arc::clone(&tcb));
         // Drop the table entry once the connection fully closes.
         {
             let stack = self
@@ -123,7 +126,7 @@ impl TcpStack {
                 .get::<TcpStack>()
                 .expect("stack registered");
             tcb.set_on_closed(move || {
-                stack.conns.lock().remove(&key);
+                stack.inner.lock().conns.remove(&key);
             });
         }
         tcb
@@ -131,7 +134,7 @@ impl TcpStack {
 
     /// Open a listener on `port`. Errors if the port is taken.
     pub fn listen(&self, port: u16) -> SockResult<Arc<SimQueue<Arc<Tcb>>>> {
-        let mut listeners = self.listeners.lock();
+        let listeners = &mut self.inner.lock().listeners;
         if listeners.contains_key(&port) {
             return Err(SockError::AddrInUse);
         }
@@ -147,7 +150,7 @@ impl TcpStack {
 
     /// Close a listener.
     pub fn unlisten(&self, port: u16) {
-        self.listeners.lock().remove(&port);
+        self.inner.lock().listeners.remove(&port);
     }
 
     /// Active connection establishment: SYN → wait for SYN-ACK.
@@ -169,7 +172,7 @@ impl TcpStack {
         }
         let src_host = seg.src;
         let key = (seg.dst_port, src_host, seg.src_port);
-        let existing = self.conns.lock().get(&key).cloned();
+        let existing = self.inner.lock().conns.get(&key).cloned();
         if let Some(tcb) = existing {
             tcb.on_segment(ctx, seg, payload);
             return;
@@ -183,7 +186,7 @@ impl TcpStack {
                 self.costs.rx_segment + self.costs.ip,
                 dsim::TraceTag::on_conn(seg.dst_port as u32),
             );
-            let listener = self.listeners.lock().get(&seg.dst_port).cloned();
+            let listener = self.inner.lock().listeners.get(&seg.dst_port).cloned();
             match listener {
                 Some(l) => {
                     let local = SockAddr::new(self.machine.id(), seg.dst_port);

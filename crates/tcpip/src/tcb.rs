@@ -4,17 +4,18 @@
 //! Each connection has a *transmit engine* daemon that serializes all
 //! outgoing segments (so sequence order is never violated by concurrent
 //! senders) and charges the kernel's per-segment costs. The receive path
-//! runs on the device's service thread (interrupt context). Every blocking
-//! primitive follows the executor's rule: no lock held across a
-//! time-advancing call.
+//! runs on the device's service thread (interrupt context). All that
+//! changes sits in one `TcbState` under one lock, whose guard is never
+//! held across a time-advancing call: work decided under it (a segment,
+//! a timer, the close hook) runs once it drops, and helpers take the
+//! state from a caller that holds the guard.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 use dsim::sync::{SimCondvar, SimQueue};
-use dsim::{Payload, Shutdown, SimCtx, SimHandle};
-use parking_lot::Mutex;
+use dsim::{Payload, Shutdown, SimCtx, SimDuration, SimHandle};
+use parking_lot::{Mutex, MutexGuard};
 use simos::{HostCosts, KernelCpu};
 use sockets::{SockAddr, SockError, SockResult};
 
@@ -176,6 +177,7 @@ impl SegQueue {
     }
 }
 
+#[derive(Default)]
 struct Rcv {
     nxt: u32,
     buf: SegQueue,
@@ -199,6 +201,39 @@ pub(crate) enum TimerEvent {
     DelayedAck(Arc<Tcb>, u64),
 }
 
+/// Everything about a connection that changes, under its one lock.
+struct TcbState {
+    state: TcpState,
+    snd: Snd,
+    rcv: Rcv,
+    /// Nagle's algorithm is on (no `TCP_NODELAY`).
+    nagle: bool,
+    /// Send buffer size.
+    snd_cap: usize,
+    /// Receive buffer size (the advertised window).
+    rcv_cap: usize,
+    /// The connection was reset (RST received or sent, or the
+    /// retransmissions ran out).
+    reset: bool,
+    /// Called once on full close so the stack can drop its table entry.
+    on_closed: Option<Box<dyn FnOnce() + Send>>,
+}
+
+impl TcbState {
+    fn advertised_window(&self) -> u32 {
+        self.rcv_cap.saturating_sub(self.rcv.buf.len()) as u32
+    }
+}
+
+impl Snd {
+    /// Start a new retransmission timeout; returns its generation.
+    fn arm_rto(&mut self) -> u64 {
+        self.rto_gen += 1;
+        self.rto_armed = true;
+        self.rto_gen
+    }
+}
+
 /// One TCP connection.
 pub struct Tcb {
     pub(crate) local: SockAddr,
@@ -212,9 +247,7 @@ pub struct Tcb {
     timer_q: Arc<SimQueue<TimerEvent>>,
     mss: usize,
 
-    state: Mutex<TcpState>,
-    snd: Mutex<Snd>,
-    rcv: Mutex<Rcv>,
+    inner: Mutex<TcbState>,
 
     /// Established / refused signal for `connect`.
     cv_est: SimCondvar,
@@ -225,12 +258,6 @@ pub struct Tcb {
     /// Work for the transmit engine.
     cv_tx: SimCondvar,
 
-    nagle: AtomicBool,
-    snd_cap: AtomicUsize,
-    rcv_cap: AtomicUsize,
-    reset: AtomicBool,
-    /// Called once on full close so the stack can drop its table entry.
-    on_closed: Mutex<Option<Box<dyn FnOnce() + Send>>>,
     /// Weak self-reference so timer closures can recover an `Arc`.
     self_ref: Weak<Tcb>,
 }
@@ -263,27 +290,24 @@ impl Tcb {
             sim: sim.clone(),
             timer_q,
             mss,
-            state: Mutex::new(initial_state),
-            snd: Mutex::new(Snd::new((4 * mss) as u32)),
-            rcv: Mutex::new(Rcv {
-                nxt: 1,
-                buf: SegQueue::default(),
-                fin_rcvd: false,
-                quickack: 16,
-                unacked_segments: 0,
-                dack_gen: 0,
-                window_was_closed: false,
-                ack_now: false,
+            inner: Mutex::new(TcbState {
+                state: initial_state,
+                snd: Snd::new((4 * mss) as u32),
+                rcv: Rcv {
+                    nxt: 1,
+                    quickack: 16,
+                    ..Rcv::default()
+                },
+                nagle: true,
+                snd_cap: DEFAULT_SOCKBUF,
+                rcv_cap: DEFAULT_SOCKBUF,
+                reset: false,
+                on_closed: None,
             }),
             cv_est: SimCondvar::new(sim),
             cv_send: SimCondvar::new(sim),
             cv_recv: SimCondvar::new(sim),
             cv_tx: SimCondvar::new(sim),
-            nagle: AtomicBool::new(true),
-            snd_cap: AtomicUsize::new(DEFAULT_SOCKBUF),
-            rcv_cap: AtomicUsize::new(DEFAULT_SOCKBUF),
-            reset: AtomicBool::new(false),
-            on_closed: Mutex::new(None),
             self_ref: self_ref.clone(),
         });
         // The transmit engine.
@@ -298,17 +322,12 @@ impl Tcb {
     }
 
     pub(crate) fn set_on_closed(&self, f: impl FnOnce() + Send + 'static) {
-        *self.on_closed.lock() = Some(Box::new(f));
-    }
-
-    /// Current state (diagnostics).
-    pub fn state(&self) -> TcpState {
-        *self.state.lock()
+        self.inner.lock().on_closed = Some(Box::new(f));
     }
 
     /// Disable/enable Nagle (`TCP_NODELAY`).
     pub fn set_nodelay(&self, on: bool) {
-        self.nagle.store(!on, Ordering::Relaxed);
+        self.inner.lock().nagle = !on;
         if on {
             self.cv_tx.notify_all();
         }
@@ -316,16 +335,12 @@ impl Tcb {
 
     /// Set socket buffer sizes.
     pub fn set_sndbuf(&self, n: usize) {
-        self.snd_cap.store(n.max(self.mss), Ordering::Relaxed);
+        self.inner.lock().snd_cap = n.max(self.mss);
     }
 
     /// Set the receive buffer (advertised window) size.
     pub fn set_rcvbuf(&self, n: usize) {
-        self.rcv_cap.store(n.max(self.mss), Ordering::Relaxed);
-    }
-
-    fn advertised_window(&self, rcv: &Rcv) -> u32 {
-        (self.rcv_cap.load(Ordering::Relaxed).saturating_sub(rcv.buf.len())) as u32
+        self.inner.lock().rcv_cap = n.max(self.mss);
     }
 
     // ----- segment emission ------------------------------------------------
@@ -344,11 +359,12 @@ impl Tcb {
     fn emit(&self, ctx: &SimCtx, seq: u32, flags: TcpFlags, wire: Vec<u8>) {
         let payload_len = wire.len() - IP_HDR - TCP_HDR;
         let (ack, wnd) = {
-            let mut rcv = self.rcv.lock();
+            let mut st = self.inner.lock();
+            let rcv = &mut st.rcv;
             rcv.unacked_segments = 0;
             rcv.ack_now = false;
             rcv.dack_gen += 1; // cancel any pending delayed-ack
-            (rcv.nxt, self.advertised_window(&rcv))
+            (rcv.nxt, st.advertised_window())
         };
         let pure_ack = payload_len == 0 && !flags.contains(TcpFlags::SYN);
         let (kind, cost) = if pure_ack {
@@ -383,7 +399,7 @@ impl Tcb {
             dsim::TraceKind::HandshakeReq,
             dsim::TraceTag::on_conn(self.local.port as u32),
         );
-        let wnd = self.rcv_cap.load(Ordering::Relaxed) as u32;
+        let wnd = self.inner.lock().rcv_cap as u32;
         let hdr = self.header(0, 0, TcpFlags::SYN, wnd);
         self.device.send(ctx, self.remote.host, hdr.encode(PacketHeader::wire_buf(0)));
         self.arm_rto();
@@ -397,19 +413,20 @@ impl Tcb {
 
     fn tx_engine(self: &Arc<Self>, ctx: &SimCtx) -> Result<(), Shutdown> {
         loop {
-            if *self.state.lock() == TcpState::Closed {
-                return Ok(());
-            }
             enum Job {
                 Data { seq: u32, wire: Vec<u8> },
                 Fin { seq: u32 },
-                PureAck,
+                PureAck { seq: u32 },
                 Idle,
             }
             let job = {
-                let established = *self.state.lock() == TcpState::Established;
-                let mut snd = self.snd.lock();
-                if !established {
+                let mut st = self.inner.lock();
+                let nagle = st.nagle;
+                let (state, snd) = (st.state, &mut st.snd);
+                if state == TcpState::Closed {
+                    return Ok(());
+                }
+                if state != TcpState::Established {
                     Job::Idle
                 } else {
                     // The FIN, once sent, occupies one sequence number
@@ -423,7 +440,7 @@ impl Tcb {
                     let seg = avail.min(self.mss as u32).min(can);
                     let small_unacked = seq_diff(snd.small_limit, snd.una) > 0
                         && seq_diff(snd.small_limit, snd.una) <= seq_used;
-                    let nagle_holds = self.nagle.load(Ordering::Relaxed)
+                    let nagle_holds = nagle
                         && seg > 0
                         && (seg as usize) < self.mss
                         && small_unacked
@@ -455,8 +472,8 @@ impl Tcb {
                             snd.high = snd.nxt;
                         }
                         Job::Fin { seq }
-                    } else if self.rcv.lock().ack_now {
-                        Job::PureAck
+                    } else if st.rcv.ack_now {
+                        Job::PureAck { seq: st.snd.nxt }
                     } else {
                         Job::Idle
                     }
@@ -471,10 +488,7 @@ impl Tcb {
                     self.emit(ctx, seq, TcpFlags::FIN, PacketHeader::wire_buf(0));
                     self.arm_rto();
                 }
-                Job::PureAck => {
-                    // Read nxt into a local: emit() advances virtual time
-                    // and must never run under the snd lock.
-                    let seq = self.snd.lock().nxt;
+                Job::PureAck { seq } => {
                     self.emit(ctx, seq, TcpFlags::empty(), PacketHeader::wire_buf(0));
                 }
                 Job::Idle => self.cv_tx.wait_idle(ctx)?,
@@ -485,17 +499,15 @@ impl Tcb {
     // ----- timers ------------------------------------------------------------
 
     fn arm_rto(&self) {
-        let gen = {
-            let mut snd = self.snd.lock();
-            snd.rto_gen += 1;
-            snd.rto_armed = true;
-            snd.rto_gen
-        };
-        let q = Arc::clone(&self.timer_q);
-        let me = self.self_arc();
-        self.sim.schedule_in(self.costs.rto, move |_| {
-            q.push(TimerEvent::Rto(me, gen));
-        });
+        let gen = self.inner.lock().snd.arm_rto();
+        self.schedule(self.costs.rto, TimerEvent::Rto, gen);
+    }
+
+    /// Queue timer `event` of generation `gen` for the timer thread,
+    /// `after` from now.
+    fn schedule(&self, after: SimDuration, event: fn(Arc<Tcb>, u64) -> TimerEvent, gen: u64) {
+        let (q, me) = (Arc::clone(&self.timer_q), self.self_arc());
+        self.sim.schedule_in(after, move |_| q.push(event(me, gen)));
     }
 
     /// `Arc<Self>` recovery for timer closures. Timers are armed only from
@@ -507,37 +519,26 @@ impl Tcb {
     }
 
     pub(crate) fn handle_rto(self: &Arc<Self>, ctx: &SimCtx, gen: u64) {
-        // A lost SYN never shows up as rewindable data (the engine only
-        // runs once established): retransmit the handshake segment itself.
-        if *self.state.lock() == TcpState::SynSent {
-            let give_up = {
-                let mut snd = self.snd.lock();
-                if snd.rto_gen != gen || !snd.rto_armed {
-                    return;
-                }
-                snd.rto_retries += 1;
-                snd.rto_retries > MAX_RTO_RETRIES
-            };
-            if give_up {
-                self.do_reset();
-            } else {
-                self.send_syn(ctx); // re-arms the RTO
-            }
-            return;
-        }
         enum Rto {
             Stale,
+            /// A lost SYN never shows up as rewindable data (the engine
+            /// only runs once established): resend the handshake segment.
+            Syn,
             Retransmit,
             GiveUp,
         }
         let action = {
-            let mut snd = self.snd.lock();
+            let mut st = self.inner.lock();
+            let syn_sent = st.state == TcpState::SynSent;
+            let snd = &mut st.snd;
             if snd.rto_gen != gen || !snd.rto_armed {
                 Rto::Stale
-            } else if seq_diff(snd.nxt, snd.una) > 0 {
+            } else if syn_sent || seq_diff(snd.nxt, snd.una) > 0 {
                 snd.rto_retries += 1;
                 if snd.rto_retries > MAX_RTO_RETRIES {
                     Rto::GiveUp
+                } else if syn_sent {
+                    Rto::Syn
                 } else {
                     // Go-back-N: rewind and let the engine resend.
                     snd.nxt = snd.una;
@@ -553,6 +554,7 @@ impl Tcb {
         };
         match action {
             Rto::Stale => {}
+            Rto::Syn => self.send_syn(ctx), // re-arms the RTO
             Rto::Retransmit => {
                 ctx.trace_count(
                     dsim::TraceLayer::Kernel,
@@ -568,7 +570,7 @@ impl Tcb {
 
     pub(crate) fn handle_delayed_ack(self: &Arc<Self>, ctx: &SimCtx, gen: u64) {
         let fire = {
-            let mut rcv = self.rcv.lock();
+            let rcv = &mut self.inner.lock().rcv;
             if rcv.dack_gen == gen && rcv.unacked_segments > 0 {
                 rcv.ack_now = true;
                 true
@@ -592,19 +594,6 @@ impl Tcb {
         }
     }
 
-    fn arm_delayed_ack(&self) {
-        let gen = {
-            let mut rcv = self.rcv.lock();
-            rcv.dack_gen += 1;
-            rcv.dack_gen
-        };
-        let q = Arc::clone(&self.timer_q);
-        let me = self.self_arc();
-        self.sim.schedule_in(self.costs.delayed_ack, move |_| {
-            q.push(TimerEvent::DelayedAck(me, gen));
-        });
-    }
-
     // ----- the receive path (device service thread) -------------------------
 
     pub(crate) fn on_segment(self: &Arc<Self>, ctx: &SimCtx, seg: PacketHeader, payload: Payload) {
@@ -621,19 +610,17 @@ impl Tcb {
             self.do_reset();
             return;
         }
-        let state = *self.state.lock();
-        match state {
+        let mut st = self.inner.lock();
+        match st.state {
             TcpState::SynSent => {
                 if seg.flags.contains(TcpFlags::SYN) && seg.flags.contains(TcpFlags::ACK) {
-                    {
-                        let mut snd = self.snd.lock();
-                        snd.peer_wnd = seg.wnd;
-                        snd.rto_retries = 0;
-                        snd.rto_armed = false;
-                    }
-                    *self.state.lock() = TcpState::Established;
+                    st.snd.peer_wnd = seg.wnd;
+                    st.snd.rto_retries = 0;
+                    st.snd.rto_armed = false;
+                    st.state = TcpState::Established;
                     // The handshake ACK.
-                    self.rcv.lock().ack_now = true;
+                    st.rcv.ack_now = true;
+                    drop(st);
                     self.cv_est.notify_all();
                     self.cv_tx.notify_all();
                 }
@@ -642,61 +629,61 @@ impl Tcb {
                 if seg.flags.contains(TcpFlags::SYN) && !seg.flags.contains(TcpFlags::ACK) {
                     // Duplicate SYN: our SYN-ACK was lost and the client
                     // retransmitted. Answer again.
+                    drop(st);
                     self.send_syn_ack(ctx);
                 } else if seg.flags.contains(TcpFlags::ACK) && !seg.flags.contains(TcpFlags::SYN) {
-                    {
-                        let mut snd = self.snd.lock();
-                        snd.peer_wnd = seg.wnd;
-                    }
-                    *self.state.lock() = TcpState::Established;
+                    st.snd.peer_wnd = seg.wnd;
+                    st.state = TcpState::Established;
                     self.cv_est.notify_all();
                     // Fall through to normal processing of any payload.
-                    self.process_established(ctx, seg, payload);
+                    self.process_established(ctx, st, seg, payload);
                 }
             }
-            TcpState::Established => self.process_established(ctx, seg, payload),
+            TcpState::Established => self.process_established(ctx, st, seg, payload),
             TcpState::Closed => {}
         }
     }
 
-    fn process_established(self: &Arc<Self>, ctx: &SimCtx, seg: PacketHeader, payload: Payload) {
+    /// Take a segment on an established connection; `st` is its state,
+    /// locked by the caller.
+    fn process_established(
+        self: &Arc<Self>,
+        ctx: &SimCtx,
+        mut st: MutexGuard<'_, TcbState>,
+        seg: PacketHeader,
+        payload: Payload,
+    ) {
         let mut wake_send = false;
-        // Window/ack news always interests the tx engine.
-        let wake_tx = true;
         let mut wake_recv = false;
         let mut check_closed = false;
+        // Timers to arm once the lock drops, RTO first.
+        let mut rto = None;
+        let mut delayed_ack = None;
         // --- ACK side ---
-        {
-            let mut snd = self.snd.lock();
-            snd.peer_wnd = seg.wnd;
-            let conn = (self.local, self.remote);
-            if seg.flags.contains(TcpFlags::ACK) && snd.take_ack(seg.ack, conn) {
-                // Once the FIN is acked, no later ACK is new.
-                check_closed = snd.fin_acked;
-                snd.rto_retries = 0;
-                // Slow-start growth, capped generously (no losses on the
-                // SAN; it simply ramps and saturates).
-                snd.cwnd = (snd.cwnd + self.mss as u32).min(1 << 20);
-                if seq_diff(snd.nxt, snd.una) > 0 {
-                    drop(snd);
-                    self.arm_rto();
-                } else {
-                    snd.rto_armed = false;
-                    drop(snd);
-                }
-                wake_send = true;
+        let snd = &mut st.snd;
+        snd.peer_wnd = seg.wnd;
+        let conn = (self.local, self.remote);
+        if seg.flags.contains(TcpFlags::ACK) && snd.take_ack(seg.ack, conn) {
+            // Once the FIN is acked, no later ACK is new.
+            check_closed = snd.fin_acked;
+            snd.rto_retries = 0;
+            // Slow-start growth, capped generously (no losses on the
+            // SAN; it simply ramps and saturates).
+            snd.cwnd = (snd.cwnd + self.mss as u32).min(1 << 20);
+            if seq_diff(snd.nxt, snd.una) > 0 {
+                rto = Some(snd.arm_rto());
+            } else {
+                snd.rto_armed = false;
             }
+            wake_send = true;
         }
         // --- data side ---
         let payload_len = payload.len();
         if payload_len > 0 {
-            let mut rcv = self.rcv.lock();
-            if seg.seq == rcv.nxt {
-                let room = self
-                    .rcv_cap
-                    .load(Ordering::Relaxed)
-                    .saturating_sub(rcv.buf.len());
+            if seg.seq == st.rcv.nxt {
+                let room = st.rcv_cap.saturating_sub(st.rcv.buf.len());
                 let take = payload_len.min(room);
+                let rcv = &mut st.rcv;
                 // Queue a window of the wire bytes — no copy until recv().
                 rcv.buf.push(payload.slice(..take));
                 rcv.nxt = rcv.nxt.wrapping_add(take as u32);
@@ -710,18 +697,18 @@ impl Tcb {
                 } else if rcv.unacked_segments >= 2 {
                     rcv.ack_now = true;
                 } else {
-                    drop(rcv);
-                    self.arm_delayed_ack();
+                    rcv.dack_gen += 1;
+                    delayed_ack = Some(rcv.dack_gen);
                 }
                 wake_recv = true;
             } else {
                 // Out of order / duplicate: dup-ACK so the sender rewinds.
-                rcv.ack_now = true;
+                st.rcv.ack_now = true;
             }
         }
         // --- FIN ---
         if seg.flags.contains(TcpFlags::FIN) {
-            let mut rcv = self.rcv.lock();
+            let rcv = &mut st.rcv;
             let fin_seq = seg.seq.wrapping_add(payload_len as u32);
             if fin_seq == rcv.nxt && !rcv.fin_rcvd {
                 rcv.fin_rcvd = true;
@@ -730,6 +717,13 @@ impl Tcb {
                 wake_recv = true;
                 check_closed = true;
             }
+        }
+        drop(st);
+        if let Some(gen) = rto {
+            self.schedule(self.costs.rto, TimerEvent::Rto, gen);
+        }
+        if let Some(gen) = delayed_ack {
+            self.schedule(self.costs.delayed_ack, TimerEvent::DelayedAck, gen);
         }
         if check_closed {
             self.maybe_fully_closed(ctx);
@@ -740,43 +734,47 @@ impl Tcb {
         if wake_recv {
             self.cv_recv.notify_all_after(self.host_costs.context_switch);
         }
-        if wake_tx {
-            self.cv_tx.notify_all();
-        }
+        // Window/ack news always interests the tx engine.
+        self.cv_tx.notify_all();
     }
 
     fn maybe_fully_closed(self: &Arc<Self>, ctx: &SimCtx) {
-        let done = {
-            let snd = self.snd.lock();
-            let rcv = self.rcv.lock();
-            snd.fin_acked && rcv.fin_rcvd
-        };
-        if done {
+        let final_ack = {
+            let st = self.inner.lock();
+            if !(st.snd.fin_acked && st.rcv.fin_rcvd) {
+                return;
+            }
             // LAST_ACK duty: the peer's FIN must be acknowledged before
             // this TCB disappears, or the peer retransmits it forever.
-            let need_final_ack = self.rcv.lock().ack_now;
-            if need_final_ack {
-                let seq = self.snd.lock().nxt;
-                self.emit(ctx, seq, TcpFlags::empty(), PacketHeader::wire_buf(0));
-            }
-            let mut st = self.state.lock();
-            if *st != TcpState::Closed {
-                *st = TcpState::Closed;
-                drop(st);
-                if let Some(f) = self.on_closed.lock().take() {
-                    f();
-                }
-                self.cv_tx.notify_all();
-                self.cv_recv.notify_all();
-                self.cv_send.notify_all();
-            }
+            st.rcv.ack_now.then_some(st.snd.nxt)
+        };
+        if let Some(seq) = final_ack {
+            self.emit(ctx, seq, TcpFlags::empty(), PacketHeader::wire_buf(0));
         }
+        let on_closed = {
+            let mut st = self.inner.lock();
+            if st.state == TcpState::Closed {
+                return;
+            }
+            st.state = TcpState::Closed;
+            st.on_closed.take()
+        };
+        if let Some(f) = on_closed {
+            f();
+        }
+        self.cv_tx.notify_all();
+        self.cv_recv.notify_all();
+        self.cv_send.notify_all();
     }
 
     fn do_reset(self: &Arc<Self>) {
-        self.reset.store(true, Ordering::Relaxed);
-        *self.state.lock() = TcpState::Closed;
-        if let Some(f) = self.on_closed.lock().take() {
+        let on_closed = {
+            let mut st = self.inner.lock();
+            st.reset = true;
+            st.state = TcpState::Closed;
+            st.on_closed.take()
+        };
+        if let Some(f) = on_closed {
             f();
         }
         self.cv_est.notify_all();
@@ -790,13 +788,16 @@ impl Tcb {
     /// Block until the three-way handshake completes.
     pub(crate) fn wait_established(&self, ctx: &SimCtx) -> SockResult<()> {
         loop {
-            if self.reset.load(Ordering::Relaxed) {
-                return Err(SockError::ConnectionRefused);
-            }
-            match *self.state.lock() {
-                TcpState::Established => return Ok(()),
-                TcpState::Closed => return Err(SockError::ConnectionRefused),
-                _ => {}
+            {
+                let st = self.inner.lock();
+                if st.reset {
+                    return Err(SockError::ConnectionRefused);
+                }
+                match st.state {
+                    TcpState::Established => return Ok(()),
+                    TcpState::Closed => return Err(SockError::ConnectionRefused),
+                    _ => {}
+                }
             }
             self.cv_est.wait(ctx);
             ctx.charge(
@@ -815,26 +816,17 @@ impl Tcb {
         }
         let mut written = 0;
         while written < data.len() {
-            if self.reset.load(Ordering::Relaxed) {
-                return Err(SockError::ConnectionReset);
-            }
-            {
-                let st = *self.state.lock();
-                if st == TcpState::Closed {
-                    return Err(SockError::Closed);
-                }
-            }
             let took = {
-                let mut snd = self.snd.lock();
-                if snd.fin_queued {
+                let mut st = self.inner.lock();
+                if st.reset {
+                    return Err(SockError::ConnectionReset);
+                }
+                if st.state == TcpState::Closed || st.snd.fin_queued {
                     return Err(SockError::Closed);
                 }
-                let room = self
-                    .snd_cap
-                    .load(Ordering::Relaxed)
-                    .saturating_sub(snd.buf.len());
+                let room = st.snd_cap.saturating_sub(st.snd.buf.len());
                 let n = room.min(data.len() - written);
-                snd.buf.extend(&data[written..written + n]);
+                st.snd.buf.extend(&data[written..written + n]);
                 n
             };
             if took > 0 {
@@ -865,59 +857,53 @@ impl Tcb {
     pub fn recv(&self, ctx: &SimCtx, max: usize) -> SockResult<Vec<u8>> {
         loop {
             let (out, reopened) = {
-                let mut rcv = self.rcv.lock();
+                let mut st = self.inner.lock();
+                let rcv = &mut st.rcv;
                 if !rcv.buf.is_empty() {
                     let out = rcv.buf.pop_into_vec(max);
                     let reopened = std::mem::take(&mut rcv.window_was_closed);
                     if reopened {
                         rcv.ack_now = true;
                     }
-                    (Some(out), reopened)
+                    (out, reopened)
                 } else if rcv.fin_rcvd {
                     return Ok(Vec::new());
+                } else if st.reset {
+                    return Err(SockError::ConnectionReset);
+                } else if st.state == TcpState::Closed {
+                    return Ok(Vec::new());
                 } else {
-                    (None, false)
+                    drop(st);
+                    self.cv_recv.wait(ctx);
+                    continue;
                 }
             };
-            if let Some(out) = out {
-                // The kernel→user copy.
-                self.kcpu.charge(
-                    ctx,
-                    dsim::TraceLayer::Kernel,
-                    dsim::TraceKind::Copy,
-                    self.host_costs.memcpy(out.len()),
-                    dsim::TraceTag::on_conn(self.local.port as u32).value(out.len() as u64),
-                );
-                ctx.trace_count(
-                    dsim::TraceLayer::Kernel,
-                    dsim::TraceKind::BytesCopied,
-                    out.len() as u64,
-                    dsim::TraceTag::on_conn(self.local.port as u32),
-                );
-                if reopened {
-                    self.cv_tx.notify_all();
-                }
-                return Ok(out);
+            // The kernel→user copy.
+            self.kcpu.charge(
+                ctx,
+                dsim::TraceLayer::Kernel,
+                dsim::TraceKind::Copy,
+                self.host_costs.memcpy(out.len()),
+                dsim::TraceTag::on_conn(self.local.port as u32).value(out.len() as u64),
+            );
+            ctx.trace_count(
+                dsim::TraceLayer::Kernel,
+                dsim::TraceKind::BytesCopied,
+                out.len() as u64,
+                dsim::TraceTag::on_conn(self.local.port as u32),
+            );
+            if reopened {
+                self.cv_tx.notify_all();
             }
-            if self.reset.load(Ordering::Relaxed) {
-                return Err(SockError::ConnectionReset);
-            }
-            if *self.state.lock() == TcpState::Closed {
-                return Ok(Vec::new());
-            }
-            self.cv_recv.wait(ctx);
+            return Ok(out);
         }
     }
 
     /// Queue a FIN after all buffered data; returns immediately (the
     /// kernel keeps flushing in the background).
     pub fn close(&self, _ctx: &SimCtx) {
-        {
-            let mut snd = self.snd.lock();
-            if snd.fin_queued {
-                return;
-            }
-            snd.fin_queued = true;
+        if std::mem::replace(&mut self.inner.lock().snd.fin_queued, true) {
+            return;
         }
         self.cv_tx.notify_all();
     }
@@ -927,13 +913,18 @@ impl Tcb {
     /// peer sees a reset rather than a clean EOF it could mistake for
     /// complete delivery.
     pub fn close_full(self: &Arc<Self>, ctx: &SimCtx) {
-        let unread = !self.rcv.lock().buf.is_empty();
-        if unread
-            && !self.reset.load(Ordering::Relaxed)
-            && *self.state.lock() != TcpState::Closed
-        {
-            let seq = self.snd.lock().nxt;
-            self.emit(ctx, seq, TcpFlags::RST.union(TcpFlags::ACK), PacketHeader::wire_buf(0));
+        let abort = {
+            let st = self.inner.lock();
+            let unread = !st.rcv.buf.is_empty();
+            (unread && !st.reset && st.state != TcpState::Closed).then_some(st.snd.nxt)
+        };
+        if let Some(seq) = abort {
+            self.emit(
+                ctx,
+                seq,
+                TcpFlags::RST.union(TcpFlags::ACK),
+                PacketHeader::wire_buf(0),
+            );
             self.do_reset();
             return;
         }

@@ -39,7 +39,8 @@
 # the fast goldens (tier-1 sees simulated output):
 #   - tests/goldens.rs                fig6a, fig7, ablations, fault_sweep
 #     and latency_breakdown regenerated in-process, tables and trace
-#     digests byte-identical to results/, and fig6b's trace digest
+#     digests byte-identical to results/, and fig6b's and table1's
+#     trace digests
 # the scheduler suites (DESIGN.md §7):
 #   - crates/dsim/tests/sched_edges.rs   event order and counts match the
 #     values recorded from the OS-thread scheduler
@@ -73,5 +74,6 @@ cargo test -q -p bench --test trace
 cargo test -q --release --manifest-path perfbench/Cargo.toml
 scripts/regen_results.sh
 echo "tier-1 OK"
-# Informational only: the line counts (scripts/loc.sh) gate nothing.
-scripts/loc.sh | awk '$1 == "total" { print "non-test lines: " $2 ", test lines: " $3 }'
+# Informational only: the line and site counts (scripts/loc.sh) gate nothing.
+scripts/loc.sh | awk '$1 == "total" {
+    print "non-test lines: " $2 ", test lines: " $3 ", .lock() sites: " $4 ", Ordering:: sites: " $5 }'

@@ -1,8 +1,8 @@
 //! The fast goldens: regenerate five of the seven committed tables
 //! in-process, with the traces their binaries write under `--trace`, and
 //! compare them byte for byte with `results/<binary>.txt` and
-//! `results/trace_digests.txt`. `fig6b`'s traced runs are checked here
-//! too, but its table and all of `table1` take seconds each;
+//! `results/trace_digests.txt`. `fig6b`'s and `table1`'s traced runs are
+//! checked here too, but their tables take seconds each;
 //! `scripts/regen_results.sh` checks them, and all seven tables at
 //! `--threads 1` and 8.
 
@@ -63,6 +63,13 @@ fn fig6a_matches_results() {
 #[test]
 fn fig6b_trace_matches_its_digest() {
     check_trace("fig6b", &report::fig6b_trace());
+}
+
+/// File 1 fetched by FTP over TCP/Ethernet, TCP/LANE and SOVIA: the
+/// golden whose runs go through `apps::ftp`.
+#[test]
+fn table1_trace_matches_its_digest() {
+    check_trace("table1", &report::table1_trace());
 }
 
 #[test]

@@ -9,7 +9,7 @@ mod common;
 use dsim::SimDuration;
 use simnic::{FaultPlan, ScriptedFault};
 use sovia_repro::sockets::{SockError, SockOption};
-use sovia_repro::sovia::{ReceiveMode, SoviaConfig};
+use sovia_repro::sovia::SoviaConfig;
 
 use common::scenario::{self, *};
 use Call::*;
@@ -68,9 +68,7 @@ fn half_close(platforms: &[Variant]) {
 
 #[test]
 fn half_close_over_sovia() {
-    // Left out: SOVIA handler panics here ("DMA from deregistered
-    // region"; see the FOUND line on half-close in CHANGES.md).
-    half_close(&sovia_where(|c| c.mode != ReceiveMode::HandlerThread));
+    half_close(&sovia_platforms());
 }
 
 #[test]
