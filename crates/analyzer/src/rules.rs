@@ -64,7 +64,7 @@ const PASS_THROUGH: &[&str] = &["lock", "borrow", "borrow_mut", "read", "write"]
 /// the error-path surface of the socket/VIPL/OS layers.
 const FALLIBLE_APIS: &[&str] = &[
     "connect", "accept", "bind", "listen", "send", "recv", "send_all", "send_wait", "recv_wait",
-    "post_send", "post_recv", "open", "read", "write", "read_exact", "write_all", "read_line",
+    "post_send", "post_recv", "prepost", "open", "read", "write", "read_exact", "write_all", "read_line",
     "write_line", "file_len", "validate", "connect_request", "connect_accept", "register",
     "close", "shutdown", "spawn", "run", "run_with_limit", "wait_established",
 ];

@@ -6,22 +6,26 @@
 //! zero-payload control packets. Following Section 4.3, the pools live in
 //! **shared-memory segments** by default so fork() cannot separate the
 //! pinned frames from the mapping (Figure 5).
+//!
+//! A [`SlotPool`] is only the registered region and its geometry, fixed
+//! for the connection's life. Which slots are free changes with every
+//! send, so the free lists ([`FreeSlots`]) live in the connection's state,
+//! under its library's one lock: the reap that returns a slot and the send
+//! that takes one already hold it.
 
 use std::sync::Arc;
 
 use dsim::SimCtx;
-use parking_lot::Mutex;
 use simos::mem::VAddr;
 use simos::Process;
 use via::MemRegion;
 
-/// A registered region divided into equal slots, with a free list.
+/// A registered region divided into equal slots.
 pub struct SlotPool {
     region: Arc<MemRegion>,
     base: VAddr,
     slot_size: usize,
     count: usize,
-    free: Mutex<Vec<usize>>,
     process: Process,
 }
 
@@ -33,7 +37,7 @@ impl SlotPool {
         count: usize,
         slot_size: usize,
         shared: bool,
-    ) -> Arc<SlotPool> {
+    ) -> SlotPool {
         assert!(count > 0 && slot_size > 0);
         let total = count * slot_size;
         let base = if shared {
@@ -42,14 +46,13 @@ impl SlotPool {
             process.alloc(ctx, total)
         };
         let region = MemRegion::register(ctx, process, base, total);
-        Arc::new(SlotPool {
+        SlotPool {
             region,
             base,
             slot_size,
             count,
-            free: Mutex::new((0..count).rev().collect()),
             process: process.clone(),
-        })
+        }
     }
 
     /// The registered region backing all slots.
@@ -66,24 +69,6 @@ impl SlotPool {
     pub fn offset_of(&self, i: usize) -> usize {
         assert!(i < self.count);
         i * self.slot_size
-    }
-
-    /// Take a free slot, if any.
-    pub fn try_acquire(&self) -> Option<usize> {
-        self.free.lock().pop()
-    }
-
-    /// Return a slot to the pool.
-    pub fn release(&self, i: usize) {
-        assert!(i < self.count);
-        let mut free = self.free.lock();
-        debug_assert!(!free.contains(&i), "double release of slot {i}");
-        free.push(i);
-    }
-
-    /// Free-slot count (diagnostics).
-    pub fn available(&self) -> usize {
-        self.free.lock().len()
     }
 
     /// Fill `slot` starting at `within` with `data` (host-side store into
@@ -108,13 +93,36 @@ impl SlotPool {
     }
 }
 
+/// The free slots of one pool, taken and returned LIFO (the slot freed
+/// last is the warmest). A plain value: its owner's lock guards it.
+#[derive(Default)]
+pub(crate) struct FreeSlots(Vec<usize>);
+
+impl FreeSlots {
+    /// All `count` slots of a pool free, slot 0 taken first.
+    pub(crate) fn new(count: usize) -> FreeSlots {
+        FreeSlots((0..count).rev().collect())
+    }
+
+    /// Take a free slot, if any.
+    pub(crate) fn take(&mut self) -> Option<usize> {
+        self.0.pop()
+    }
+
+    /// Return slot `i`.
+    pub(crate) fn put(&mut self, i: usize) {
+        debug_assert!(!self.0.contains(&i), "double release of slot {i}");
+        self.0.push(i);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use dsim::Simulation;
     use simos::{HostCosts, HostId, Machine};
 
-    fn with_pool(f: impl FnOnce(&dsim::SimCtx, Arc<SlotPool>) + Send + 'static) {
+    fn with_pool(f: impl FnOnce(&dsim::SimCtx, SlotPool) + Send + 'static) {
         let mut sim = Simulation::new();
         let m = Machine::new(&sim.handle(), HostId(0), "m", HostCosts::free());
         let p = m.spawn_process("p");
@@ -127,27 +135,27 @@ mod tests {
 
     #[test]
     fn acquire_release_cycle() {
-        with_pool(|_ctx, pool| {
-            assert_eq!(pool.available(), 4);
-            let a = pool.try_acquire().unwrap();
-            let b = pool.try_acquire().unwrap();
-            assert_ne!(a, b);
-            assert_eq!(pool.available(), 2);
-            pool.release(a);
-            assert_eq!(pool.available(), 3);
-            let c = pool.try_acquire().unwrap();
-            assert_eq!(c, a, "LIFO reuse");
-        });
+        let mut free = FreeSlots::new(4);
+        let a = free.take().unwrap();
+        let b = free.take().unwrap();
+        assert_eq!((a, b), (0, 1), "slots are taken in order at first");
+        free.put(a);
+        let c = free.take().unwrap();
+        assert_eq!(c, a, "LIFO reuse");
+        assert_eq!([free.take(), free.take()], [Some(2), Some(3)]);
+        assert!(free.take().is_none(), "a and b are still out");
     }
 
     #[test]
     fn exhaustion_returns_none() {
-        with_pool(|_ctx, pool| {
-            for _ in 0..4 {
-                pool.try_acquire().unwrap();
-            }
-            assert!(pool.try_acquire().is_none());
-        });
+        let mut free = FreeSlots::new(4);
+        for _ in 0..4 {
+            free.take().unwrap();
+        }
+        assert!(free.take().is_none());
+        free.put(2);
+        assert_eq!(free.take(), Some(2));
+        assert!(free.take().is_none());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The per-process SOVIA library instance.
 //!
-//! Owns the shared completion queue, the VI→connection table, the dirty
-//! list of connections that hold a combine buffer, and the service
-//! machinery for both receive modes:
+//! Owns the shared completion queue, every connection's changing state,
+//! the dirty list of connections that hold a combine buffer, and the
+//! service machinery for both receive modes:
 //!
 //! * **single-threaded** (SOVIA's design): the application thread itself
 //!   services completions inside `send()`/`recv()`/`accept()`, polling the
@@ -11,6 +11,13 @@
 //! * **handler-thread** (the rejected design, kept for the Figure 6
 //!   comparison): a dedicated thread blocks on the CQ and signals the
 //!   application, paying `thread_wake` on every message.
+//!
+//! One lock covers everything SOVIA changes in a process: [`LibState`]
+//! holds each connection's handle beside its [`ConnState`], so a receive
+//! completion is looked up and decoded, and a combine buffer is taken
+//! together with its dirty-list entry, in one critical section. Lock
+//! order: the library, then a VI (posting and reaping under the guard),
+//! then machine memory (a slot store); nothing takes them the other way.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::convert::Infallible;
@@ -19,13 +26,13 @@ use std::sync::Arc;
 
 use dsim::sync::{SimCondvar, SimQueue};
 use dsim::{Shutdown, SimCtx, SimHandle};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use simos::{HostCosts, Process};
-use sockets::{SockError, SockResult};
+use sockets::{SockAddr, SockError, SockResult};
 use via::{CompletionQueue, ViaNic, WaitMode};
 
 use crate::config::{ReceiveMode, SoviaConfig, COMBINE_TIMEOUT};
-use crate::conn::SovConn;
+use crate::conn::{Combine, ConnState, SovConn};
 
 /// The SOVIA library state of one process.
 pub struct SoviaLib {
@@ -41,15 +48,19 @@ pub struct SoviaLib {
     progress_cv: SimCondvar,
     /// Gate for the close thread.
     activation_cv: SimCondvar,
-    /// Combine-timer expirations to be executed with a real context.
-    timer_q: Arc<SimQueue<(Arc<SovConn>, u64)>>,
+    /// Combine-timer expirations (VI id, epoch) to be executed with a real
+    /// context.
+    timer_q: Arc<SimQueue<(u32, u64)>>,
 }
 
 /// Everything about the library that changes, under its one lock.
-struct LibState {
-    conns: BTreeMap<u32, Arc<SovConn>>,
+pub(crate) struct LibState {
+    /// Each connection by VI id: its handle and its state. An entry stays
+    /// until the connection is both torn down and closed by the
+    /// application, so a half-closed connection still answers `recv`.
+    conns: BTreeMap<u32, Entry>,
     /// The dirty list: VI ids of the connections that hold a combine
-    /// buffer (`SovConn` adds an id on install and removes it on take).
+    /// buffer. It changes with the buffer, in the same critical section.
     combining: BTreeSet<u32>,
     /// Sockets the application has not closed yet.
     active_sockets: i64,
@@ -59,6 +70,69 @@ struct LibState {
     next_port: u16,
     /// Library-internal socket descriptor numbers (carried in WAKEUP).
     next_sockdes: i32,
+}
+
+struct Entry {
+    conn: Arc<SovConn>,
+    st: ConnState,
+}
+
+impl LibState {
+    /// The state of connection `vi`; `Err(Closed)` once the library has
+    /// dropped it (torn down and closed).
+    pub(crate) fn conn(&mut self, vi: u32) -> SockResult<&mut ConnState> {
+        self.conns.get_mut(&vi).map(|e| &mut e.st).ok_or(SockError::Closed)
+    }
+
+    /// Take connection `vi`'s combine buffer (with `Some(epoch)`, only the
+    /// one installed at that epoch) off the connection and the dirty list.
+    pub(crate) fn take_combine(&mut self, vi: u32, epoch: Option<u64>) -> Option<Combine> {
+        let c = self.conns.get_mut(&vi)?.st.take_combine(epoch)?;
+        self.combining.remove(&vi);
+        Some(c)
+    }
+
+    /// Install a combine buffer in send slot `slot` on connection `vi` and
+    /// put it on the dirty list. Returns the buffer's epoch, or `None`
+    /// (the slot freed again) if another thread installed one first.
+    pub(crate) fn install_combine(&mut self, vi: u32, slot: usize) -> SockResult<Option<u64>> {
+        let epoch = self.conn(vi)?.install_combine(slot);
+        self.combining.extend(epoch.map(|_| vi));
+        Ok(epoch)
+    }
+
+    /// [`LibState::take_combine`], with the connection's handle.
+    fn take_combine_of(&mut self, vi: u32, epoch: Option<u64>) -> Option<(Arc<SovConn>, Combine)> {
+        let c = self.take_combine(vi, epoch)?;
+        Some((Arc::clone(&self.conns[&vi].conn), c))
+    }
+
+    /// Whether a connection other than `except_vi` is on the dirty list.
+    pub(crate) fn holds_combines_except(&self, except_vi: Option<u32>) -> bool {
+        self.combining.iter().any(|&vi| Some(vi) != except_vi)
+    }
+
+    /// Mark connection `vi` torn down if it is due (see
+    /// [`ConnState::take_finalize`]): it leaves the dirty list, and the
+    /// library drops it if the application has closed it too.
+    pub(crate) fn finalize(&mut self, vi: u32) -> bool {
+        if !self.conn(vi).is_ok_and(ConnState::take_finalize) {
+            return false;
+        }
+        self.combining.remove(&vi);
+        if self.conns[&vi].st.local_closed {
+            self.drop_conn(vi);
+        }
+        true
+    }
+
+    /// Drop connection `vi`, keeping its counters on its handle.
+    pub(crate) fn drop_conn(&mut self, vi: u32) {
+        if let Some(e) = self.conns.remove(&vi) {
+            e.conn.retire(e.st.stats);
+        }
+        self.combining.remove(&vi);
+    }
 }
 
 impl SoviaLib {
@@ -127,6 +201,12 @@ impl SoviaLib {
         &self.sim
     }
 
+    /// The library's state, locked. Never hold the guard across a call
+    /// that may park.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, LibState> {
+        self.inner.lock()
+    }
+
     /// Allocate a library-internal socket descriptor number (the WAKEUP
     /// packet reports it to the peer, as the paper's does).
     pub(crate) fn alloc_sockdes(&self) -> i32 {
@@ -185,57 +265,38 @@ impl SoviaLib {
 
     // ----- connection registry -------------------------------------------
 
-    pub(crate) fn insert_conn(&self, conn: Arc<SovConn>) {
+    /// Register `conn` with a fresh state, knowing its `peer` if it is
+    /// the connecting side.
+    pub(crate) fn insert_conn(&self, conn: Arc<SovConn>, peer: Option<SockAddr>) {
         let mut st = self.inner.lock();
-        st.conns.insert(conn.vi_id(), conn);
+        let fresh = ConnState::new(&self.config, peer);
+        st.conns.insert(conn.vi_id(), Entry { conn, st: fresh });
         st.open_conns += 1;
         drop(st);
         self.activation_cv.notify_all();
     }
 
-    pub(crate) fn remove_conn(&self, vi_id: u32) {
-        let mut st = self.inner.lock();
-        st.conns.remove(&vi_id);
-        st.combining.remove(&vi_id);
+    /// Drop connection `vi_id`, which never reached the application.
+    pub(crate) fn abandon_conn(&self, vi_id: u32) {
+        self.inner.lock().drop_conn(vi_id);
+        self.conn_finalized();
     }
 
-    fn conn(&self, vi_id: u32) -> Option<Arc<SovConn>> {
-        self.inner.lock().conns.get(&vi_id).cloned()
-    }
-
-    /// Put connection `vi_id` on the dirty list (it installed the combine
-    /// buffer of `epoch`) and arm the combine timer for that buffer
+    /// Arm the combine timer for connection `vi_id`'s buffer of `epoch`
     /// (condition (1) of Section 3.2). A flush before the timeout
     /// supersedes the timer: it expires without waking the timer thread.
-    pub(crate) fn combine_started(&self, vi_id: u32, epoch: u64) {
-        let conn = {
-            let mut st = self.inner.lock();
-            st.combining.insert(vi_id);
-            st.conns.get(&vi_id).cloned()
-        };
-        let conn = conn.expect("arming timer for unregistered connection");
-        let q = Arc::clone(&self.timer_q);
+    pub(crate) fn arm_combine_timer(self: &Arc<Self>, vi_id: u32, epoch: u64) {
+        let lib = Arc::clone(self);
         self.sim.schedule_in(COMBINE_TIMEOUT, move |_| {
-            if conn.holds_combine_epoch(epoch) {
-                q.push((conn, epoch));
+            if lib.inner.lock().conn(vi_id).is_ok_and(|st| st.holds_combine(epoch)) {
+                lib.timer_q.push((vi_id, epoch));
             }
         });
-    }
-
-    /// Take connection `vi_id` off the dirty list (its buffer was taken).
-    pub(crate) fn combine_taken(&self, vi_id: u32) {
-        self.inner.lock().combining.remove(&vi_id);
     }
 
     /// Whether connection `vi_id` is on the dirty list (diagnostics).
     pub fn holds_combine(&self, vi_id: u32) -> bool {
         self.inner.lock().combining.contains(&vi_id)
-    }
-
-    /// Whether a connection other than `except_vi` is on the dirty list.
-    pub(crate) fn holds_combines_except(&self, except_vi: Option<u32>) -> bool {
-        let st = self.inner.lock();
-        st.combining.iter().any(|&vi| Some(vi) != except_vi)
     }
 
     pub(crate) fn conn_finalized(&self) {
@@ -270,22 +331,23 @@ impl SoviaLib {
     /// the application (re)entering the single-threaded library, not just
     /// the one socket: combined data must not linger while the
     /// application blocks on another descriptor. Walks the dirty list
-    /// once, in ascending VI id, checking it under the library lock at
-    /// each step.
+    /// once, in ascending VI id, taking each buffer under the library
+    /// lock.
     pub fn flush_combines_except(&self, ctx: &SimCtx, except_vi: Option<u32>) {
         let mut after = Bound::Unbounded;
-        while let Some(conn) = self.next_combining(after, except_vi) {
+        loop {
+            let next = {
+                let mut st = self.inner.lock();
+                let mut dirty = st.combining.range((after, Bound::Unbounded));
+                let vi = dirty.find(|&&vi| Some(vi) != except_vi).copied();
+                vi.and_then(|vi| st.take_combine_of(vi, None))
+            };
+            let Some((conn, c)) = next else {
+                return;
+            };
             after = Bound::Excluded(conn.vi_id());
-            let _ = conn.flush_combine(ctx, self);
+            let _ = conn.post_combine(ctx, self, c);
         }
-    }
-
-    fn next_combining(&self, after: Bound<u32>, except_vi: Option<u32>) -> Option<Arc<SovConn>> {
-        let st = self.inner.lock();
-        st.combining
-            .range((after, Bound::Unbounded))
-            .filter(|&&vi| Some(vi) != except_vi)
-            .find_map(|vi| st.conns.get(vi).cloned())
     }
 
     /// Process at most one receive completion (non-blocking). Returns true
@@ -294,10 +356,23 @@ impl SoviaLib {
         let Some(entry) = self.cq.poll(ctx, &self.costs) else {
             return false;
         };
-        if let Some(conn) = self.conn(entry.vi_id) {
-            conn.process_completion(ctx, self);
-        }
+        self.process_completion(ctx, entry.vi_id);
         true
+    }
+
+    /// Look up connection `vi_id`, pop one completed receive descriptor
+    /// and decode it, all under the lock; then do what it asks for. A
+    /// connection already torn down takes no completion.
+    fn process_completion(&self, ctx: &SimCtx, vi_id: u32) {
+        let decoded = {
+            let mut st = self.inner.lock();
+            let e = st.conns.get_mut(&vi_id).filter(|e| !e.st.finalized);
+            e.and_then(|e| Some((Arc::clone(&e.conn), e.st.decode(e.conn.vi.recv_done_uncharged()?))))
+        };
+        if let Some((conn, action)) = decoded {
+            conn.follow_up(ctx, self, action);
+            self.notify_progress();
+        }
     }
 
     /// Wake everything blocked on library progress. In handler mode the
@@ -369,15 +444,16 @@ impl SoviaLib {
 
     fn handler_thread_main(&self, ctx: &SimCtx) {
         while let Ok(entry) = self.cq.wait(ctx, &self.costs, WaitMode::Block) {
-            if let Some(conn) = self.conn(entry.vi_id) {
-                conn.process_completion(ctx, self);
-            }
+            self.process_completion(ctx, entry.vi_id);
         }
     }
 
-    fn timer_thread_main(self: &Arc<Self>, ctx: &SimCtx) {
-        while let Ok((conn, epoch)) = self.timer_q.pop_idle(ctx) {
-            let _ = conn.flush_if_epoch(ctx, self, Some(epoch));
+    fn timer_thread_main(&self, ctx: &SimCtx) {
+        while let Ok((vi_id, epoch)) = self.timer_q.pop_idle(ctx) {
+            let taken = self.inner.lock().take_combine_of(vi_id, Some(epoch));
+            if let Some((conn, c)) = taken {
+                let _ = conn.post_combine(ctx, self, c);
+            }
         }
     }
 }

@@ -17,7 +17,7 @@ use sockets::{Shutdown, SockAddr, SockError, SockOption, SockResult, Socket, Soc
 use via::{ViAttributes, ViaNicId};
 
 use crate::config::SoviaConfig;
-use crate::conn::SovConn;
+use crate::conn::{ConnStats, SovConn};
 use crate::library::SoviaLib;
 
 /// VIA connection discriminator namespace for SOVIA ports ("SV").
@@ -79,7 +79,7 @@ impl SovSocket {
     /// own flag answers for both.
     fn conn(&self) -> SockResult<&Arc<SovConn>> {
         match self.any_conn()? {
-            c if c.is_closed() => Err(SockError::Closed),
+            c if c.is_closed(&self.lib) => Err(SockError::Closed),
             c => Ok(c),
         }
     }
@@ -99,6 +99,12 @@ impl SovSocket {
     /// The underlying connection (tests/diagnostics).
     pub fn connection(&self) -> Option<Arc<SovConn>> {
         self.conn().ok().cloned()
+    }
+
+    /// The connection's protocol counters, also after the socket closed
+    /// (tests/diagnostics).
+    pub fn stats(&self) -> Option<ConnStats> {
+        self.conn.get().map(|c| c.stats(&self.lib))
     }
 }
 
@@ -154,26 +160,26 @@ impl Socket for SovSocket {
         // Service the library while waiting (single-threaded mode keeps
         // all protocol progress on application threads).
         let conn = loop {
-            let Some(c) = accept_q.try_pop() else {
-                self.lib.wait_progress(ctx);
-                continue;
-            };
-            // Wait for the peer's WAKEUP so the peer address is known. A
-            // connection that breaks first (say, its WAKEUP was lost and
-            // the reliable VI tore down) surfaces as a typed error, like
-            // BSD's ECONNABORTED — the peer may believe it connected and
-            // never retry, so silently waiting again would hang forever.
-            while !c.wakeup_received() {
-                if c.is_broken() {
-                    self.lib.remove_conn(c.vi_id());
-                    self.lib.conn_finalized();
+            match accept_q.try_pop() {
+                Some(c) => break c,
+                None => self.lib.wait_progress(ctx),
+            }
+        };
+        // Wait for the peer's WAKEUP so the peer address is known. A
+        // connection that breaks first (say, its WAKEUP was lost and the
+        // reliable VI tore down) surfaces as a typed error, like BSD's
+        // ECONNABORTED — the peer may believe it connected and never
+        // retry, so silently waiting again would hang forever.
+        let peer = loop {
+            match conn.woken_peer(&self.lib) {
+                Ok(Some(peer)) => break peer,
+                Ok(None) => self.lib.wait_progress(ctx),
+                Err(_) => {
+                    self.lib.abandon_conn(conn.vi_id());
                     return Err(SockError::ConnectionReset);
                 }
-                self.lib.wait_progress(ctx);
             }
-            break c;
         };
-        let peer = conn.peer_addr().expect("WAKEUP carried no address");
         let sock = SovSocket::connected(Arc::clone(&self.lib), conn);
         Ok((sock, peer))
     }
@@ -199,18 +205,16 @@ impl Socket for SovSocket {
         let conn = SovConn::new(ctx, lib, Arc::clone(&vi), local);
         // Register before the request: the server's WAKEUP may arrive the
         // instant the accept completes.
-        lib.insert_conn(Arc::clone(&conn));
+        lib.insert_conn(Arc::clone(&conn), Some(addr));
         let (nic, disc) = (nic_of_host(addr.host), discriminator(addr.port));
         if let Err(e) = lib.nic().connect_request(ctx, &vi, nic, disc) {
-            lib.remove_conn(vi.id());
-            lib.conn_finalized();
+            lib.abandon_conn(vi.id());
             return Err(match e {
                 via::VipError::ConnectionRefused => SockError::ConnectionRefused,
                 _ => SockError::ConnectionReset,
             });
         }
-        conn.set_peer(addr);
-        conn.send_wakeup(ctx, lib.alloc_sockdes())?;
+        conn.send_wakeup(ctx, lib, lib.alloc_sockdes())?;
         let _ = self.conn.set(conn);
         *self.state.lock() = State::Connected;
         Ok(())
@@ -287,7 +291,7 @@ impl Socket for SovSocket {
     }
 
     fn peer_addr(&self) -> Option<SockAddr> {
-        self.conn().ok()?.peer_addr()
+        self.conn().ok()?.peer_addr(&self.lib)
     }
 
     fn as_any(self: Arc<Self>) -> Arc<dyn std::any::Any + Send + Sync> {
@@ -320,13 +324,12 @@ fn connection_thread(
         // Build first (pre-posts all descriptors), then accept.
         let conn = SovConn::new(ctx, lib, Arc::clone(&vi), addr);
         let sockdes = lib.alloc_sockdes();
-        lib.insert_conn(Arc::clone(&conn));
+        lib.insert_conn(Arc::clone(&conn), None);
         if lib.nic().connect_accept(ctx, &pending, &vi).is_err() {
-            lib.remove_conn(vi.id());
-            lib.conn_finalized();
+            lib.abandon_conn(vi.id());
             continue;
         }
-        if conn.send_wakeup(ctx, sockdes).is_err() {
+        if conn.send_wakeup(ctx, lib, sockdes).is_err() {
             continue;
         }
         accept_q.push(conn);

@@ -159,13 +159,8 @@ impl LaneDevice {
         let kproc = self.machine.spawn_process("lane-ring");
         let va = kproc.alloc_shared(ctx, LANE_RING * LANE_MTU);
         let region = MemRegion::register(ctx, &kproc, va, LANE_RING * LANE_MTU);
-        for i in 0..LANE_RING {
-            vi.post_recv(
-                ctx,
-                Descriptor::recv(Arc::clone(&region), i * LANE_MTU, LANE_MTU),
-            )?;
-        }
-        Ok(())
+        let ring = (0..LANE_RING).map(|i| Descriptor::recv(Arc::clone(&region), i * LANE_MTU, LANE_MTU));
+        vi.prepost(ctx, ring)
     }
 
     fn start_rx(self: &Arc<Self>, peer: &Arc<LanePeer>) {

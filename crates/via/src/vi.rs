@@ -191,6 +191,15 @@ impl Vi {
         self.inner.lock().state
     }
 
+    /// The error a broken VI is in, if it is broken. Reads the `broken`
+    /// mirror first, so asking about a healthy VI takes no lock.
+    pub fn error(&self) -> Option<VipError> {
+        match self.broken.load(Ordering::Relaxed).then(|| self.state()) {
+            Some(ViState::Error(e)) => Some(e),
+            _ => None,
+        }
+    }
+
     /// The peer, if connected.
     pub fn peer(&self) -> Option<(ViaNicId, u32)> {
         match self.state() {
@@ -301,10 +310,8 @@ impl Vi {
     pub fn post_recv(&self, ctx: &SimCtx, desc: Descriptor) -> VipResult<()> {
         // A VI broken already is not charged; one that breaks during the
         // charge must not get the descriptor behind `break_with`.
-        if self.broken.load(Ordering::Relaxed) {
-            if let ViState::Error(e) = self.state() {
-                return Err(e);
-            }
+        if let Some(e) = self.error() {
+            return Err(e);
         }
         self.charge_post(ctx, &desc);
         let mut inner = self.inner.lock();
@@ -313,6 +320,27 @@ impl Vi {
         }
         inner.queues[RECV].post(desc);
         Ok(())
+    }
+
+    /// Pre-post a receive ring on a VI that is still `Idle`: the
+    /// pre-posting constraint puts every descriptor in place before the
+    /// connection exists. The receive queue is reserved once for all of
+    /// them, and each is charged and posted exactly as [`Vi::post_recv`]
+    /// does. A VI in any other state is refused with
+    /// [`VipError::InvalidState`] before anything is charged.
+    pub fn prepost(
+        &self,
+        ctx: &SimCtx,
+        mut descs: impl ExactSizeIterator<Item = Descriptor>,
+    ) -> VipResult<()> {
+        {
+            let mut inner = self.inner.lock();
+            if inner.state != ViState::Idle {
+                return Err(VipError::InvalidState);
+            }
+            inner.queues[RECV].pending.reserve_exact(descs.len());
+        }
+        descs.try_for_each(|desc| self.post_recv(ctx, desc))
     }
 
     /// The state of the send posted with sequence number `seq`: `Pending`

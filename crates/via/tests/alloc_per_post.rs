@@ -93,6 +93,26 @@ fn prepost_ring_allocates_for_queue_growth_only() {
 }
 
 #[test]
+fn prepost_reserves_the_ring_once() {
+    let mut sim = Simulation::new();
+    let m = Machine::new(&sim.handle(), HostId(0), "m", HostCosts::pentium3_500());
+    let nic = ViaNic::attach(&m, ViaNicId(0), clan1000_nic());
+    sim.spawn("prepost", move |ctx| {
+        let p = m.spawn_process("ring");
+        let va = p.alloc(ctx, RING * SLOT);
+        let region = MemRegion::register(ctx, &p, va, RING * SLOT);
+        let vi = nic.create_vi(ViAttributes::default());
+        let ring = (0..RING).map(|i| Descriptor::recv(Arc::clone(&region), i * SLOT, SLOT));
+        let before = allocs();
+        vi.prepost(ctx, ring).unwrap();
+        let n = allocs() - before;
+        assert_eq!(n, 1, "{n} allocations to pre-post {RING} descriptors");
+        assert_eq!(vi.recv_pending(), RING);
+    });
+    sim.run().unwrap();
+}
+
+#[test]
 fn reposting_a_completed_descriptor_allocates_nothing() {
     let mut sim = Simulation::new();
     let h = sim.handle();

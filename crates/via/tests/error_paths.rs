@@ -65,6 +65,35 @@ fn invalid_state_on_second_connect_request() {
 }
 
 #[test]
+fn prepost_refuses_a_vi_that_is_not_idle() {
+    let mut sim = Simulation::new();
+    let h = sim.handle();
+    let (m0, _m1, n0, n1) = testbed(&h);
+    {
+        let n1 = Arc::clone(&n1);
+        sim.spawn("server", move |ctx| {
+            let vi = n1.create_vi(ViAttributes::default());
+            accept_one(ctx, &n1, 7, &vi);
+        });
+    }
+    sim.spawn("client", move |ctx| {
+        let p = m0.spawn_process("client");
+        let region = registered_buffer(ctx, &p, 4096);
+        let ring = |n: usize| (0..n).map(|i| Descriptor::recv(Arc::clone(&region), i * 64, 64));
+        let vi = n0.create_vi(ViAttributes::default());
+        vi.prepost(ctx, ring(2)).unwrap();
+        assert_eq!(vi.recv_pending(), 2);
+        ctx.sleep(SimDuration::from_micros(50));
+        n0.connect_request(ctx, &vi, ViaNicId(1), 7).unwrap();
+        // Connected: the ring is refused before anything is charged.
+        let now = ctx.now();
+        assert_eq!(vi.prepost(ctx, ring(4)), Err(VipError::InvalidState));
+        assert_eq!((ctx.now(), vi.recv_pending()), (now, 2));
+    });
+    sim.run().unwrap();
+}
+
+#[test]
 fn not_connected_on_post_send_idle_vi() {
     let mut sim = Simulation::new();
     let h = sim.handle();

@@ -76,4 +76,5 @@ scripts/regen_results.sh
 echo "tier-1 OK"
 # Informational only: the line and site counts (scripts/loc.sh) gate nothing.
 scripts/loc.sh | awk '$1 == "total" {
-    print "non-test lines: " $2 ", test lines: " $3 ", .lock() sites: " $4 ", Ordering:: sites: " $5 }'
+    print "non-test lines: " $2 ", test lines: " $3 ", .lock() sites: " $4 ", Ordering:: sites: " $5 \
+        ", Mutex::new( sites: " $6 }'

@@ -46,7 +46,7 @@ fn run_and_stats(
             }
             let table = api::SocketTable::of(&sp);
             let sov = table.get(c).unwrap().as_any().downcast::<SovSocket>().unwrap();
-            *server_stats.lock() = sov.connection().map(|c| c.stats());
+            *server_stats.lock() = sov.stats();
             api::close(ctx, &sp, c).unwrap();
             api::close(ctx, &sp, s).unwrap();
         });
@@ -64,7 +64,7 @@ fn run_and_stats(
             }
             let table = api::SocketTable::of(&cp);
             let sov = table.get(s).unwrap().as_any().downcast::<SovSocket>().unwrap();
-            *client_stats.lock() = sov.connection().map(|c| c.stats());
+            *client_stats.lock() = sov.stats();
             api::close(ctx, &cp, s).unwrap();
         });
     }
@@ -196,7 +196,7 @@ fn combined_sends(n: usize, len: usize, nodelay: bool) -> (ConnStats, ConnStats)
         api::listen(ctx, &sp, s, 1).unwrap();
         let (c, _) = api::accept(ctx, &sp, s).unwrap();
         assert_eq!(api::recv_exact(ctx, &sp, c, n * len).unwrap().len(), n * len);
-        server_stats.lock().1 = Some(sov_socket(&sp, c).connection().unwrap().stats());
+        server_stats.lock().1 = sov_socket(&sp, c).stats();
         api::close(ctx, &sp, c).unwrap();
         api::close(ctx, &sp, s).unwrap();
     });
@@ -209,11 +209,11 @@ fn combined_sends(n: usize, len: usize, nodelay: bool) -> (ConnStats, ConnStats)
         for _ in 0..n {
             api::send_all(ctx, &cp, s, &vec![0x11u8; len]).unwrap();
         }
-        // Keep the connection handle: close() flushes the pending
-        // combine buffer, and the stats must include that tail.
-        let conn = sov_socket(&cp, s).connection().unwrap();
+        // Keep the socket object: close() flushes the pending combine
+        // buffer, and the stats must include that tail.
+        let sock = sov_socket(&cp, s);
         api::close(ctx, &cp, s).unwrap();
-        client_stats.lock().0 = Some(conn.stats());
+        client_stats.lock().0 = sock.stats();
     });
     sim.run().unwrap();
     let (client, server) = *stats.lock();
@@ -494,6 +494,64 @@ fn closed_connection_leaves_the_dirty_list() {
     assert_eq!(resent.len(), 1, "close() flushed B's buffer");
 }
 
+/// The dirty list also covers a connection accepted while another one of
+/// the same library holds a combine buffer: the server fills A's buffer
+/// while it blocks in `accept` (whose entry flush ran before), and its
+/// first `send` on the accepted B flushes A and keeps B's own buffer.
+#[test]
+fn first_send_on_an_accepted_connection_flushes_the_others() {
+    let mut sim = Simulation::new();
+    let (m0, m1) = testbed::sovia_pair(&sim.handle(), SoviaConfig::combine());
+    let (cp, sp) = testbed::procs(&m0, &m1);
+    let dirty = Arc::new(Mutex::new(None));
+    let server_dirty = Arc::clone(&dirty);
+    sim.spawn("server", move |ctx| {
+        let s = api::socket(ctx, &sp, SockType::Via).unwrap();
+        api::bind(ctx, &sp, s, SockAddr::new(HostId(1), PORT)).unwrap();
+        api::listen(ctx, &sp, s, 2).unwrap();
+        let (a, _) = api::accept(ctx, &sp, s).unwrap();
+        let sender = sp.clone();
+        ctx.handle().spawn("a-sender", move |ctx| {
+            ctx.sleep(SimDuration::from_millis(1));
+            api::send(ctx, &sender, a, b"a").unwrap();
+        });
+        let (b, _) = api::accept(ctx, &sp, s).unwrap();
+        let lib = SoviaLib::get(&sp).unwrap();
+        let vi_ids = [a, b].map(|fd| sov_socket(&sp, fd).connection().unwrap().vi_id());
+        let before = vi_ids.map(|vi| lib.holds_combine(vi));
+        api::send(ctx, &sp, b, b"b").unwrap();
+        let after = vi_ids.map(|vi| lib.holds_combine(vi));
+        *server_dirty.lock() = Some((before, after));
+        for fd in [a, b, s] {
+            api::close(ctx, &sp, fd).unwrap();
+        }
+    });
+    let arrival = Arc::new(Mutex::new(None));
+    let client_arrival = Arc::clone(&arrival);
+    sim.spawn("client", move |ctx| {
+        ctx.sleep(SimDuration::from_micros(100));
+        let [a, b] = [0, 1].map(|i| {
+            ctx.sleep(SimDuration::from_millis(2 * i));
+            let s = api::socket(ctx, &cp, SockType::Via).unwrap();
+            api::connect(ctx, &cp, s, SockAddr::new(HostId(1), PORT)).unwrap();
+            s
+        });
+        let connected_b = ctx.now();
+        assert_eq!(api::recv_exact(ctx, &cp, a, 1).unwrap(), b"a");
+        let at = ctx.now();
+        *client_arrival.lock() = Some(at.since(connected_b));
+        assert_eq!(api::recv_exact(ctx, &cp, b, 1).unwrap(), b"b");
+        api::close(ctx, &cp, a).unwrap();
+        api::close(ctx, &cp, b).unwrap();
+    });
+    sim.run().unwrap();
+    let (before, after) = dirty.lock().take().expect("the server ran");
+    assert_eq!(before, [true, false], "A's buffer is pending, B holds none");
+    assert_eq!(after, [false, true], "B's send flushed A and kept its own");
+    let waited = arrival.lock().take().expect("A's byte arrived");
+    assert!(waited < SimDuration::from_millis(1), "A's byte came after {waited:?}, not at B's send");
+}
+
 /// Accept one connection on `sp` and collect every `recv` chunk until
 /// `total` bytes arrived; then send a one-byte acknowledgment and close.
 fn collect_chunks(
@@ -637,18 +695,18 @@ fn combined_sends_count_across_every_flush_condition() {
         ctx.sleep(SimDuration::from_micros(100));
         let s = api::socket(ctx, &cp, SockType::Via).unwrap();
         api::connect(ctx, &cp, s, SockAddr::new(HostId(1), PORT)).unwrap();
-        let conn = sov_socket(&cp, s).connection().unwrap();
+        let sock = sov_socket(&cp, s);
         for _ in 0..40 {
             api::send(ctx, &cp, s, &[1u8; 1000]).unwrap();
         }
-        client_stats.lock().push(conn.stats());
+        client_stats.lock().push(sock.stats().unwrap());
         ctx.sleep(SimDuration::from_millis(150));
-        client_stats.lock().push(conn.stats());
+        client_stats.lock().push(sock.stats().unwrap());
         for _ in 0..5 {
             api::send(ctx, &cp, s, &[2u8; 100]).unwrap();
         }
         assert_eq!(api::recv_exact(ctx, &cp, s, 1).unwrap(), b"A");
-        client_stats.lock().push(conn.stats());
+        client_stats.lock().push(sock.stats().unwrap());
         api::close(ctx, &cp, s).unwrap();
     });
     sim.run().unwrap();
@@ -701,7 +759,7 @@ fn timer_thread_after(flush: Flush) -> ([u64; 2], u64) {
         ctx.sleep(SimDuration::from_micros(100));
         let s = api::socket(ctx, &cp, SockType::Via).unwrap();
         api::connect(ctx, &cp, s, SockAddr::new(HostId(1), PORT)).unwrap();
-        let conn = sov_socket(&cp, s).connection().unwrap();
+        let sock = sov_socket(&cp, s);
         match flush {
             Flush::FullChunk => {
                 for _ in 0..32 {
@@ -721,7 +779,7 @@ fn timer_thread_after(flush: Flush) -> ([u64; 2], u64) {
             }
         }
         ctx.sleep(SimDuration::from_millis(150));
-        *client_data_sent.lock() = conn.stats().data_sent;
+        *client_data_sent.lock() = sock.stats().unwrap().data_sent;
         if flush != Flush::Close {
             api::close(ctx, &cp, s).unwrap();
         }
